@@ -83,12 +83,15 @@ func TestFaultsCorruptedCacheSelfHealsAcrossRuns(t *testing.T) {
 
 // TestFaultsStatsLineDeterministic: the same seed and spec inject the
 // same fault sequence, so two runs over fresh cache dirs report
-// identical injection counts in -stats.
+// identical injection counts in -stats. The injected count is a function
+// of the store-op sequence, and that sequence is fixed only for a serial
+// engine: with concurrent workers, which store ops reach the injector
+// depends on when the breaker trips. Hence -workers 1.
 func TestFaultsStatsLineDeterministic(t *testing.T) {
 	statsLine := func(t *testing.T) string {
 		t.Helper()
 		var out, errOut bytes.Buffer
-		args := []string{"-quick", "-cachedir", t.TempDir(),
+		args := []string{"-quick", "-workers", "1", "-cachedir", t.TempDir(),
 			"-faults", "seed=7,get.err=0.5,put.enospc=0.5", "-stats", "run", "all"}
 		if code := run(args, &out, &errOut); code != 0 {
 			t.Fatalf("run exit %d: %s", code, errOut.String())

@@ -4,7 +4,7 @@
 //
 //	mergescale -list
 //	mergescale [-quick] [-format F] [-stream] [-out FILE] [-duration]
-//	           [-workers N] [-simworkers N] [-cachedir DIR] [-cachettl D]
+//	           [-workers N] [-cachedir DIR] [-cachettl D]
 //	           [-pinfile FILE] [-nocache] [-faults SPEC] [-stats]
 //	           run <experiment-id>|all
 //	mergescale [-quick] [-duration] [-workers N] [-cachedir DIR]
@@ -25,10 +25,7 @@
 // Experiments execute concurrently on the engine worker pool (one job per
 // artifact; design-space sweeps and per-core simulator runs shard into
 // sub-jobs), but the output is always rendered in registry order, so a
-// parallel run is byte-identical to -workers 1. -simworkers additionally
-// shards each simulator run across goroutines; the sharded simulator is
-// bit-identical to the serial reference, so this too changes no output
-// byte (and no cache key).
+// parallel run is byte-identical to -workers 1.
 //
 // Output goes through the streaming report pipeline: -format selects the
 // backend (text, markdown, json, csv — all byte-deterministic), and
@@ -94,7 +91,6 @@ import (
 	"mergescale/internal/faults"
 	"mergescale/internal/report"
 	"mergescale/internal/serve"
-	"mergescale/internal/workload"
 )
 
 func main() {
@@ -115,7 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csv       = fs.Bool("csv", false, "deprecated: shorthand for -format=csv")
 		duration  = fs.Bool("duration", false, "base native experiments on wall time instead of op counts")
 		workers   = fs.Int("workers", 0, "engine worker count (0 = GOMAXPROCS, 1 = serial)")
-		simwork   = fs.Int("simworkers", 1, "intra-run simulator worker goroutines (1 = serial reference; results are bit-identical at any setting)")
 		cachedir  = fs.String("cachedir", "", "persist engine results to this directory across runs")
 		cachettl  = fs.Duration("cachettl", 0, "expire disk-cache entries older than this (0 = never)")
 		pinfile   = fs.String("pinfile", "", "persist the disk cache's pin set to this file across restarts (requires -cachedir)")
@@ -124,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stats     = fs.Bool("stats", false, "print engine cache/worker statistics to stderr")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-stream] [-out FILE] [-duration] [-workers N] [-simworkers N] [-cachedir DIR] [-cachettl D] [-pinfile FILE] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-pinfile FILE] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-pinfile FILE] [-faults SPEC] [-stats] [-timing]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-retries N] [-retrybase D] [-out FILE]\n       mergescale -list\n")
+		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-stream] [-out FILE] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-pinfile FILE] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-pinfile FILE] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-pinfile FILE] [-faults SPEC] [-stats] [-timing]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-retries N] [-retrybase D] [-out FILE]\n       mergescale -list\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -137,11 +132,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Negative values parse fine but mean nothing downstream (-workers -4
 	// would silently select GOMAXPROCS; a negative TTL would expire every
 	// disk entry on sight). Reject them up front.
-	if *simwork < 1 {
-		fmt.Fprintf(stderr, "mergescale: -simworkers must be >= 1 (got %d)\n", *simwork)
-		return 2
-	}
-	workload.SetSimParallelism(*simwork)
 	if *workers < 0 {
 		fmt.Fprintf(stderr, "mergescale: -workers must be >= 0 (got %d)\n", *workers)
 		return 2

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	simulate -workload kmeans -cores 16 [-scale 4] [-iters 10]
-//	         [-format F] [-stream] [-out FILE]
+//	         [-format F] [-out FILE]
 //	         [-cachedir DIR] [-cachettl D] [-nocache] [-stats]
 //
 // The run goes through the experiment engine, so with -cachedir it shares
@@ -16,8 +16,7 @@
 // classic aligned terminal report; markdown, json, and csv render the run
 // as a report.Document through the same streaming pipeline cmd/mergescale
 // uses, so downstream consumers see one schema. simulate emits a single
-// document, which is written the moment the run resolves; -stream is
-// accepted for flag parity with mergescale and changes nothing here.
+// document, which is written the moment the run resolves.
 package main
 
 import (
@@ -54,9 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale    = fs.Int("scale", 4, "divide the data-set point count by this factor")
 		iters    = fs.Int("iters", 10, "clustering iterations (kmeans/fuzzy)")
 		format   = fs.String("format", "text", "output format: text | markdown | json | csv")
-		stream   = fs.Bool("stream", false, "accepted for parity with mergescale (a single document streams either way)")
 		outPath  = fs.String("out", "", "write the report to this file instead of stdout")
-		simwork  = fs.Int("simworkers", 1, "intra-run simulator worker goroutines (1 = serial reference; results are bit-identical at any setting)")
 		cachedir = fs.String("cachedir", "", "persist simulation results to this directory across runs")
 		cachettl = fs.Duration("cachettl", 0, "expire disk-cache entries older than this (0 = never)")
 		nocache  = fs.Bool("nocache", false, "disable the result cache (memory and disk)")
@@ -68,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	_ = stream // single-document output is inherently incremental
 
 	// A negative TTL parses fine but would expire every disk entry on
 	// sight, turning the shared cache into a silent no-op. Reject it.
@@ -76,11 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "simulate: -cachettl must be >= 0 (got %s)\n", *cachettl)
 		return 2
 	}
-	if *simwork < 1 {
-		fmt.Fprintf(stderr, "simulate: -simworkers must be >= 1 (got %d)\n", *simwork)
-		return 2
-	}
-	workload.SetSimParallelism(*simwork)
 
 	var w workload.Workload
 	switch *name {

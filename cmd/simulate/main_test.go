@@ -96,7 +96,7 @@ func TestFormatMarkdownAndJSON(t *testing.T) {
 	}
 
 	var js bytes.Buffer
-	if code := run(append([]string{"-format", "json", "-stream"}, base...), &js, &errOut); code != 0 {
+	if code := run(append([]string{"-format", "json"}, base...), &js, &errOut); code != 0 {
 		t.Fatalf("json run failed: %s", errOut.String())
 	}
 	var docs []struct {

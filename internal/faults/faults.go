@@ -11,12 +11,12 @@
 // supposed to degrade to a recomputation, never to a wrong byte. That
 // contract is only trustworthy if it is exercised, and real disks fail
 // rarely and unreproducibly. The injector makes failure a first-class,
-// replayable input: the same seed and spec produce the same injected
-// fault sequence for every operation index, regardless of goroutine
-// scheduling, so a chaos run that found a bug can be re-run until the
-// bug is gone. Injection is off by default and sits strictly between
-// the engine and the store — it never sees, and can never alter, cache
-// keys, envelope contents, or rendered output bytes.
+// replayable input: the same seed and spec produce the same decision
+// for every operation index, regardless of goroutine scheduling, so a
+// chaos run that found a bug can be re-run at -workers 1 until the bug
+// is gone (see Determinism). Injection is off by default and sits
+// strictly between the engine and the store — it never sees, and can
+// never alter, cache keys, envelope contents, or rendered output bytes.
 //
 // # Spec grammar
 //
@@ -54,7 +54,10 @@
 // not a shared stateful PRNG. Concurrent operations race only for the
 // index counter, so the multiset of decisions over any N operations is
 // schedule-independent, and a single-threaded replay reproduces the
-// exact sequence.
+// exact sequence. Which operations reach the injector is not: with
+// concurrent engine workers, the set of store operations a run issues
+// depends on when the breaker trips, so the injected count of a whole
+// concurrent run can differ between two runs of the same spec.
 package faults
 
 import (

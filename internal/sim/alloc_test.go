@@ -27,15 +27,41 @@ func TestAccessSteadyStateZeroAllocs(t *testing.T) {
 	warm := func() {
 		for i := uint64(0); i < lines; i++ {
 			core := int(i % 4)
-			m.access(core, 0x1000000+64*i, false, &ctr, &m.dir, &m.tick)
-			m.access(core, 0x100000+64*(i%64), i%8 == 0, &ctr, &m.dir, &m.tick)
-			m.access((core+1)%4, 0x100000+64*(i%64), i%16 == 0, &ctr, &m.dir, &m.tick)
+			m.access(core, 0x1000000+64*i, false, &ctr)
+			m.access(core, 0x100000+64*(i%64), i%8 == 0, &ctr)
+			m.access((core+1)%4, 0x100000+64*(i%64), i%16 == 0, &ctr)
 		}
 	}
 	warm() // first pass inserts every line into the directory
 	allocs := testing.AllocsPerRun(10, warm)
 	if allocs != 0 {
 		t.Errorf("steady-state access loop allocates %.1f times per %d accesses, budget is 0", allocs, 3*lines)
+	}
+}
+
+// TestRunSteadyStateZeroAllocs is the whole-run allocation gate for the
+// serial path: once the machine's scratch (result buffers, scheduler
+// heap, phase storage) is warm, a full Run performs ZERO allocations —
+// the former 2 allocs/run (Result.CoreTime and Phases) are machine-owned
+// now. Named to match ci.sh's no-race 'SteadyStateZeroAllocs' pass.
+func TestRunSteadyStateZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run the allocation budget without -race (ci.sh does)")
+	}
+	prog := poolProgram(t)
+	m, err := NewMachine(DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		m.Reset()
+		if _, err := m.Run(prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the scratch (phase buffer, grown directory)
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("steady-state serial Run allocates %.1f times, budget is 0", allocs)
 	}
 }
 

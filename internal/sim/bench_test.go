@@ -44,11 +44,11 @@ func BenchmarkSimL1Hit(b *testing.B) {
 		b.Fatal(err)
 	}
 	var ctr Counters
-	m.access(0, 0x1000, false, &ctr, &m.dir, &m.tick)
+	m.access(0, 0x1000, false, &ctr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.access(0, 0x1000, false, &ctr, &m.dir, &m.tick)
+		m.access(0, 0x1000, false, &ctr)
 	}
 }
 
@@ -64,8 +64,8 @@ func BenchmarkSimAccessMix(b *testing.B) {
 	const lines = 4096
 	step := func(i uint64) {
 		core := int(i % 4)
-		m.access(core, 0x1000000+64*(i%lines), false, &ctr, &m.dir, &m.tick)
-		m.access(core, 0x100000+64*(i%64), i%8 == 0, &ctr, &m.dir, &m.tick)
+		m.access(core, 0x1000000+64*(i%lines), false, &ctr)
+		m.access(core, 0x100000+64*(i%64), i%8 == 0, &ctr)
 	}
 	for i := uint64(0); i < lines; i++ {
 		step(i)

@@ -51,35 +51,6 @@ func newQuickFuzzy() workload.Workload {
 	return w
 }
 
-// benchMachineRunParallel is benchMachineRun through the sharded path:
-// the Par<N> suffix on a benchmark name is its worker count, the bare
-// name is the serial reference. The pairs are the tracked
-// serial-vs-parallel comparison in BENCH_sim.json.
-func benchMachineRunParallel(b *testing.B, w workload.Workload, cores, workers, scale int) {
-	b.Helper()
-	ds, err := datagen.Generate(datagen.Spec{Label: "bench", N: 2048, D: 4, C: 4, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.DefaultConfig(cores)
-	prog, err := w.BuildProgram(ds, cfg, scale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := sim.AcquireMachine(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.RunParallel(prog, workers); err != nil {
-			b.Fatal(err)
-		}
-		m.Release()
-	}
-}
-
 // The 256-core hop rows run at scale 1: hop needs at least two points
 // per core, and the bench dataset divided by 4 leaves too few.
 func BenchmarkSimRunKMeans8(b *testing.B)   { benchMachineRun(b, newQuickKMeans(), 8, 4) }
@@ -91,13 +62,3 @@ func BenchmarkSimRunFuzzy256(b *testing.B)  { benchMachineRun(b, newQuickFuzzy()
 func BenchmarkSimRunHop8(b *testing.B)      { benchMachineRun(b, hop.New(), 8, 4) }
 func BenchmarkSimRunHop64(b *testing.B)     { benchMachineRun(b, hop.New(), 64, 4) }
 func BenchmarkSimRunHop256(b *testing.B)    { benchMachineRun(b, hop.New(), 256, 1) }
-
-func BenchmarkSimRunKMeans256Par4(b *testing.B) {
-	benchMachineRunParallel(b, newQuickKMeans(), 256, 4, 4)
-}
-func BenchmarkSimRunFuzzy256Par4(b *testing.B) {
-	benchMachineRunParallel(b, newQuickFuzzy(), 256, 4, 4)
-}
-func BenchmarkSimRunHop256Par4(b *testing.B) {
-	benchMachineRunParallel(b, hop.New(), 256, 4, 1)
-}

@@ -87,23 +87,12 @@ func (c *cache) set(lineAddr uint64) []cacheLine {
 // lookup returns the line holding lineAddr, or nil on miss. A hit updates
 // the LRU clock.
 func (c *cache) lookup(lineAddr uint64) *cacheLine {
-	return c.lookupT(lineAddr, &c.tick)
-}
-
-// lookupT is lookup with the LRU clock threaded explicitly. The machine's
-// access paths pass one clock per execution context (the machine's in the
-// serial path, the owning worker's in the parallel path) instead of this
-// cache's own field: LRU victim choice depends only on the relative order
-// of lastUse values within one set, and every set is touched by exactly
-// one context per run, so any strictly increasing clock yields identical
-// eviction decisions.
-func (c *cache) lookupT(lineAddr uint64, tick *uint64) *cacheLine {
-	*tick++
+	c.tick++
 	base := c.base(lineAddr)
 	tag := lineAddr / uint64(c.sets)
 	for i := base; i < base+c.ways; i++ {
 		if c.lines[i].state != stateInvalid && c.lines[i].tag == tag {
-			c.lines[i].lastUse = *tick
+			c.lines[i].lastUse = c.tick
 			return &c.lines[i]
 		}
 	}
@@ -114,12 +103,7 @@ func (c *cache) lookupT(lineAddr uint64, tick *uint64) *cacheLine {
 // LRU way if needed. It returns the evicted line address and its state
 // (stateInvalid when no valid line was evicted).
 func (c *cache) insert(lineAddr uint64, st mesiState) (evictedAddr uint64, evictedState mesiState) {
-	return c.insertT(lineAddr, st, &c.tick)
-}
-
-// insertT is insert with the LRU clock threaded explicitly (see lookupT).
-func (c *cache) insertT(lineAddr uint64, st mesiState, tick *uint64) (evictedAddr uint64, evictedState mesiState) {
-	*tick++
+	c.tick++
 	base := c.base(lineAddr)
 	tag := lineAddr / uint64(c.sets)
 	victim := base
@@ -133,7 +117,7 @@ func (c *cache) insertT(lineAddr uint64, st mesiState, tick *uint64) (evictedAdd
 		}
 	}
 	ev := c.lines[victim]
-	c.lines[victim] = cacheLine{tag: tag, state: st, lastUse: *tick}
+	c.lines[victim] = cacheLine{tag: tag, state: st, lastUse: c.tick}
 	if ev.state == stateInvalid {
 		return 0, stateInvalid
 	}

@@ -34,30 +34,6 @@ type Counters struct {
 	HotLineInvalidations uint64
 }
 
-// merge folds src into c. Event counts are commutative sums; SharerPeak
-// and HotLineInvalidations are maxima, so the merged value is independent
-// of shard order exactly as dir.maxInv is independent of slot order.
-func (c *Counters) merge(src *Counters) {
-	c.L1Hits += src.L1Hits
-	c.L1Misses += src.L1Misses
-	c.L2Hits += src.L2Hits
-	c.L2Misses += src.L2Misses
-	c.C2CTransfers += src.C2CTransfers
-	c.Invalidations += src.Invalidations
-	c.WriteBacks += src.WriteBacks
-	c.L2Evictions += src.L2Evictions
-	c.Barriers += src.Barriers
-	c.Loads += src.Loads
-	c.Stores += src.Stores
-	c.ComputeOps += src.ComputeOps
-	if src.SharerPeak > c.SharerPeak {
-		c.SharerPeak = src.SharerPeak
-	}
-	if src.HotLineInvalidations > c.HotLineInvalidations {
-		c.HotLineInvalidations = src.HotLineInvalidations
-	}
-}
-
 // PhaseTime records the wall-clock cycles spent in one dynamic phase
 // instance (phases may repeat, e.g. "parallel" once per iteration).
 type PhaseTime struct {
@@ -148,13 +124,10 @@ type Machine struct {
 	dir    directory
 	l2Hops uint64      // average requester-to-L2-bank distance, cycles already folded in access()
 	cores  []coreState // per-run scheduler scratch, reused across Reset
-	tick   uint64      // LRU clock shared by every cache in the serial path
-	sched  []int32     // serial scheduler min-heap scratch
+	sched  []int32     // scheduler min-heap scratch
 
 	coreTimeBuf []uint64    // Result.CoreTime backing, recycled across runs
 	phasesBuf   []PhaseTime // Result.Phases backing, recycled across runs
-
-	par *parRunner // sharded-execution state, built on first RunParallel
 
 	ran      bool
 	released bool   // true while the machine sits in (or was returned to) the pool
@@ -204,7 +177,6 @@ func (m *Machine) Reset() {
 	}
 	m.l2.reset()
 	m.dir.reset()
-	m.tick = 0
 	m.ran = false
 	m.gen++
 }
@@ -221,40 +193,6 @@ var runCount atomic.Uint64
 // hook for tests and cache statistics asserting that warm-cache runs
 // perform no simulation at all.
 func Runs() uint64 { return runCount.Load() }
-
-// begin performs the shared Run/RunParallel prologue: single-use guards,
-// program validation, and the process-wide run count.
-func (m *Machine) begin(prog *Program) error {
-	if m.ran {
-		return errors.New("sim: Machine is single-use; create a new one per run (or Reset/re-Acquire it)")
-	}
-	if m.released {
-		return errors.New("sim: Machine was released to the pool; acquire a fresh one")
-	}
-	m.ran = true
-	runCount.Add(1)
-	if err := prog.Validate(); err != nil {
-		return err
-	}
-	if prog.Cores() != m.cfg.Cores {
-		return fmt.Errorf("sim: program has %d streams, machine has %d cores", prog.Cores(), m.cfg.Cores)
-	}
-	return nil
-}
-
-// errDeadlock mirrors the serial scheduler's stuck-program report in both
-// execution paths.
-var errDeadlock = errors.New("sim: deadlock — all live cores blocked at a barrier")
-
-// Run executes the program to completion and returns per-phase timing.
-// This is the serial reference implementation; RunParallel must produce
-// bit-identical Results and is property-tested against it.
-func (m *Machine) Run(prog *Program) (Result, error) {
-	if err := m.begin(prog); err != nil {
-		return Result{}, err
-	}
-	return m.runSerial(prog)
-}
 
 // schedLess orders the scheduler heap: lowest core time first, ties broken
 // by lowest core id — exactly the selection rule of the linear scan it
@@ -314,18 +252,25 @@ func (m *Machine) closePhase(res *Result, name string, start, now uint64) {
 	res.Phases = append(res.Phases, PhaseTime{Name: name, Cycles: now - start})
 }
 
-// endPhases finishes a run's phase accounting: close the open phase at the
-// wall time and adopt any grown backing array for the next run.
-func (m *Machine) endPhases(res *Result, name string, start, wall uint64) {
-	m.closePhase(res, name, start, wall)
-	if res.Phases != nil {
-		m.phasesBuf = res.Phases
+// Run executes the program to completion and returns per-phase timing.
+// The scheduler is one goroutine draining an indexed min-heap of (core
+// time, core id).
+func (m *Machine) Run(prog *Program) (Result, error) {
+	if m.ran {
+		return Result{}, errors.New("sim: Machine is single-use; create a new one per run (or Reset/re-Acquire it)")
 	}
-}
+	if m.released {
+		return Result{}, errors.New("sim: Machine was released to the pool; acquire a fresh one")
+	}
+	m.ran = true
+	runCount.Add(1)
+	if err := prog.Validate(); err != nil {
+		return Result{}, err
+	}
+	if prog.Cores() != m.cfg.Cores {
+		return Result{}, fmt.Errorf("sim: program has %d streams, machine has %d cores", prog.Cores(), m.cfg.Cores)
+	}
 
-// runSerial is the reference scheduler: one goroutine draining an indexed
-// min-heap of (core time, core id).
-func (m *Machine) runSerial(prog *Program) (Result, error) {
 	cores := m.cores
 	clear(cores)
 	res := Result{CoreTime: m.coreTimeBuf}
@@ -357,10 +302,10 @@ func (m *Machine) runSerial(prog *Program) (Result, error) {
 			c.time += (op.N + w - 1) / w
 		case OpLoad:
 			res.Counters.Loads++
-			c.time += m.access(sel, op.Addr, false, &res.Counters, &m.dir, &m.tick)
+			c.time += m.access(sel, op.Addr, false, &res.Counters)
 		case OpStore:
 			res.Counters.Stores++
-			c.time += m.access(sel, op.Addr, true, &res.Counters, &m.dir, &m.tick)
+			c.time += m.access(sel, op.Addr, true, &res.Counters)
 		case OpPhase:
 			m.closePhase(&res, phaseName, phaseStart, c.time)
 			phaseName = op.Phase
@@ -399,7 +344,7 @@ func (m *Machine) runSerial(prog *Program) (Result, error) {
 		}
 	}
 	if arrivals > 0 {
-		return Result{}, errDeadlock
+		return Result{}, errors.New("sim: deadlock — all live cores blocked at a barrier")
 	}
 
 	var wall uint64
@@ -409,7 +354,10 @@ func (m *Machine) runSerial(prog *Program) (Result, error) {
 			wall = cores[id].time
 		}
 	}
-	m.endPhases(&res, phaseName, phaseStart, wall)
+	m.closePhase(&res, phaseName, phaseStart, wall)
+	if res.Phases != nil {
+		m.phasesBuf = res.Phases // adopt any grown backing array for the next run
+	}
 	res.Cycles = wall
 	res.Counters.HotLineInvalidations = m.dir.maxInv()
 	return res, nil
@@ -420,25 +368,16 @@ func (m *Machine) runSerial(prog *Program) (Result, error) {
 // state (the line has been touched before) it performs zero heap
 // allocations — the allocation-budget test locks that in — because the
 // directory stores entries by value and every table below is preallocated.
-//
-// The directory and LRU clock are threaded explicitly so the sharded path
-// can run the same protocol code against per-worker instances: dir is
-// &m.dir and tick is &m.tick in the serial path, the owning worker's pair
-// in the parallel path. Every structure an access touches — the line's L1
-// set in any core's cache, the line's L2 set, eviction victims (same set),
-// and their directory entries — is determined by the line address modulo
-// the shard width, which is what makes the address-range partition race
-// free.
-func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters, dir *directory, tick *uint64) uint64 {
+func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters) uint64 {
 	line := addr >> m.cfg.lineShift()
 	l1 := &m.l1[id]
 	// The only directory call that may insert (and thus grow the table):
 	// every later dir.get below resolves an address still resident in some
 	// cache, which is always already tracked, so e stays valid throughout.
-	e := dir.get(line)
+	e := m.dir.get(line)
 	lat := m.cfg.L1Lat
 
-	if hit := l1.lookupT(line, tick); hit != nil {
+	if hit := l1.lookup(line); hit != nil {
 		ctr.L1Hits++
 		if !write {
 			return lat // read hit in any valid state
@@ -452,7 +391,7 @@ func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters, dir *di
 			return lat
 		case stateShared:
 			// Upgrade: invalidate all other sharers.
-			lat += m.invalidateOthers(id, line, e, ctr, dir, tick)
+			lat += m.invalidateOthers(id, line, e, ctr)
 			hit.state = stateModified
 			e.owner = int16(id)
 			e.sharers.only(id)
@@ -464,7 +403,7 @@ func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters, dir *di
 	// Remote M copy? Intervene with a cache-to-cache transfer.
 	if e.owner >= 0 && int(e.owner) != id {
 		owner := int(e.owner)
-		if st := m.l1[owner].lookupT(line, tick); st != nil && (st.state == stateModified || st.state == stateExclusive) {
+		if st := m.l1[owner].lookup(line); st != nil && (st.state == stateModified || st.state == stateExclusive) {
 			dist, _ := m.net.HopDistance(id, owner)
 			lat += m.cfg.XferLat + m.cfg.HopLat*uint64(dist)
 			ctr.C2CTransfers++
@@ -478,8 +417,8 @@ func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters, dir *di
 				e.addSharer(owner)
 			}
 			e.owner = -1
-			m.installL2(line, ctr, dir, tick) // dirty data written back to L2
-			m.installL1(id, line, write, e, ctr, dir, tick)
+			m.installL2(line, ctr) // dirty data written back to L2
+			m.installL1(id, line, write, e, ctr)
 			if write {
 				e.owner = int16(id)
 				e.sharers.only(id)
@@ -494,20 +433,20 @@ func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters, dir *di
 	}
 
 	if write {
-		lat += m.invalidateOthers(id, line, e, ctr, dir, tick)
+		lat += m.invalidateOthers(id, line, e, ctr)
 	}
 
 	// L2 (shared, at average mesh distance).
 	lat += m.cfg.L2Lat + m.cfg.HopLat*m.l2Hops
-	if m.l2.lookupT(line, tick) != nil {
+	if m.l2.lookup(line) != nil {
 		ctr.L2Hits++
 	} else {
 		ctr.L2Misses++
 		lat += m.cfg.MemLat
-		m.installL2(line, ctr, dir, tick)
+		m.installL2(line, ctr)
 	}
 
-	m.installL1(id, line, write, e, ctr, dir, tick)
+	m.installL1(id, line, write, e, ctr)
 	if write {
 		e.owner = int16(id)
 		e.sharers.only(id)
@@ -534,7 +473,7 @@ func noteSharerPeak(e *dirEntry, ctr *Counters) {
 // added latency. It walks the set bits of the sharer vector word by word —
 // O(sharers), not O(Cores) — in ascending core order, which keeps the
 // latency sum and inv increments deterministic.
-func (m *Machine) invalidateOthers(id int, line uint64, e *dirEntry, ctr *Counters, dir *directory, tick *uint64) uint64 {
+func (m *Machine) invalidateOthers(id int, line uint64, e *dirEntry, ctr *Counters) uint64 {
 	var lat uint64
 	for wi := range e.sharers {
 		w := e.sharers[wi]
@@ -550,7 +489,7 @@ func (m *Machine) invalidateOthers(id int, line uint64, e *dirEntry, ctr *Counte
 				ctr.Invalidations++
 				e.inv++
 				if st == stateModified {
-					m.installL2(line, ctr, dir, tick)
+					m.installL2(line, ctr)
 					ctr.WriteBacks++
 				}
 			}
@@ -567,41 +506,41 @@ func (m *Machine) invalidateOthers(id int, line uint64, e *dirEntry, ctr *Counte
 // the eviction side effects (directory update, dirty writeback). The
 // evicted line was resident in L1, so its directory entry already exists —
 // the dir.get below never inserts (see directory's stability contract).
-func (m *Machine) installL1(id int, line uint64, write bool, e *dirEntry, ctr *Counters, dir *directory, tick *uint64) {
+func (m *Machine) installL1(id int, line uint64, write bool, e *dirEntry, ctr *Counters) {
 	st := stateShared
 	if write {
 		st = stateModified
 	} else if e.sharerCount() == 0 {
 		st = stateExclusive
 	}
-	evAddr, evState := m.l1[id].insertT(line, st, tick)
+	evAddr, evState := m.l1[id].insert(line, st)
 	if evState == stateInvalid {
 		return
 	}
-	ev := dir.get(evAddr)
+	ev := m.dir.get(evAddr)
 	ev.dropSharer(id)
 	if ev.owner == int16(id) {
 		ev.owner = -1
 	}
 	if evState == stateModified {
 		ctr.WriteBacks++
-		m.installL2(evAddr, ctr, dir, tick)
+		m.installL2(evAddr, ctr)
 	}
 }
 
 // installL2 ensures line is present in the (inclusive) L2, back-invalidating
 // L1 copies of any valid victim. The victim was resident in L2, so its
 // directory entry already exists — the dir.get below never inserts.
-func (m *Machine) installL2(line uint64, ctr *Counters, dir *directory, tick *uint64) {
-	if m.l2.lookupT(line, tick) != nil {
+func (m *Machine) installL2(line uint64, ctr *Counters) {
+	if m.l2.lookup(line) != nil {
 		return
 	}
-	evAddr, evState := m.l2.insertT(line, stateShared, tick)
+	evAddr, evState := m.l2.insert(line, stateShared)
 	if evState == stateInvalid {
 		return
 	}
 	ctr.L2Evictions++
-	ev := dir.get(evAddr)
+	ev := m.dir.get(evAddr)
 	for wi := range ev.sharers {
 		w := ev.sharers[wi]
 		base := wi << 6

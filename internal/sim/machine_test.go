@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -286,8 +287,11 @@ func TestLoadStoreRangeLineGranularity(t *testing.T) {
 	}
 }
 
+// TestDeterminism runs a fixed phased program on two fresh machines and
+// once more on a Reset machine, and requires the full Result — cycles,
+// counters, per-core clocks and phases — to match.
 func TestDeterminism(t *testing.T) {
-	build := func() *Program {
+	checkDeterministic(t, "fixed", DefaultConfig(4), func() *Program {
 		b := NewBuilder(4)
 		b.Phase("parallel")
 		for id := 0; id < 4; id++ {
@@ -304,17 +308,116 @@ func TestDeterminism(t *testing.T) {
 		}
 		prog, _ := b.Build()
 		return prog
+	})
+}
+
+// TestRunDeterministicRandom applies the TestDeterminism check to
+// randomProgram shapes over random core counts and cache sizes.
+func TestRunDeterministicRandom(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cores := []int{1, 2, 3, 4, 8, 16}[rng.Intn(6)]
+		cfg := DefaultConfig(cores)
+		if rng.Intn(2) == 0 {
+			// Small caches force L1 and L2 evictions.
+			cfg.L1Size = 4 << 10
+			cfg.L2Size = 64 << 10
+		}
+		segments := 1 + rng.Intn(4)
+		label := fmt.Sprintf("random seed %d cores %d", seed, cores)
+		checkDeterministic(t, label, cfg, func() *Program {
+			return randomProgram(t, rand.New(rand.NewSource(seed)), cores, segments)
+		})
 	}
-	m1 := mustMachine(t, 4)
-	m2 := mustMachine(t, 4)
+}
+
+// checkDeterministic runs build's program on two fresh machines and once
+// more on a Reset machine, and requires all three Results to match.
+func checkDeterministic(t *testing.T, label string, cfg Config, build func() *Program) {
+	t.Helper()
+	m1, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r1, err1 := m1.Run(build())
 	r2, err2 := m2.Run(build())
 	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
+		t.Fatal(label, err1, err2)
 	}
-	if r1.Cycles != r2.Cycles || r1.Counters != r2.Counters {
-		t.Errorf("simulation not deterministic: %v vs %v", r1.Counters, r2.Counters)
+	diffResults(t, label, r1, r2)
+	want := cloneResult(r1)
+	m1.Reset()
+	r3, err := m1.Run(build())
+	if err != nil {
+		t.Fatal(label, err)
 	}
+	diffResults(t, label+" after Reset", want, r3)
+}
+
+// cloneResult deep-copies a Result out of its machine's scratch so it
+// survives the machine's next Reset/Run.
+func cloneResult(r Result) Result {
+	r.Phases = slices.Clone(r.Phases)
+	r.CoreTime = slices.Clone(r.CoreTime)
+	return r
+}
+
+// diffResults fails the test on the first field where two Results differ.
+func diffResults(t *testing.T, label string, want, got Result) {
+	t.Helper()
+	if got.Cycles != want.Cycles {
+		t.Errorf("%s: Cycles %d, want %d", label, got.Cycles, want.Cycles)
+	}
+	if got.Counters != want.Counters {
+		t.Errorf("%s: Counters\n got %+v\nwant %+v", label, got.Counters, want.Counters)
+	}
+	if !slices.Equal(got.CoreTime, want.CoreTime) {
+		t.Errorf("%s: CoreTime\n got %v\nwant %v", label, got.CoreTime, want.CoreTime)
+	}
+	if !slices.Equal(got.Phases, want.Phases) {
+		t.Errorf("%s: Phases\n got %v\nwant %v", label, got.Phases, want.Phases)
+	}
+}
+
+// randomProgram generates a valid program mixing compute bursts, loads and
+// stores over shared hot lines, a shared read region and private streams,
+// with phase markers and barriers — the full op vocabulary.
+func randomProgram(t testing.TB, rng *rand.Rand, cores, segments int) *Program {
+	t.Helper()
+	b := NewBuilder(cores)
+	names := []string{"init", "parallel", "reduction", "serial"}
+	for seg := 0; seg < segments; seg++ {
+		if rng.Intn(2) == 0 {
+			b.Phase(names[rng.Intn(len(names))])
+		}
+		for id := 0; id < cores; id++ {
+			for k, n := 0, rng.Intn(40); k < n; k++ {
+				switch rng.Intn(5) {
+				case 0:
+					b.Compute(id, uint64(1+rng.Intn(50)))
+				case 1: // shared read-mostly region
+					b.Load(id, 0x10000+64*uint64(rng.Intn(64)))
+				case 2: // shared hot lines (upgrades, invalidation storms)
+					b.Store(id, 0x20000+64*uint64(rng.Intn(8)))
+				case 3: // private streaming (misses, evictions)
+					b.Load(id, uint64(id+1)<<20+64*uint64(rng.Intn(2048)))
+				case 4: // read-modify-write ping-pong
+					addr := 0x30000 + 64*uint64(rng.Intn(16))
+					b.Load(id, addr).Store(id, addr)
+				}
+			}
+		}
+		b.Barrier()
+	}
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
 }
 
 func TestAccessCountsConserved(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"mergescale/internal/engine"
 	"mergescale/internal/sim"
@@ -81,33 +80,6 @@ func simProgram(w Workload, ds *datagen.Dataset, cfg sim.Config, scale int) (*si
 	return prog, nil
 }
 
-// simParallelism is the intra-run worker count RunSim hands to
-// sim.Machine.RunParallel. The default of 1 keeps the serial reference
-// path; because the sharded path is bit-identical (property-tested), the
-// knob is a pure wall-clock tunable and is deliberately NOT part of
-// SimRunKey — cached results are valid at any setting.
-var simParallelism atomic.Int32
-
-// SetSimParallelism sets the intra-run simulator worker count used by
-// RunSim (and everything layered on it: engine jobs, experiments, the
-// CLIs). n <= 1 selects the serial reference path. The previous value is
-// returned. Safe to call concurrently with running simulations — each
-// RunSim samples the knob once.
-func SetSimParallelism(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return int(simParallelism.Swap(int32(n)))
-}
-
-// SimParallelism reports the current intra-run worker count (minimum 1).
-func SimParallelism() int {
-	if n := simParallelism.Load(); n > 1 {
-		return int(n)
-	}
-	return 1
-}
-
 // RunSim compiles the workload, draws a machine for cfg from the machine
 // pool (equivalent to a fresh single-use sim.Machine — the pool hands out
 // Reset machines and Run still refuses reuse without Reset), runs it once,
@@ -126,7 +98,7 @@ func RunSim(w Workload, ds *datagen.Dataset, cfg sim.Config, scale int) (SimRun,
 		return SimRun{}, err
 	}
 	defer m.Release()
-	res, err := m.RunParallel(prog, SimParallelism())
+	res, err := m.Run(prog)
 	if err != nil {
 		return SimRun{}, err
 	}

@@ -150,11 +150,6 @@ if want_suite engine; then
 fi
 
 if want_suite sim; then
-    # The sim suite includes the serial-vs-parallel pairs: each
-    # BenchmarkSimRun<W>256 row has a ...256Par4 twin running the same
-    # program through RunParallel at 4 workers. Same-hardware pairs are
-    # the tracked intra-run speedup; on 1-CPU containers the Par4 rows
-    # measure rendezvous overhead instead.
     : > "$tmp"
     run_suite ./internal/sim "${BENCH_SIM_PATTERN:-BenchmarkSim}" "${BENCH_SIM_TIME:-100x}"
     emit_json BENCH_sim.json

@@ -34,8 +34,8 @@ go test -bench BenchmarkContend -benchtime=1x -run '^$' ./internal/workload/cont
 echo "== allocation budget (without -race: its instrumentation allocates) =="
 # The -race suite above skips the AllocsPerRun assertions; this pass arms
 # them, failing CI if the steady-state access loop ever allocates again.
-# The pattern covers the serial whole-run gate (zero allocations) and the
-# sharded-path gate (fixed per-run overhead, zero per access).
+# The pattern covers the per-access gate, the directory gate and the
+# whole-run gate (zero allocations per warm Machine.Run).
 go test -run 'SteadyStateZeroAllocs' -count=1 ./internal/sim
 
 echo "== sweep first-row-before-last-job gate =="
@@ -45,10 +45,6 @@ echo "== sweep first-row-before-last-job gate =="
 # observed — a buffered (end-of-run) pipeline would deadlock into the
 # test's loud 30s timeout instead of passing.
 go test -run 'TestSweepFirstRowBeforeLastJobCompletes' -count=1 ./internal/experiments
-
-# The >= 2x serial-vs-parallel wall-clock assertion (TestParallelRunSpeedup)
-# arms itself only on 4+ CPU hardware; on this 1-CPU container it skips,
-# so the suite above stays green while real machines still enforce it.
 
 echo "== cold/warm disk-cache determinism =="
 # A full -quick `run all` twice against one fresh cache dir: the warm run
@@ -61,17 +57,6 @@ go build -o "$tmp/mergescale" ./cmd/mergescale
 cmp "$tmp/cold.out" "$tmp/warm.out"
 grep -q '0 executed' "$tmp/warm.stats"
 grep -q 'disk:' "$tmp/warm.stats"
-
-echo "== sharded-simulator bit identity =="
-# `run all` with 4 intra-run simulator workers must render exactly the
-# serial bytes (the sharded scheduler is bit-identical by construction),
-# and a warm replay at -simworkers 4 must execute zero jobs — proving the
-# cache keys exclude the parallelism knob in both directions.
-"$tmp/mergescale" -quick -simworkers 4 run all > "$tmp/par.out"
-cmp "$tmp/cold.out" "$tmp/par.out"
-"$tmp/mergescale" -quick -simworkers 4 -cachedir "$tmp/cache" -stats run all > "$tmp/parwarm.out" 2> "$tmp/parwarm.stats"
-cmp "$tmp/cold.out" "$tmp/parwarm.out"
-grep -q '0 executed' "$tmp/parwarm.stats"
 
 echo "== contended-workload determinism =="
 # The contend experiments simulate zipf-skewed MESI traffic whose
