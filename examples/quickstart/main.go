@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func main() {
 	w := kmeans.New()
 	w.Cfg.Iters = 5
 	threadCounts := []int{1, 2, 4, 8, 16}
-	profiles, err := workload.NativeProfiles(w, ds, threadCounts, false)
+	profiles, err := workload.NativeProfiles(context.Background(), nil, w, ds, threadCounts, false)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,8 +6,9 @@
 //
 // Experiments run through the engine: RunAll submits one job per artifact,
 // and experiments shard their internal work — design-space sweep points
-// (internal/core) and per-core-count simulator runs (internal/workload) —
-// into sub-jobs on the same engine via Options.Engine. The engine executes
+// (internal/core), per-core-count simulator runs and per-thread-count
+// native runs (internal/workload) — into sub-jobs on the same engine via
+// Options.Engine. The engine executes
 // sub-jobs inline when its pool is saturated, so nested submission never
 // deadlocks.
 //

@@ -71,7 +71,7 @@ func serialGrowthDoc(ctx context.Context, id, title string, opt Options, native 
 		}
 		var profiles []*trace.Profile
 		if native {
-			profiles, err = workload.NativeProfiles(w, ds, grid, opt.UseDuration)
+			profiles, err = workload.NativeProfiles(ctx, opt.Engine, w, ds, grid, opt.UseDuration)
 		} else {
 			profiles, err = workload.SimProfilesEngine(ctx, opt.Engine, w, ds, grid, simScale(opt))
 		}

@@ -1,0 +1,88 @@
+package experiments
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"mergescale/internal/engine"
+	"mergescale/internal/workload"
+	"mergescale/internal/workload/hop"
+)
+
+// putCounter is an engine.Store that never hits and counts Puts per key.
+// The engine Puts every successful cacheable execution, so a key's count
+// is the number of times its job function ran.
+type putCounter struct {
+	mu   sync.Mutex
+	puts map[string]int
+}
+
+func (p *putCounter) Get(string) (any, bool) { return nil, false }
+
+func (p *putCounter) Put(key string, _ any) {
+	p.mu.Lock()
+	p.puts[key]++
+	p.mu.Unlock()
+}
+
+// runCounted runs targets on a fresh engine and returns its store's Put
+// counts and the engine stats.
+func runCounted(t *testing.T, targets []Experiment) (map[string]int, engine.Stats) {
+	t.Helper()
+	st := &putCounter{puts: map[string]int{}}
+	eng := engine.New(engine.Config{Workers: 4, Store: st})
+	for _, o := range RunAll(context.Background(), eng, targets, quick) {
+		if o.Err != nil {
+			t.Fatalf("%s: %v", o.ID, o.Err)
+		}
+	}
+	return st.puts, eng.Stats()
+}
+
+// TestRunAllDedupesNativeRuns: Table IV and Fig. 2(c) both need the
+// hop-default quick runs at every native thread count; one RunAll executes
+// each of those native-run keys exactly once, and no job runs twice.
+func TestRunAllDedupesNativeRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	w := hop.New()
+	ds, err := datasetFor(w, quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hopKeys []string
+	for _, th := range nativeThreadCounts(quick) {
+		hopKeys = append(hopKeys, workload.NativeRunKey(w, ds.Spec, th))
+	}
+
+	// Both experiments submit the hop runs on their own.
+	for _, id := range []string{"table4", "fig2c"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		puts, _ := runCounted(t, []Experiment{e})
+		for _, k := range hopKeys {
+			if puts[k] != 1 {
+				t.Errorf("%s alone: hop native-run key %s executed %d times, want 1", id, k, puts[k])
+			}
+		}
+	}
+
+	puts, stats := runCounted(t, Registry())
+	for _, k := range hopKeys {
+		if puts[k] != 1 {
+			t.Errorf("run all: hop native-run key %s executed %d times, want 1", k, puts[k])
+		}
+	}
+	for k, n := range puts {
+		if n != 1 {
+			t.Errorf("run all: key %s executed %d times, want 1", k, n)
+		}
+	}
+	if stats.Executed != uint64(len(puts)) {
+		t.Errorf("run all executed %d jobs for %d distinct keys", stats.Executed, len(puts))
+	}
+}

@@ -150,7 +150,7 @@ func Table4(ctx context.Context, opt Options) (*report.Document, error) {
 		if err != nil {
 			return err
 		}
-		profiles, err := workload.NativeProfiles(mk(), ds, nativeThreadCounts(opt), false)
+		profiles, err := workload.NativeProfiles(ctx, opt.Engine, mk(), ds, nativeThreadCounts(opt), false)
 		if err != nil {
 			return err
 		}

@@ -14,7 +14,8 @@
 //
 // Work-based profiles are pure functions of their inputs and therefore
 // cacheable through the engine (simulated profiles travel as
-// workload.SimRun values in the persistent disk cache). Duration-based
+// workload.SimRun values in the persistent disk cache, native ones as
+// Profile values). Duration-based
 // profiles are timing-sensitive by construction: anything derived from
 // them under -duration is excluded from caching and from determinism
 // tests.

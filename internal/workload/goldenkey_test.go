@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mergescale/internal/engine"
 	"mergescale/internal/sim"
 	"mergescale/internal/workload"
 	"mergescale/internal/workload/contend"
@@ -79,6 +80,81 @@ func TestSimRunKeyGoldens(t *testing.T) {
 				t.Errorf("SimRunKey(%s, p=%d) = %q, golden %q", c.label, cores, got, want)
 			}
 		}
+	}
+}
+
+// TestNativeRunKeyGoldens pins NativeRunKey outputs for every workload
+// across the quick and full native thread grids. Like the sim-run keys
+// they address the persistent disk cache, so the literals must never
+// drift; each must also equal the variadic engine.Key form of the same
+// parts.
+func TestNativeRunKeyGoldens(t *testing.T) {
+	km := kmeans.New()
+	km.Cfg.Iters = 3
+	fz := fuzzy.New()
+	fz.Cfg.Iters = 3
+	cs := contend.New()
+	cs.Cfg.Mode = contend.Split
+	goldens := map[string]map[int]string{
+		"kmeans": {
+			1: "65f6602fa73935f6", 2: "65f2fa2fa73652cd",
+			4: "65ec2e2fa7308c7b", 8: "6614f62fa7533267",
+		},
+		"fuzzy": {
+			1: "bd7277ee52980dda", 2: "bd6f11ee52952ab1",
+			4: "bd8375ee52a67da7", 8: "bd5aadee5283d7bb",
+		},
+		"hop": {
+			1: "63afde2869115e3a", 2: "63ac7828690e7b11",
+			4: "63c0dc28691fce07", 8: "6398142868fd281b",
+		},
+		"contend-joined": {
+			1: "5f1559e9a6778839", 2: "5f18bfe9a67a6b62",
+			4: "5f1f8be9a68031b4", 8: "5f2d23e9a68bbe58",
+		},
+		"contend-split": {
+			1: "45dd005f1d4bbe76", 2: "45d99a5f1d48db4d",
+			4: "45d2ce5f1d4314fb", 8: "45fb965f1d65bae7",
+		},
+	}
+	cases := []struct {
+		label string
+		w     workload.Workload
+	}{
+		{"kmeans", km}, {"fuzzy", fz}, {"hop", hop.New()},
+		{"contend-joined", contend.New()}, {"contend-split", cs},
+	}
+	for _, c := range cases {
+		spec := c.w.DefaultSpec()
+		for threads, want := range goldens[c.label] {
+			got := workload.NativeRunKey(c.w, spec, threads)
+			if got != want {
+				t.Errorf("NativeRunKey(%s, t=%d) = %q, golden %q", c.label, threads, got, want)
+			}
+			if k := engine.Key("native-run", c.w.Name(), c.w.Params(), spec, threads); got != k {
+				t.Errorf("NativeRunKey(%s, t=%d) = %q, engine.Key form %q", c.label, threads, got, k)
+			}
+		}
+	}
+}
+
+// TestNativeRunKeyCoversInputs: the key reacts to every input a native
+// run depends on.
+func TestNativeRunKeyCoversInputs(t *testing.T) {
+	km := kmeans.New()
+	base := workload.NativeRunKey(km, km.DefaultSpec(), 2)
+	km.Cfg.Iters++
+	if workload.NativeRunKey(km, km.DefaultSpec(), 2) == base {
+		t.Error("key ignores kmeans iteration count")
+	}
+	km.Cfg.Iters--
+	spec := km.DefaultSpec()
+	spec.N++
+	if workload.NativeRunKey(km, spec, 2) == base {
+		t.Error("key ignores dataset spec")
+	}
+	if workload.NativeRunKey(km, km.DefaultSpec(), 3) == base {
+		t.Error("key ignores thread count")
 	}
 }
 

@@ -1,0 +1,28 @@
+package hop
+
+import (
+	"strconv"
+	"testing"
+
+	"mergescale/internal/workload/datagen"
+)
+
+// BenchmarkHopRun times one native Run on the quick-mode hop-default data
+// set (N = 7680) at the thread counts the quick experiments use.
+func BenchmarkHopRun(b *testing.B) {
+	spec := datagen.HopDefault
+	spec.N /= 8
+	ds, err := datagen.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, th := range []int{1, 2, 4} {
+		b.Run("threads="+strconv.Itoa(th), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Run(ds, DefaultConfig(), th, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

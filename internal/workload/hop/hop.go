@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mergescale/internal/shapepool"
 
@@ -98,28 +99,41 @@ func (gr *grid) cellCoord(cell int, out []int) {
 	}
 }
 
-// Run executes hop natively with instrumented phases.
+// window returns the half-width w of the candidate window [s-w, s+w]
+// (MaxNeighbors/2, at least 1; MaxNeighbors <= 0 selects 64).
+func window(cfg Config) int {
+	maxNbr := cfg.MaxNeighbors
+	if maxNbr <= 0 {
+		maxNbr = 64
+	}
+	return max(maxNbr/2, 1)
+}
+
+// maskWords is the number of 64-bit words holding one point's in-radius
+// bits: a window has 2w candidates besides the point itself.
+func maskWords(w int) int { return (2*w + 63) / 64 }
 
 // runScratch holds Run's per-run working arrays, pooled by shape
-// ([n, cells, threads, d]) so the dozens of native runs an experiment
-// suite performs reuse their buffers instead of reallocating megabytes of
-// scratch per run. Everything is zeroed on acquire; only Result.Group
-// (returned to the caller) is freshly allocated per run.
+// ([n, cells, threads, d, mask words]) so the dozens of native runs an
+// experiment suite performs reuse their buffers instead of reallocating
+// megabytes of scratch per run. Everything is zeroed on acquire; only
+// Result.Group (returned to the caller) is freshly allocated per run.
 type runScratch struct {
 	partial          [][]int32
 	cellIdx, counts  []int32
 	order, cursor    []int32
 	parent, posOf    []int32
 	root             []int32
-	density          []float64
-	parOps           []float64
+	pts, density     []float64
+	mask             []uint64
+	pairs            []int
 	min, scale, maxv []float64
 }
 
-var scratchPools shapepool.Registry[[4]int]
+var scratchPools shapepool.Registry[[5]int]
 
-func acquireScratch(n, cells, threads, d int) *runScratch {
-	sp := scratchPools.For([4]int{n, cells, threads, d})
+func acquireScratch(n, cells, threads, d, words int) *runScratch {
+	sp := scratchPools.For([5]int{n, cells, threads, d, words})
 	if s, _ := sp.Get().(*runScratch); s != nil {
 		s.clear()
 		return s
@@ -133,8 +147,10 @@ func acquireScratch(n, cells, threads, d int) *runScratch {
 		parent:  make([]int32, n),
 		posOf:   make([]int32, n),
 		root:    make([]int32, n),
+		pts:     make([]float64, n*d),
 		density: make([]float64, n),
-		parOps:  make([]float64, threads),
+		mask:    make([]uint64, n*words),
+		pairs:   make([]int, threads),
 		min:     make([]float64, d),
 		scale:   make([]float64, d),
 		maxv:    make([]float64, d),
@@ -145,13 +161,13 @@ func acquireScratch(n, cells, threads, d int) *runScratch {
 	return s
 }
 
-func (s *runScratch) release(n, cells, threads, d int) {
-	scratchPools.For([4]int{n, cells, threads, d}).Put(s)
+func (s *runScratch) release(n, cells, threads, d, words int) {
+	scratchPools.For([5]int{n, cells, threads, d, words}).Put(s)
 }
 
 // clear zeroes every buffer (memclr — no allocations); the accumulating
-// arrays (partial counts, density, parOps, counts) rely on it, the rest is
-// cleared for uniformity.
+// arrays (partial counts, counts, the in-radius masks) rely on it, the
+// rest is cleared for uniformity.
 func (s *runScratch) clear() {
 	for t := range s.partial {
 		clear(s.partial[t])
@@ -163,13 +179,16 @@ func (s *runScratch) clear() {
 	clear(s.parent)
 	clear(s.posOf)
 	clear(s.root)
+	clear(s.pts)
 	clear(s.density)
-	clear(s.parOps)
+	clear(s.mask)
+	clear(s.pairs)
 	clear(s.min)
 	clear(s.scale)
 	clear(s.maxv)
 }
 
+// Run executes hop natively with instrumented phases.
 func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *trace.Profile, error) {
 	if threads < 1 {
 		return nil, nil, errors.New("hop: threads must be >= 1")
@@ -203,8 +222,9 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	for j := 0; j < d; j++ {
 		gr.cells *= gr.g
 	}
-	scr := acquireScratch(n, gr.cells, threads, d)
-	defer scr.release(n, gr.cells, threads, d)
+	words := maskWords(window(cfg))
+	scr := acquireScratch(n, gr.cells, threads, d, words)
+	defer scr.release(n, gr.cells, threads, d, words)
 	gr.min = scr.min
 	gr.scale = scr.scale
 	maxv := scr.maxv
@@ -299,65 +319,70 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 
 	// ---- parallel: density estimation over neighbor cells, then hop to
 	// the densest neighbor. Work is counted exactly per thread.
-	density := scr.density
-	parent := scr.parent
 	radius2 := 0.0
 	for j := 0; j < d; j++ {
 		radius2 += gr.scale[j] * gr.scale[j]
 	}
-	maxNbr := cfg.MaxNeighbors
-	if maxNbr <= 0 {
-		maxNbr = 64
-	}
-	parOps := scr.parOps
 
 	// Candidates for a point at sorted position s are the window
 	// [s-w, s+w] of the cell-sorted order: the grid sort places spatial
 	// neighbors next to each other, so the window approximates HOP's
 	// Ndens nearest neighbors with bounded work, and overlapping windows
 	// let hops chain toward each blob's density peak.
-	w := maxNbr / 2
-	if w < 1 {
-		w = 1
+	w := window(cfg)
+	lohi := func(s int) (int, int) {
+		return max(s-w, 0), min(s+w+1, n)
 	}
-	window := func(s int) (int, int) {
-		lo := s - w
-		if lo < 0 {
-			lo = 0
-		}
-		hi := s + w + 1
-		if hi > n {
-			hi = n
-		}
-		return lo, hi
-	}
+
+	// Both passes index by sorted position: pts holds the points gathered
+	// into cell-sorted order, density[s] is the density of point order[s],
+	// and mask[s*words:] marks which window candidates lie within radius2
+	// (bit c-(s-w) below s, c-(s-w)-1 above it), so the hop pass reads
+	// contiguous memory and recomputes no distance.
+	pts := scr.pts
+	density := scr.density
+	mask := scr.mask
+	pairs := scr.pairs
+	parent := scr.parent
 
 	if timing {
 		tPar = prof.StartTimer(trace.SecParallel)
 	}
-	pool.For(n, func(id, lo, hi int) {
-		ops := 0.0
+	pool.For(n, func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
-			self := int(gr.order[s])
-			pt := ds.Point(self)
-			wlo, whi := window(s)
+			copy(pts[s*d:(s+1)*d], ds.Point(int(gr.order[s])))
+		}
+	})
+	pool.For(n, func(id, lo, hi int) {
+		np := 0
+		for s := lo; s < hi; s++ {
+			pt := pts[s*d : (s+1)*d]
+			m := mask[s*words : (s+1)*words]
+			wlo, whi := lohi(s)
+			np += whi - wlo - 1
+			den := 0.0
 			for c := wlo; c < whi; c++ {
 				if c == s {
 					continue
 				}
-				op := ds.Point(int(gr.order[c]))
+				op := pts[c*d : (c+1)*d]
 				dist := 0.0
-				for j := 0; j < d; j++ {
-					diff := pt[j] - op[j]
+				for j, v := range pt {
+					diff := v - op[j]
 					dist += diff * diff
 				}
-				ops += float64(3*d + 2)
 				if dist <= radius2 {
-					density[self] += 1 / (1 + dist)
+					den += 1 / (1 + dist)
+					b := c - s + w
+					if c > s {
+						b--
+					}
+					m[b>>6] |= 1 << (b & 63)
 				}
 			}
+			density[s] = den
 		}
-		parOps[id] += ops
+		pairs[id] = np
 	})
 	if timing {
 		tPar.Stop()
@@ -367,40 +392,35 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	if timing {
 		tPar = prof.StartTimer(trace.SecParallel)
 	}
-	pool.For(n, func(id, lo, hi int) {
-		ops := 0.0
+	pool.For(n, func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
-			self := int(gr.order[s])
-			pt := ds.Point(self)
-			best, bestDen := int32(self), density[self]
-			wlo, whi := window(s)
-			for c := wlo; c < whi; c++ {
-				if c == s {
-					continue
-				}
-				o := int(gr.order[c])
-				op := ds.Point(o)
-				dist := 0.0
-				for j := 0; j < d; j++ {
-					diff := pt[j] - op[j]
-					dist += diff * diff
-				}
-				ops += float64(3*d + 3)
-				if dist <= radius2 && (density[o] > bestDen ||
-					(density[o] == bestDen && int32(o) > best)) {
-					bestDen = density[o]
-					best = int32(o)
+			best, bestDen := gr.order[s], density[s]
+			for k, bitsLeft := range mask[s*words : (s+1)*words] {
+				for bitsLeft != 0 {
+					b := k<<6 + bits.TrailingZeros64(bitsLeft)
+					bitsLeft &= bitsLeft - 1
+					c := s - w + b
+					if b >= w {
+						c++
+					}
+					o, den := gr.order[c], density[c]
+					if den > bestDen || (den == bestDen && o > best) {
+						bestDen = den
+						best = o
+					}
 				}
 			}
-			parent[self] = best
+			parent[gr.order[s]] = best
 		}
-		parOps[id] += ops
 	})
 	if timing {
 		tPar.Stop()
 	}
-	for _, v := range parOps {
-		prof.AddWork(trace.SecParallel, v)
+	// Each candidate pair costs 3d+2 ops in the density pass and 3d+3 in
+	// the hop pass. The counts are integers, so the float sum is exact.
+	for _, np := range pairs {
+		prof.AddWork(trace.SecParallel, float64(np*(3*d+2)))
+		prof.AddWork(trace.SecParallel, float64(np*(3*d+3)))
 	}
 
 	// ---- merging phase, part 2: cross-chunk group merge. Each thread

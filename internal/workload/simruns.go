@@ -16,10 +16,12 @@ import (
 )
 
 func init() {
-	// SimRun values cross the engine's persistent store inside gob
-	// envelopes; register the concrete type so another process can decode
-	// them back out of the interface-typed envelope field.
+	// SimRun and native-run trace.Profile values cross the engine's
+	// persistent store inside gob envelopes; register the concrete types
+	// so another process can decode them back out of the interface-typed
+	// envelope field.
 	gob.Register(SimRun{})
+	gob.Register(trace.Profile{})
 }
 
 // SimRun is the cacheable outcome of one simulated machine run: everything

@@ -8,7 +8,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
+	"mergescale/internal/engine"
 	"mergescale/internal/sim"
 	"mergescale/internal/trace"
 	"mergescale/internal/workload/datagen"
@@ -98,15 +100,67 @@ func SimSpeedupCurve(w Workload, ds *datagen.Dataset, coreCounts []int, scale in
 	return SimSpeedupCurveEngine(context.Background(), nil, w, ds, coreCounts, scale)
 }
 
-// NativeProfiles runs the workload natively across the given thread counts.
-func NativeProfiles(w Workload, ds *datagen.Dataset, threadCounts []int, timing bool) ([]*trace.Profile, error) {
-	var out []*trace.Profile
-	for _, th := range threadCounts {
-		p, err := w.RunNative(ds, th, timing)
-		if err != nil {
-			return nil, err
+// NativeRunKey is the engine cache key of one native run. Like SimRunKey
+// it covers everything RunNative's operation counts depend on — workload
+// identity and tunables (Params), the data-set spec and the thread count —
+// and nothing else.
+func NativeRunKey(w Workload, spec datagen.Spec, threads int) string {
+	kw := engine.AcquireKeyWriter()
+	kw.WriteString("native-run")
+	kw.WriteString(w.Name())
+	kw.WritePart(w.Params())
+	engine.WriteAppender(kw, spec)
+	kw.WriteInt(threads)
+	return kw.SumRelease()
+}
+
+// NativeProfiles runs the workload natively across the given thread
+// counts, one engine job per thread count keyed by NativeRunKey, so runs
+// are scheduled across the engine's workers, singleflighted across
+// experiments and disk-cached. Results come back in threadCounts order;
+// each caller gets its own copy of every profile. A nil eng runs the
+// thread counts serially on the calling goroutine. With timing set the
+// runs are never cached (wall-clock sections are nondeterministic) and
+// also run serially, so no run is timed while its siblings compete for
+// the CPU.
+func NativeProfiles(ctx context.Context, eng *engine.Engine, w Workload, ds *datagen.Dataset, threadCounts []int, timing bool) ([]*trace.Profile, error) {
+	out := make([]*trace.Profile, len(threadCounts))
+	if eng == nil || timing {
+		for i, th := range threadCounts {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			p, err := w.RunNative(ds, th, timing)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = p
 		}
-		out = append(out, p)
+		return out, nil
+	}
+	jobs := make([]engine.Job, len(threadCounts))
+	for i, th := range threadCounts {
+		jobs[i] = engine.Job{
+			ID:  "native:" + w.Name() + "/t=" + strconv.Itoa(th),
+			Key: NativeRunKey(w, ds.Spec, th),
+			Fn: func(context.Context) (any, error) {
+				p, err := w.RunNative(ds, th, false)
+				if err != nil {
+					return nil, err
+				}
+				return *p, nil
+			},
+		}
+	}
+	for i, r := range eng.Run(ctx, jobs) {
+		if r.Err != nil {
+			return nil, fmt.Errorf("%s: %w", jobs[i].ID, r.Err)
+		}
+		p, ok := r.Value.(trace.Profile)
+		if !ok {
+			return nil, fmt.Errorf("%s: unexpected cached result type %T", jobs[i].ID, r.Value)
+		}
+		out[i] = &p
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"context"
 	"testing"
 
 	"mergescale/internal/sim"
@@ -114,7 +115,7 @@ func TestNativeProfilesThreadGrid(t *testing.T) {
 	ds := testData(t, 44)
 	km := kmeans.New()
 	km.Cfg.Iters = 2
-	profiles, err := workload.NativeProfiles(km, ds, []int{1, 3, 5}, false)
+	profiles, err := workload.NativeProfiles(context.Background(), nil, km, ds, []int{1, 3, 5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
