@@ -31,7 +31,9 @@ func benchExperiment(b *testing.B, id string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := experiments.Options{Quick: true}
+	// The serial, uncached engine runs every sub-job inline and from
+	// scratch, so each iteration regenerates the artifact in full.
+	opt := experiments.Options{Quick: true, Engine: engine.New(engine.Config{Workers: 1, DisableCache: true})}
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -267,9 +269,10 @@ func BenchmarkSimSpeedupCurve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng := engine.New(engine.Config{Workers: 1, DisableCache: true})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := workload.SimSpeedupCurve(w, ds, []int{1, 2, 4, 8}, 1); err != nil {
+		if _, err := workload.SimSpeedupCurve(context.Background(), eng, w, ds, []int{1, 2, 4, 8}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	mergescale -list
-//	mergescale [-quick] [-format F] [-stream] [-out FILE] [-duration]
+//	mergescale [-quick] [-format F] [-out FILE] [-duration]
 //	           [-workers N] [-cachedir DIR] [-cachettl D]
 //	           [-pinfile FILE] [-nocache] [-faults SPEC] [-stats]
 //	           run <experiment-id>|all
@@ -27,12 +27,14 @@
 // sub-jobs), but the output is always rendered in registry order, so a
 // parallel run is byte-identical to -workers 1.
 //
-// Output goes through the streaming report pipeline: -format selects the
-// backend (text, markdown, json, csv — all byte-deterministic), and
-// -stream renders each experiment the moment it completes instead of after
-// the whole run, cutting time-to-first-output to the fastest artifact while
-// producing exactly the same bytes (experiments.Stream releases outcomes in
-// registry order).
+// Output always goes through the streaming report pipeline
+// (experiments.StreamElements): -format selects the backend (text,
+// markdown, json, csv — all byte-deterministic), and each table row or
+// chart series is rendered as soon as it and everything before it in
+// registry order is ready, so time-to-first-output is the first
+// artifact's, not the whole run's. A failing experiment stops the run:
+// the documents before it (and any part of its own already rendered) stay
+// on stdout, the error goes to stderr, and the exit code is 1.
 //
 // With -cachedir, results persist across processes: a second run against a
 // warm cache directory replays every artifact from disk without running a
@@ -106,7 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list      = fs.Bool("list", false, "list available experiments and exit")
 		quickRun  = fs.Bool("quick", false, "shrink data sets and grids for a fast run")
 		format    = fs.String("format", "text", "output format: text | markdown | json | csv")
-		stream    = fs.Bool("stream", false, "render each experiment as soon as it completes (same bytes, lower latency)")
 		outPath   = fs.String("out", "", "write rendered output to this file instead of stdout")
 		csv       = fs.Bool("csv", false, "deprecated: shorthand for -format=csv")
 		duration  = fs.Bool("duration", false, "base native experiments on wall time instead of op counts")
@@ -119,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stats     = fs.Bool("stats", false, "print engine cache/worker statistics to stderr")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-stream] [-out FILE] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-pinfile FILE] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-pinfile FILE] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-pinfile FILE] [-faults SPEC] [-stats] [-timing]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-retries N] [-retrybase D] [-out FILE]\n       mergescale -list\n")
+		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-out FILE] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-pinfile FILE] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-pinfile FILE] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-pinfile FILE] [-faults SPEC] [-stats] [-timing]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-retries N] [-retrybase D] [-out FILE]\n       mergescale -list\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -196,12 +197,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if len(rest) >= 1 && rest[0] == "serve" {
 		// The rendering flags are per-request (format) or meaningless for a
-		// long-running server (stream, out, csv, stats); silently ignoring
+		// long-running server (out, csv, stats); silently ignoring
 		// them would be the same bug as -csv vs -format. Reject them.
 		conflict := ""
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "format", "stream", "out", "csv", "stats":
+			case "format", "out", "csv", "stats":
 				if conflict == "" {
 					conflict = f.Name
 				}
@@ -291,7 +292,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	eng := engine.New(cfg)
 
-	code := render(ctx, eng, targets, opt, renderer, *stream, stderr)
+	code := render(ctx, eng, targets, opt, renderer, stderr)
 	if outFile != nil {
 		if err := outFile.Close(); err != nil && code == 0 {
 			fmt.Fprintf(stderr, "mergescale: %v\n", err)
@@ -346,47 +347,27 @@ func openStoreChain(cachedir string, opts diskcache.Options, spec faults.Spec, s
 	return storeChain{disk: disk, injector: in, breaker: faults.NewBreaker(es, faults.BreakerOptions{})}
 }
 
-// render drives the experiment pipeline into renderer, either streaming
-// (element-granular: table rows flush the moment their engine sub-jobs
-// resolve, released in registry order) or buffered (after the whole run).
-// Both paths emit exactly the same bytes; only the latency differs.
+// render streams the experiments into renderer element by element (table
+// rows flush the moment their engine sub-jobs resolve, released in
+// registry order) and returns the exit code.
 func render(ctx context.Context, eng *engine.Engine, targets []experiments.Experiment,
-	opt experiments.Options, renderer report.Renderer, stream bool, stderr io.Writer) int {
-	if err := renderer.Begin(); err != nil {
-		fmt.Fprintf(stderr, "mergescale: render: %v\n", err)
-		return 1
+	opt experiments.Options, renderer report.Renderer, stderr io.Writer) int {
+	err := renderer.Begin()
+	if err == nil {
+		err = experiments.StreamElements(ctx, eng, targets, opt, renderer.Element)
 	}
-	emit := func(o experiments.Outcome) error {
-		if o.Err != nil {
-			return fmt.Errorf("%s: %v", o.ID, o.Err)
-		}
-		if err := o.Doc.Replay(renderer); err != nil {
-			return fmt.Errorf("%s: render: %v", o.ID, err)
-		}
-		return nil
+	if err == nil {
+		err = renderer.End()
 	}
-	var runErr error
-	if stream {
-		runErr = experiments.StreamElements(ctx, eng, targets, opt, renderer.Element)
-	} else {
-		for _, o := range experiments.RunAll(ctx, eng, targets, opt) {
-			if runErr = emit(o); runErr != nil {
-				break
-			}
-		}
-	}
-	if runErr == nil {
-		runErr = renderer.End()
-	}
-	if runErr != nil {
-		fmt.Fprintln(stderr, runErr)
+	if err != nil {
+		fmt.Fprintf(stderr, "mergescale: %v\n", err)
 		return 1
 	}
 	return 0
 }
 
 // serveConfig carries the global flags the serve subcommand honors. The
-// rendering flags (-format, -stream, -out, -csv, -stats) are per-request
+// rendering flags (-format, -out, -csv, -stats) are per-request
 // or meaningless for a server and are rejected before dispatch.
 type serveConfig struct {
 	quick    bool

@@ -59,17 +59,21 @@ func TestRunQuickWorkload(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicAcrossWorkers compares CLI output at -workers 1 vs 8.
+// TestRunDeterministicAcrossWorkers compares CLI output of a serial,
+// uncached run (-workers 1 -nocache) with -workers 8, per format: the
+// stream releases elements in registry order whatever order jobs resolve.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	var serial, parallel, errOut bytes.Buffer
-	if code := run([]string{"-quick", "-workers", "1", "run", "fig4"}, &serial, &errOut); code != 0 {
-		t.Fatalf("serial run failed: %s", errOut.String())
-	}
-	if code := run([]string{"-quick", "-workers", "8", "run", "fig4"}, &parallel, &errOut); code != 0 {
-		t.Fatalf("parallel run failed: %s", errOut.String())
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Fatal("-workers 8 output differs from -workers 1")
+	for _, format := range []string{"text", "markdown", "json", "csv"} {
+		var serial, parallel, errOut bytes.Buffer
+		if code := run([]string{"-quick", "-format", format, "-workers", "1", "-nocache", "run", "fig4"}, &serial, &errOut); code != 0 {
+			t.Fatalf("%s serial run failed: %s", format, errOut.String())
+		}
+		if code := run([]string{"-quick", "-format", format, "-workers", "8", "run", "fig4"}, &parallel, &errOut); code != 0 {
+			t.Fatalf("%s parallel run failed: %s", format, errOut.String())
+		}
+		if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
+			t.Fatalf("%s: -workers 8 output differs from -workers 1", format)
+		}
 	}
 }
 
@@ -129,23 +133,6 @@ func TestRunCSV(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesBufferedCLI: -stream must produce byte-identical output
-// to the buffered default, per format.
-func TestStreamMatchesBufferedCLI(t *testing.T) {
-	for _, format := range []string{"text", "markdown", "json", "csv"} {
-		var buffered, streamed, errOut bytes.Buffer
-		if code := run([]string{"-quick", "-format", format, "run", "fig4"}, &buffered, &errOut); code != 0 {
-			t.Fatalf("%s buffered run failed: %s", format, errOut.String())
-		}
-		if code := run([]string{"-quick", "-format", format, "-stream", "run", "fig4"}, &streamed, &errOut); code != 0 {
-			t.Fatalf("%s streamed run failed: %s", format, errOut.String())
-		}
-		if !bytes.Equal(buffered.Bytes(), streamed.Bytes()) {
-			t.Errorf("%s: -stream output differs from buffered", format)
-		}
-	}
-}
-
 // TestFormatMarkdown: the markdown backend emits the document heading and
 // a pipe table.
 func TestFormatMarkdown(t *testing.T) {
@@ -165,7 +152,7 @@ func TestFormatMarkdown(t *testing.T) {
 // requested artifact.
 func TestFormatJSON(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-quick", "-format", "json", "-stream", "run", "table3"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-quick", "-format", "json", "run", "table3"}, &out, &errOut); code != 0 {
 		t.Fatalf("json run failed: %s", errOut.String())
 	}
 	var docs []struct {
@@ -264,7 +251,6 @@ func TestServeUsageErrors(t *testing.T) {
 	// must be rejected, not silently dropped.
 	for _, args := range [][]string{
 		{"-format", "json", "serve"},
-		{"-stream", "serve"},
 		{"-out", "x", "serve"},
 		{"-csv", "serve"},
 		{"-stats", "serve"},
@@ -295,7 +281,7 @@ func TestUnknownFormat(t *testing.T) {
 func TestOutFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "report.md")
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-quick", "-format", "markdown", "-stream", "-out", path, "run", "table3"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-quick", "-format", "markdown", "-out", path, "run", "table3"}, &out, &errOut); code != 0 {
 		t.Fatalf("-out run failed: %s", errOut.String())
 	}
 	if out.Len() != 0 {
@@ -314,15 +300,15 @@ func TestOutFile(t *testing.T) {
 	}
 }
 
-// TestWarmDiskCacheStreamedMarkdown: the warm-replay guarantee holds on
-// the streaming markdown path — zero simulator machine runs and
+// TestWarmDiskCacheStreamedMarkdown: the warm-replay guarantee holds for
+// the streamed markdown rendering — zero simulator machine runs and
 // byte-identical output on the second run.
 func TestWarmDiskCacheStreamedMarkdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
 	dir := t.TempDir()
-	args := []string{"-quick", "-cachedir", dir, "-format", "markdown", "-stream", "run", "fig2a"}
+	args := []string{"-quick", "-cachedir", dir, "-format", "markdown", "run", "fig2a"}
 	var cold, warm, errOut bytes.Buffer
 	if code := run(args, &cold, &errOut); code != 0 {
 		t.Fatalf("cold run failed: %s", errOut.String())

@@ -134,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	eng := engine.New(engCfg)
 
-	runs, err := workload.SimRunsEngine(context.Background(), eng, w, ds, []sim.Config{cfg}, *scale)
+	runs, err := workload.SimRuns(context.Background(), eng, w, ds, []sim.Config{cfg}, *scale)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		if outFile != nil {

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"mergescale/internal/core"
+	"mergescale/internal/engine"
 	"mergescale/internal/trace"
 	"mergescale/internal/workload"
 	"mergescale/internal/workload/datagen"
@@ -23,11 +24,13 @@ func main() {
 	}
 
 	// 2. Run parallel k-means at several thread counts, recording the
-	// per-section operation counts.
+	// per-section operation counts. A one-worker, uncached engine runs
+	// the thread counts one after another.
 	w := kmeans.New()
 	w.Cfg.Iters = 5
 	threadCounts := []int{1, 2, 4, 8, 16}
-	profiles, err := workload.NativeProfiles(context.Background(), nil, w, ds, threadCounts, false)
+	eng := engine.New(engine.Config{Workers: 1, DisableCache: true})
+	profiles, err := workload.NativeProfiles(context.Background(), eng, w, ds, threadCounts, false)
 	if err != nil {
 		log.Fatal(err)
 	}

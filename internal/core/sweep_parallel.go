@@ -36,16 +36,10 @@ func init() {
 // that overhead while keeping sweeps parallel across series and cached/
 // deduplicated at the granularity experiments actually share.
 //
-// The serial functions in sweep.go remain the reference implementation;
-// every engine variant falls back to them when eng is nil, and the tests
-// assert point-for-point equality between the two paths.
-
-// sweepEval is one evaluated grid value, preserving the serial sweeps'
-// behavior of skipping invalid designs (signalled by ok=false).
-type sweepEval struct {
-	Point SweepPoint
-	OK    bool
-}
+// Each engine form runs the matching pure function in sweep.go as its job
+// body, so the two can never diverge; the engine adds only the key, the cache and
+// the fan-out. Callers that want no caching or parallelism pass a serial
+// engine (engine.Config{Workers: 1, DisableCache: true}).
 
 // gridKey makes a sweep grid key-appendable (engine.KeyAppender) so the
 // batched sweep key can cover the exact grid without fmt reflection. The
@@ -67,25 +61,16 @@ func (g gridKey) AppendKey(b []byte) []byte {
 	return append(b, '}')
 }
 
-// runSweep evaluates the whole grid as one engine job and returns the
-// valid points in grid order. The job honours ctx between points, so a
-// cancelled sweep aborts promptly and (like any cancelled job) is never
-// cached.
-func runSweep(ctx context.Context, eng *engine.Engine, id, key string, grid []float64, eval func(float64) sweepEval) ([]SweepPoint, error) {
+// runSweep evaluates the whole grid as one engine job (sweep returns the
+// valid points in grid order). A sweep is microseconds of arithmetic, so
+// the job checks ctx only on entry; a cancelled sweep, like any cancelled
+// job, is never cached.
+func runSweep(ctx context.Context, eng *engine.Engine, id, key string, sweep func() []SweepPoint) ([]SweepPoint, error) {
 	r := eng.RunOne(ctx, engine.Job{
 		ID:  id,
 		Key: key,
-		Fn: func(ctx context.Context) (any, error) {
-			pts := make([]SweepPoint, 0, len(grid))
-			for _, v := range grid {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				if ev := eval(v); ev.OK {
-					pts = append(pts, ev.Point)
-				}
-			}
-			return pts, nil
+		Fn: func(context.Context) (any, error) {
+			return sweep(), nil
 		},
 	})
 	if r.Err != nil {
@@ -98,85 +83,52 @@ func runSweep(ctx context.Context, eng *engine.Engine, id, key string, grid []fl
 	return pts, nil
 }
 
-// SweepSymmetricEngine is the engine-backed SweepSymmetric. A nil eng (or
-// nil ctx) degrades to the serial implementation.
+// SweepSymmetricEngine is the engine-backed SweepSymmetric.
 func SweepSymmetricEngine(ctx context.Context, eng *engine.Engine, app AppParams, b Budget, rs []float64) ([]SweepPoint, error) {
-	if eng == nil {
-		return SweepSymmetric(app, b, rs), nil
-	}
 	w := engine.AcquireKeyWriter()
 	w.WriteString("sweep-sym")
 	engine.WriteAppender(w, app)
 	engine.WriteAppender(w, b)
 	engine.WriteAppender(w, gridKey(rs))
-	return runSweep(ctx, eng, "sweep-sym", w.SumRelease(), rs,
-		func(r float64) sweepEval {
-			d := SymDesign{Budget: b, R: r}
-			if !d.Valid() {
-				return sweepEval{}
-			}
-			return sweepEval{Point: SweepPoint{R: r, Speedup: SpeedupCMP(app, d)}, OK: true}
-		})
+	return runSweep(ctx, eng, "sweep-sym", w.SumRelease(), func() []SweepPoint {
+		return SweepSymmetric(app, b, rs)
+	})
 }
 
 // SweepAsymmetricEngine is the engine-backed SweepAsymmetric.
 func SweepAsymmetricEngine(ctx context.Context, eng *engine.Engine, app AppParams, b Budget, rls []float64, r float64) ([]SweepPoint, error) {
-	if eng == nil {
-		return SweepAsymmetric(app, b, rls, r), nil
-	}
 	w := engine.AcquireKeyWriter()
 	w.WriteString("sweep-asym")
 	engine.WriteAppender(w, app)
 	engine.WriteAppender(w, b)
 	engine.WriteAppender(w, gridKey(rls))
 	w.WriteFloat64(r)
-	return runSweep(ctx, eng, "sweep-asym", w.SumRelease(), rls,
-		func(rl float64) sweepEval {
-			d := AsymDesign{Budget: b, RL: rl, R: r}
-			if !d.Valid() {
-				return sweepEval{}
-			}
-			return sweepEval{Point: SweepPoint{R: rl, Speedup: SpeedupACMP(app, d)}, OK: true}
-		})
+	return runSweep(ctx, eng, "sweep-asym", w.SumRelease(), func() []SweepPoint {
+		return SweepAsymmetric(app, b, rls, r)
+	})
 }
 
 // SweepSymmetricCommEngine is the engine-backed SweepSymmetricComm.
 func SweepSymmetricCommEngine(ctx context.Context, eng *engine.Engine, m CommModel, b Budget, rs []float64) ([]SweepPoint, error) {
-	if eng == nil {
-		return SweepSymmetricComm(m, b, rs), nil
-	}
 	w := engine.AcquireKeyWriter()
 	w.WriteString("sweep-sym-comm")
 	engine.WriteAppender(w, m)
 	engine.WriteAppender(w, b)
 	engine.WriteAppender(w, gridKey(rs))
-	return runSweep(ctx, eng, "sweep-sym-comm", w.SumRelease(), rs,
-		func(r float64) sweepEval {
-			d := SymDesign{Budget: b, R: r}
-			if !d.Valid() {
-				return sweepEval{}
-			}
-			return sweepEval{Point: SweepPoint{R: r, Speedup: m.SpeedupCMP(d)}, OK: true}
-		})
+	return runSweep(ctx, eng, "sweep-sym-comm", w.SumRelease(), func() []SweepPoint {
+		return SweepSymmetricComm(m, b, rs)
+	})
 }
 
 // SweepAsymmetricCommEngine is the engine-backed SweepAsymmetricComm.
 func SweepAsymmetricCommEngine(ctx context.Context, eng *engine.Engine, m CommModel, b Budget, rls []float64, r float64) ([]SweepPoint, error) {
-	if eng == nil {
-		return SweepAsymmetricComm(m, b, rls, r), nil
-	}
 	w := engine.AcquireKeyWriter()
 	w.WriteString("sweep-asym-comm")
 	engine.WriteAppender(w, m)
 	engine.WriteAppender(w, b)
 	engine.WriteAppender(w, gridKey(rls))
 	w.WriteFloat64(r)
-	return runSweep(ctx, eng, "sweep-asym-comm", w.SumRelease(), rls,
-		func(rl float64) sweepEval {
-			d := AsymDesign{Budget: b, RL: rl, R: r}
-			if !d.Valid() {
-				return sweepEval{}
-			}
-			return sweepEval{Point: SweepPoint{R: rl, Speedup: m.SpeedupACMP(d)}, OK: true}
-		})
+	return runSweep(ctx, eng, "sweep-asym-comm", w.SumRelease(), func() []SweepPoint {
+		return SweepAsymmetricComm(m, b, rls, r)
+	})
 }

@@ -74,20 +74,6 @@ func TestEngineSweepsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestEngineSweepNilFallback checks the serial fallback path.
-func TestEngineSweepNilFallback(t *testing.T) {
-	b := DefaultBudget
-	rs := PowerOfTwoRs(b.N)
-	app := KMeansParams
-	got, err := SweepSymmetricEngine(context.Background(), nil, app, b, rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := SweepSymmetric(app, b, rs); !reflect.DeepEqual(want, got) {
-		t.Fatal("nil-engine fallback diverged from serial sweep")
-	}
-}
-
 // TestEngineSweepCacheReuse verifies repeated design points hit the cache:
 // a second identical sweep computes nothing new.
 func TestEngineSweepCacheReuse(t *testing.T) {

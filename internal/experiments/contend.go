@@ -76,7 +76,7 @@ func contendDoc(ctx context.Context, opt Options, id, title string, mode contend
 		for i, p := range cores {
 			cfgs[i] = sim.DefaultConfig(p)
 		}
-		runs, err := workload.SimRunsEngine(ctx, opt.Engine, w, ds, cfgs, scale)
+		runs, err := workload.SimRuns(ctx, opt.Engine, w, ds, cfgs, scale)
 		if err != nil {
 			return nil, fmt.Errorf("contend alpha=%g: %w", alpha, err)
 		}

@@ -4,19 +4,21 @@
 // the paper's published values where the text states them, so
 // EXPERIMENTS.md can record paper-vs-measured for every artifact.
 //
-// Experiments run through the engine: RunAll submits one job per artifact,
-// and experiments shard their internal work — design-space sweep points
+// Experiments always run through an engine: StreamElements (and its
+// buffered reference, RunAll) submits one job per artifact, and
+// experiments shard their internal work — design-space sweeps
 // (internal/core), per-core-count simulator runs and per-thread-count
 // native runs (internal/workload) — into sub-jobs on the same engine via
-// Options.Engine. The engine executes
-// sub-jobs inline when its pool is saturated, so nested submission never
-// deadlocks.
+// Options.Engine, which is required. The engine executes sub-jobs inline
+// when its pool is saturated, so nested submission never deadlocks, and
+// engine.Config{Workers: 1, DisableCache: true} is the serial, uncached
+// reference.
 //
-// Stream is the push-based form consumers build on (the CLIs, and one
-// sink per HTTP client in internal/serve): outcomes are released to the
-// sink in target order as jobs resolve, and a sink error cancels the
-// run's derived context so outstanding jobs stop computing for a
-// consumer that is gone.
+// StreamElements is the one run path consumers build on (the CLI's run
+// and sweep, and one stream per HTTP client in internal/serve): report
+// elements are released to emit in target order as jobs produce them, and
+// the first error cancels the run's derived context so outstanding jobs
+// stop computing for a consumer that is gone.
 //
 // Caching rules. Every experiment job is keyed by cacheKey: the artifact
 // id plus each Options field that changes output. Options.Engine is

@@ -17,85 +17,35 @@ type Outcome struct {
 	Cached bool
 }
 
-// Sink consumes completed outcomes in target order. Returning a non-nil
-// error stops delivery — no later outcome reaches the sink, Stream returns
-// that error, and the run's derived context is cancelled so outstanding
-// engine jobs stop instead of computing results nobody will read (a
-// disconnected HTTP client must not keep burning simulator time).
-// Cancelled jobs are never persisted to the cache, so an aborted stream
-// cannot poison later runs.
-type Sink func(Outcome) error
-
-// Stream executes targets through eng and hands each outcome to sink as
-// soon as it is ready AND every earlier target has been delivered. Outcomes
-// therefore arrive in target order — streamed rendering is byte-identical
-// to a buffered run — but the first outcome is released when the first
-// target resolves, not when the slowest one does, and at most the
-// out-of-order suffix of completed outcomes is ever held in memory.
-//
-// Completion is driven by the engine's per-job OnDone hook, so there is no
-// polling: hooks fire on whichever goroutine resolved each job (a pool
-// worker, or this goroutine via the caller-runs-inline invariant) and park
-// their outcome in a small in-order release buffer; the buffer's lock
-// serializes sink calls, so the sink itself needs no synchronization.
-// Cancelled targets are delivered like any other outcome, carrying the
-// context error.
-//
-// A nil eng runs the targets serially on the calling goroutine, delivering
-// each outcome as it is computed (and stopping early on a sink error).
-func Stream(ctx context.Context, eng *engine.Engine, targets []Experiment, opt Options, sink Sink) error {
-	if eng == nil {
-		opt.Engine = nil
-		for _, e := range targets {
-			o := Outcome{Experiment: e}
-			o.Doc, o.Err = e.Run(ctx, opt)
-			if err := sink(o); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Every job — including nested sub-jobs sharded from inside experiment
-	// functions via opt.Engine — runs under this derived context, so a sink
-	// error cancels the whole remaining run promptly.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
+// RunAll executes targets through eng and returns every outcome — errored
+// and cancelled ones included — in target order. It is the buffered
+// reference for StreamElements: the engine returns results in submission
+// order, so rendering the outcomes in turn gives the same bytes the stream
+// does, only after the whole run.
+func RunAll(ctx context.Context, eng *engine.Engine, targets []Experiment, opt Options) []Outcome {
 	opt.Engine = eng
-	rel := &releaser{pending: make([]*Outcome, len(targets)), sink: sink, cancel: cancel}
 	jobs := make([]engine.Job, len(targets))
 	for i, e := range targets {
-		i, e := i, e
-		jobs[i] = engine.Job{
-			ID:  e.ID,
-			Key: cacheKey(e, opt),
-			Fn: func(ctx context.Context) (any, error) {
-				return e.Run(ctx, opt)
-			},
-			OnDone: func(r engine.Result) {
-				rel.release(i, outcomeOf(e, r))
-			},
-		}
+		jobs[i] = experimentJob(e, opt)
 	}
-	eng.Run(ctx, jobs)
-	return rel.err()
+	outcomes := make([]Outcome, len(targets))
+	for i, r := range eng.Run(ctx, jobs) {
+		outcomes[i] = outcomeOf(targets[i], r)
+	}
+	return outcomes
 }
 
-// RunAll executes targets through eng and returns every outcome in target
-// order. It is the buffered form of Stream — same bytes when rendered,
-// whole-run latency — for callers that need the complete result set at
-// once. A nil eng runs the targets serially on the calling goroutine.
-func RunAll(ctx context.Context, eng *engine.Engine, targets []Experiment, opt Options) []Outcome {
-	outcomes := make([]Outcome, 0, len(targets))
-	// The collecting sink never errors, so every outcome — including
-	// errored and cancelled ones — is recorded, exactly as before the
-	// streaming refactor.
-	_ = Stream(ctx, eng, targets, opt, func(o Outcome) error {
-		outcomes = append(outcomes, o)
-		return nil
-	})
-	return outcomes
+// experimentJob wraps one experiment as an engine job keyed by cacheKey.
+// opt.Emit is excluded from the key, so StreamElements' per-target hooks
+// never split the cache.
+func experimentJob(e Experiment, opt Options) engine.Job {
+	return engine.Job{
+		ID:  e.ID,
+		Key: cacheKey(e, opt),
+		Fn: func(ctx context.Context) (any, error) {
+			return e.Run(ctx, opt)
+		},
+	}
 }
 
 // outcomeOf converts one engine result into the experiment-level outcome.
@@ -113,59 +63,14 @@ func outcomeOf(e Experiment, r engine.Result) Outcome {
 	return o
 }
 
-// releaser is the in-order release buffer behind Stream: completed
-// outcomes park under their target index until every earlier target has
-// been delivered, then flush to the sink in index order. One lock both
-// guards the buffer and serializes sink calls, so delivery order is total
-// no matter which engine worker finishes first.
-type releaser struct {
-	mu      sync.Mutex
-	pending []*Outcome
-	next    int // lowest target index not yet delivered
-	sink    Sink
-	sinkErr error
-	stopped bool
-	cancel  context.CancelFunc // stops outstanding jobs on the first sink error
-}
-
-// release parks outcome i and flushes the contiguous ready prefix.
-func (r *releaser) release(i int, o Outcome) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pending[i] = &o
-	for r.next < len(r.pending) && r.pending[r.next] != nil {
-		out := *r.pending[r.next]
-		r.pending[r.next] = nil // release the document as soon as it is sunk
-		r.next++
-		if r.stopped {
-			continue
-		}
-		if err := r.sink(out); err != nil {
-			r.sinkErr = err
-			r.stopped = true
-			if r.cancel != nil {
-				// Outstanding jobs would only produce dropped results from
-				// here on; cancel them so they stop burning compute. Their
-				// cancelled outcomes still flow through release (keeping the
-				// buffer's accounting exact) but never reach the sink.
-				r.cancel()
-			}
-		}
-	}
-}
-
-// err returns the first sink error, once all jobs have resolved.
-func (r *releaser) err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sinkErr
-}
-
-// StreamElements is the element-granular form of Stream: instead of
-// releasing whole documents it releases individual report elements — table
-// frames, rows, chart series — in target order, so a sweep-shaped
-// experiment's first table row reaches emit the moment its engine sub-job
-// resolves, not when the whole experiment does.
+// StreamElements executes targets through eng and releases their report
+// elements — table frames, rows, chart series — in target order as they
+// are produced, so a sweep-shaped experiment's first table row reaches
+// emit the moment its engine sub-job resolves, not when the whole
+// experiment (or the whole run) does. It is the one run path behind the
+// CLI's run and sweep, every HTTP stream in internal/serve, and the
+// benchmark harness; eng is required (a serial, uncached engine is
+// engine.New(engine.Config{Workers: 1, DisableCache: true})).
 //
 // Each target runs with opt.Emit wired into an in-order element release
 // buffer: the head target's elements forward to emit live, later targets'
@@ -175,44 +80,23 @@ func (r *releaser) err() error {
 // join another caller's in-flight job) deliver by replaying
 // doc.Elements() at release, so every document crosses emit exactly once
 // and in exactly the order Document.Elements() defines. A consumer of
-// this stream therefore renders byte-identically to a buffered run.
+// this stream therefore renders byte-identically to a buffered RunAll.
+//
+// Completion is driven by the engine's per-job OnDone hook, so there is no
+// polling: hooks fire on whichever goroutine resolved each job (a pool
+// worker, or this goroutine via the caller-runs-inline invariant), and the
+// buffer's lock serializes emit, so emit itself needs no synchronization.
 //
 // The first error — a failed target or an emit error — stops the stream:
 // later elements are dropped, the derived context is cancelled so
-// outstanding jobs stop computing, and StreamElements returns it.
-// Cancelled jobs are never cached, so an aborted stream cannot poison
-// later runs. Unlike Stream's sink, emit has no per-document error
+// outstanding jobs stop computing for a consumer that is gone (a
+// disconnected HTTP client must not keep burning simulator time), and
+// StreamElements returns it. Cancelled jobs are never cached, so an
+// aborted stream cannot poison later runs. There is no per-document error
 // envelope: a target that fails after emitting (its elements already
 // forwarded) leaves a truncated stream behind, exactly like a mid-stream
-// renderer failure.
-//
-// A nil eng runs the targets serially on the calling goroutine, emitting
-// live and stopping on the first error.
+// renderer failure, and the documents released before it stay delivered.
 func StreamElements(ctx context.Context, eng *engine.Engine, targets []Experiment, opt Options, emit func(report.Element) error) error {
-	if eng == nil {
-		opt.Engine = nil
-		for _, e := range targets {
-			emitted := false
-			o := opt
-			o.Emit = func(el report.Element) error {
-				emitted = true
-				return emit(el)
-			}
-			doc, err := e.Run(ctx, o)
-			if err != nil {
-				return fmt.Errorf("%s: %w", e.ID, err)
-			}
-			if !emitted {
-				for _, el := range doc.Elements() {
-					if err := emit(el); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	}
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -226,19 +110,10 @@ func StreamElements(ctx context.Context, eng *engine.Engine, targets []Experimen
 	}
 	jobs := make([]engine.Job, len(targets))
 	for i, e := range targets {
-		i, e := i, e
 		o := opt
 		o.Emit = func(el report.Element) error { return rel.elem(i, el) }
-		jobs[i] = engine.Job{
-			ID:  e.ID,
-			Key: cacheKey(e, opt),
-			Fn: func(ctx context.Context) (any, error) {
-				return e.Run(ctx, o)
-			},
-			OnDone: func(r engine.Result) {
-				rel.done(i, outcomeOf(e, r))
-			},
-		}
+		jobs[i] = experimentJob(e, o)
+		jobs[i].OnDone = func(r engine.Result) { rel.done(i, outcomeOf(e, r)) }
 	}
 	eng.Run(ctx, jobs)
 	return rel.err()
@@ -336,9 +211,7 @@ func (r *elemReleaser) fail(err error) {
 	}
 	r.failure = err
 	r.stopped = true
-	if r.cancel != nil {
-		r.cancel()
-	}
+	r.cancel()
 }
 
 // err returns the first stream error, once all jobs have resolved.

@@ -28,15 +28,16 @@ func renderAll(t *testing.T, outcomes []Outcome) []byte {
 }
 
 // TestRunAllMatchesSerial is the headline determinism guarantee: the
-// rendered output of a concurrent engine run over the full registry is
-// byte-identical to a serial run, for several worker counts.
+// rendered output of a concurrent, cached engine run over the full
+// registry is byte-identical to a serial, uncached run, for several worker
+// counts.
 func TestRunAllMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
 	ctx := context.Background()
 	reg := Registry()
-	want := renderAll(t, RunAll(ctx, nil, reg, quick))
+	want := renderAll(t, RunAll(ctx, serialEngine(), reg, quick))
 	if len(want) == 0 {
 		t.Fatal("serial run rendered nothing")
 	}
@@ -145,123 +146,46 @@ func TestRunAllSubset(t *testing.T) {
 	}
 }
 
-// streamAll streams targets into a slice plus a markdown rendering, so
-// streamed and buffered runs can be compared both structurally and
-// byte-for-byte. It drives the exact renderer pipeline the CLI uses.
-func streamAll(t *testing.T, eng *engine.Engine, targets []Experiment, opt Options) ([]Outcome, []byte) {
-	t.Helper()
-	var buf bytes.Buffer
-	r, err := report.NewRenderer("markdown", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	var outcomes []Outcome
-	streamErr := Stream(context.Background(), eng, targets, opt, func(o Outcome) error {
-		outcomes = append(outcomes, o)
-		if o.Err != nil {
-			return nil // recorded; keep streaming like RunAll does
-		}
-		return o.Doc.Replay(r)
-	})
-	if streamErr != nil {
-		t.Fatalf("stream: %v", streamErr)
-	}
-	if err := r.End(); err != nil {
-		t.Fatal(err)
-	}
-	return outcomes, buf.Bytes()
-}
-
-// markdownAll renders buffered outcomes through the same pipeline.
-func markdownAll(t *testing.T, outcomes []Outcome) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	r, err := report.NewRenderer("markdown", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range outcomes {
-		if o.Err != nil {
-			t.Fatalf("%s: %v", o.ID, o.Err)
-		}
-		if err := o.Doc.Replay(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.End(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestStreamMatchesBuffered is the streaming determinism guarantee: the
-// sink receives outcomes in registry order and the streamed markdown is
-// byte-identical to a buffered RunAll rendering, across worker counts and
-// with the sweep-sharding engine attached (this test runs under -race in
-// CI, exercising the release buffer against concurrent OnDone callbacks).
-func TestStreamMatchesBuffered(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	ctx := context.Background()
-	reg := Registry()
-	want := markdownAll(t, RunAll(ctx, nil, reg, quick))
-	for _, workers := range []int{1, 4, 8} {
-		eng := engine.New(engine.Config{Workers: workers})
-		outcomes, got := streamAll(t, eng, reg, quick)
-		if len(outcomes) != len(reg) {
-			t.Fatalf("workers=%d: streamed %d outcomes, want %d", workers, len(outcomes), len(reg))
-		}
-		for i, o := range outcomes {
-			if o.ID != reg[i].ID {
-				t.Fatalf("workers=%d: outcome %d is %s, want %s (stream out of order)", workers, i, o.ID, reg[i].ID)
-			}
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("workers=%d: streamed markdown differs from buffered (%d vs %d bytes)", workers, len(got), len(want))
-		}
-	}
-}
-
-// TestStreamSinkError: a failing sink stops delivery and surfaces through
-// Stream's return value; later outcomes never reach the sink.
+// TestStreamSinkError: an emit error on the cached-replay path (every
+// target served from a warm engine, so no experiment runs and each
+// document replays from the cache) stops delivery: StreamElements returns
+// the error and emit is never called again.
 func TestStreamSinkError(t *testing.T) {
 	boom := errors.New("sink exploded")
 	targets := Registry()[:3]
-	for _, eng := range []*engine.Engine{nil, engine.New(engine.Config{Workers: 4})} {
-		calls := 0
-		err := Stream(context.Background(), eng, targets, quick, func(o Outcome) error {
-			calls++
-			return boom
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("Stream returned %v, want sink error", err)
-		}
-		if calls != 1 {
-			t.Fatalf("sink called %d times after erroring, want 1", calls)
-		}
+	eng := engine.New(engine.Config{Workers: 4})
+	renderStreamElements(t, eng, targets, "text")
+	executed := eng.Stats().Executed
+	calls := 0
+	err := StreamElements(context.Background(), eng, targets, quick, func(report.Element) error {
+		calls++
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("StreamElements returned %v, want emit error", err)
+	}
+	if calls != 1 {
+		t.Fatalf("emit called %d times after erroring, want 1", calls)
+	}
+	if again := eng.Stats().Executed; again != executed {
+		t.Fatalf("warm replay executed %d jobs, want 0", again-executed)
 	}
 }
 
-// TestStreamSinkErrorCancelsOutstandingJobs: once a sink errors, jobs that
+// TestStreamSinkErrorCancelsOutstandingJobs: once emit errors, jobs that
 // were already submitted must observe cancellation instead of running to
 // completion for a result nobody will read (the disconnected-HTTP-client
 // case). The slow target blocks until its context is cancelled; if the
-// sink error did not propagate, it would sit in its 10s fallback and the
+// emit error did not propagate, it would sit in its 10s fallback and the
 // test would time out.
 func TestStreamSinkErrorCancelsOutstandingJobs(t *testing.T) {
 	boom := errors.New("client gone")
 	slowStarted := make(chan struct{})
-	// fast completes only once slow is running, so the sink error (and the
+	// fast completes only once slow is running, so the emit error (and the
 	// cancellation it triggers) always races against a job that is already
 	// in flight — the scenario under test — never one the engine can skip
-	// with its pre-execution ctx check.
+	// with its pre-execution ctx check. fast ignores opt.Emit, so its one
+	// BeginDoc element is replayed (and fails) when its job resolves.
 	fast := Experiment{ID: "fake-fast", Title: "fast", Run: func(ctx context.Context, opt Options) (*report.Document, error) {
 		<-slowStarted
 		return &report.Document{ID: "fake-fast", Title: "fast"}, nil
@@ -274,7 +198,7 @@ func TestStreamSinkErrorCancelsOutstandingJobs(t *testing.T) {
 			slowObserved <- ctx.Err()
 			return nil, ctx.Err()
 		case <-time.After(10 * time.Second):
-			err := errors.New("job outlived the sink error")
+			err := errors.New("job outlived the emit error")
 			slowObserved <- err
 			return nil, err
 		}
@@ -282,15 +206,15 @@ func TestStreamSinkErrorCancelsOutstandingJobs(t *testing.T) {
 
 	eng := engine.New(engine.Config{Workers: 2})
 	calls := 0
-	err := Stream(context.Background(), eng, []Experiment{fast, slow}, quick, func(o Outcome) error {
+	err := StreamElements(context.Background(), eng, []Experiment{fast, slow}, quick, func(report.Element) error {
 		calls++
 		return boom
 	})
 	if !errors.Is(err, boom) {
-		t.Fatalf("Stream returned %v, want sink error", err)
+		t.Fatalf("StreamElements returned %v, want emit error", err)
 	}
 	if calls != 1 {
-		t.Fatalf("sink called %d times, want 1", calls)
+		t.Fatalf("emit called %d times, want 1", calls)
 	}
 	select {
 	case observed := <-slowObserved:
@@ -302,41 +226,32 @@ func TestStreamSinkErrorCancelsOutstandingJobs(t *testing.T) {
 	}
 }
 
-// TestStreamCancellation: a cancelled context still delivers one outcome
-// per target, in order, each carrying the context error and no document.
+// TestStreamCancellation: a stream started on a cancelled context emits
+// nothing and returns an error wrapping context.Canceled, on a serial and
+// a parallel engine.
 func TestStreamCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng := engine.New(engine.Config{Workers: 4})
-	reg := Registry()
-	var outcomes []Outcome
-	if err := Stream(ctx, eng, reg, quick, func(o Outcome) error {
-		outcomes = append(outcomes, o)
-		return nil
-	}); err != nil {
-		t.Fatalf("stream: %v", err)
-	}
-	if len(outcomes) != len(reg) {
-		t.Fatalf("streamed %d outcomes, want %d", len(outcomes), len(reg))
-	}
-	for i, o := range outcomes {
-		if o.ID != reg[i].ID {
-			t.Errorf("outcome %d is %s, want %s", i, o.ID, reg[i].ID)
+	for _, eng := range []*engine.Engine{serialEngine(), engine.New(engine.Config{Workers: 4})} {
+		calls := 0
+		err := StreamElements(ctx, eng, Registry(), quick, func(report.Element) error {
+			calls++
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want context.Canceled", eng.Workers(), err)
 		}
-		if !errors.Is(o.Err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", o.ID, o.Err)
-		}
-		if o.Doc != nil {
-			t.Errorf("%s: cancelled outcome carries a document", o.ID)
+		if calls != 0 {
+			t.Errorf("workers=%d: cancelled stream emitted %d elements, want 0", eng.Workers(), calls)
 		}
 	}
 }
 
 // TestStreamWarmDiskCacheRoundTrip round-trips streamed documents through
-// a warm persistent cache: a second streamed run from a fresh engine and
-// store over the same directory must execute nothing, serve every outcome
-// as cached, and render byte-identical markdown — proving the gob envelope
-// path and the streaming pipeline compose.
+// a warm persistent cache: a second stream from a fresh engine and store
+// over the same directory must execute nothing, read every target from
+// the store, and render byte-identical markdown — proving the gob
+// envelope path and the streaming pipeline compose.
 func TestStreamWarmDiskCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	target := []Experiment{Registry()[9]} // fig4: cheap, analytical, sharded
@@ -348,19 +263,20 @@ func TestStreamWarmDiskCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, coldMD := streamAll(t, engine.New(engine.Config{Workers: 2, Store: cold}), target, quick)
+	coldMD := renderStreamElements(t, engine.New(engine.Config{Workers: 2, Store: cold}), target, "markdown")
 
 	warm, err := diskcache.Open(dir, diskcache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := engine.New(engine.Config{Workers: 2, Store: warm})
-	outcomes, warmMD := streamAll(t, eng, target, quick)
-	if !outcomes[0].Cached {
-		t.Error("warm streamed outcome not served from cache")
+	warmMD := renderStreamElements(t, eng, target, "markdown")
+	st := eng.Stats()
+	if st.Executed != 0 {
+		t.Errorf("warm streamed run executed %d jobs, want 0", st.Executed)
 	}
-	if got := eng.Stats().Executed; got != 0 {
-		t.Errorf("warm streamed run executed %d jobs, want 0", got)
+	if st.StoreHits != uint64(len(target)) {
+		t.Errorf("warm streamed run had %d store hits, want %d", st.StoreHits, len(target))
 	}
 	if !bytes.Equal(coldMD, warmMD) {
 		t.Error("warm streamed markdown differs from cold")

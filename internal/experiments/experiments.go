@@ -33,8 +33,9 @@ type Options struct {
 	// UseDuration bases the native-run experiments (Fig. 2(c)) on wall
 	// clock instead of deterministic operation counts.
 	UseDuration bool
-	// Engine, when non-nil, lets experiments shard internal work (design-
-	// space sweep points, per-workload simulations) into engine sub-jobs.
+	// Engine is required: experiments shard internal work (design-space
+	// sweeps, per-core simulations, per-thread native runs) into sub-jobs
+	// on it. RunAll and StreamElements set it to the engine they run on.
 	// It is excluded from cache keys; see cacheKey.
 	Engine *engine.Engine
 	// Emit, when non-nil, receives the experiment's report elements live
@@ -52,7 +53,8 @@ type Options struct {
 // cacheKey hashes an experiment id plus every Options field that changes
 // its output, plus a fingerprint of the model/simulator/workload constants
 // the suite is built from. The Engine pointer only affects scheduling,
-// never results (asserted by TestRunAllMatchesSerial), so it is
+// never results (asserted by TestRunAllMatchesSerial and
+// TestStreamElementsMatchesBuffered), so it is
 // deliberately excluded. Timing-sensitive experiments running on wall
 // clock (-duration) return an empty key: their output is nondeterministic,
 // so it must never be cached — neither in memory nor on disk.

@@ -7,9 +7,25 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mergescale/internal/engine"
 )
 
 var quick = Options{Quick: true}
+
+// serialEngine is the serial, uncached reference engine: every job runs
+// inline on the caller, in submission order, computed from scratch.
+func serialEngine() *engine.Engine {
+	return engine.New(engine.Config{Workers: 1, DisableCache: true})
+}
+
+// quickSerial is quick on the serial reference engine, for tests that
+// call an experiment function directly.
+func quickSerial() Options {
+	opt := quick
+	opt.Engine = serialEngine()
+	return opt
+}
 
 func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
@@ -56,10 +72,11 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
+	opt := quickSerial()
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			doc, err := e.Run(context.Background(), quick)
+			doc, err := e.Run(context.Background(), opt)
 			if err != nil {
 				t.Fatalf("%s failed: %v", e.ID, err)
 			}
@@ -82,7 +99,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 }
 
 func TestFig4MatchesPaperPeaks(t *testing.T) {
-	doc, err := Fig4(context.Background(), quick)
+	doc, err := Fig4(context.Background(), quickSerial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +113,7 @@ func TestFig4MatchesPaperPeaks(t *testing.T) {
 }
 
 func TestFig7MatchesPaperPeaks(t *testing.T) {
-	doc, err := Fig7(context.Background(), quick)
+	doc, err := Fig7(context.Background(), quickSerial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +124,7 @@ func TestFig7MatchesPaperPeaks(t *testing.T) {
 }
 
 func TestFig3PeaksBelow256(t *testing.T) {
-	doc, err := Fig3(context.Background(), quick)
+	doc, err := Fig3(context.Background(), quickSerial())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func Fig2a(ctx context.Context, opt Options) (*report.Document, error) {
 		if err != nil {
 			return nil, err
 		}
-		sp, err := workload.SimSpeedupCurveEngine(ctx, opt.Engine, w, ds, cores, simScale(opt))
+		sp, err := workload.SimSpeedupCurve(ctx, opt.Engine, w, ds, cores, simScale(opt))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.Name(), err)
 		}
@@ -73,7 +73,7 @@ func serialGrowthDoc(ctx context.Context, id, title string, opt Options, native 
 		if native {
 			profiles, err = workload.NativeProfiles(ctx, opt.Engine, w, ds, grid, opt.UseDuration)
 		} else {
-			profiles, err = workload.SimProfilesEngine(ctx, opt.Engine, w, ds, grid, simScale(opt))
+			profiles, err = workload.SimProfiles(ctx, opt.Engine, w, ds, grid, simScale(opt))
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.Name(), err)
@@ -124,7 +124,7 @@ func Fig2d(ctx context.Context, opt Options) (*report.Document, error) {
 		if err != nil {
 			return nil, err
 		}
-		profiles, err := workload.SimProfilesEngine(ctx, opt.Engine, w, ds, grid, simScale(opt))
+		profiles, err := workload.SimProfiles(ctx, opt.Engine, w, ds, grid, simScale(opt))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.Name(), err)
 		}
@@ -199,11 +199,10 @@ var fig4Panels = []struct {
 }
 
 // Fig4 sweeps the symmetric design space for the Table III classes with
-// linear and logarithmic growth functions. With opt.Engine set, each of
-// the 16 series (4 panels × 4 parameterizations) shards its grid points
-// into engine sub-jobs; with opt.Emit additionally set, every series row
-// streams out the moment its sub-sweep resolves instead of waiting for
-// the whole figure.
+// linear and logarithmic growth functions. Each of the 16 series (4
+// panels × 4 parameterizations) runs as one engine sub-job; with opt.Emit
+// set, every series row streams out the moment its sub-sweep resolves
+// instead of waiting for the whole figure.
 func Fig4(ctx context.Context, opt Options) (*report.Document, error) {
 	em := report.NewEmitter("fig4", "Scalability on symmetric CMPs", opt.Emit)
 	b := core.DefaultBudget

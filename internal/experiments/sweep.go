@@ -360,56 +360,41 @@ func rowOf(g sweepGroup, pt core.SweepPoint) []string {
 }
 
 // Run evaluates the plan into a single document, one table per
-// (app, budget) group in canonical order. With opt.Engine set, every
-// point is one engine job and rows release in plan order as their jobs
-// resolve (the first row goes out while later points still compute); a
-// nil engine is the serial reference with identical bytes. With opt.Emit
-// set, elements stream fine-grained through it — the signature matches
-// Experiment.Run, so a plan drops into the same render pipelines.
+// (app, budget) group in canonical order. Every point is one job on
+// opt.Engine (required), and rows release in plan order as their jobs
+// resolve, so the first row goes out while later points still compute.
+// With opt.Emit set, elements stream fine-grained through it — the
+// signature matches Experiment.Run, so a plan drops into the same render
+// pipelines.
 func (p *SweepPlan) Run(ctx context.Context, opt Options) (*report.Document, error) {
 	em := report.NewEmitter("sweep", "Design-space sweep", opt.Emit)
 	res := make([]core.SweepPoint, len(p.points))
-
-	if opt.Engine == nil {
-		for i, pt := range p.points {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			g := p.groups[pt.Group]
-			if i == g.Start {
-				em.Table(g.Title, sweepColumns...)
-			}
-			res[i] = evalPoint(g, pt.R)
-			em.Row(rowOf(g, res[i])...)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	rel := &sweepReleaser{plan: p, em: em, res: res, cancel: cancel}
+	jobs := make([]engine.Job, len(p.points))
+	for i := range p.points {
+		i := i
+		pt := p.points[i]
+		g := p.groups[pt.Group]
+		jobs[i] = engine.Job{
+			ID:  "sweep-point",
+			Key: pt.Key,
+			Fn: func(ctx context.Context) (any, error) {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				if hook := sweepPointStart; hook != nil {
+					hook(i)
+				}
+				return evalPoint(g, pt.R), nil
+			},
+			OnDone: func(r engine.Result) { rel.done(i, r) },
 		}
-	} else {
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		rel := &sweepReleaser{plan: p, em: em, res: res, cancel: cancel}
-		jobs := make([]engine.Job, len(p.points))
-		for i := range p.points {
-			i := i
-			pt := p.points[i]
-			g := p.groups[pt.Group]
-			jobs[i] = engine.Job{
-				ID:  "sweep-point",
-				Key: pt.Key,
-				Fn: func(ctx context.Context) (any, error) {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					if hook := sweepPointStart; hook != nil {
-						hook(i)
-					}
-					return evalPoint(g, pt.R), nil
-				},
-				OnDone: func(r engine.Result) { rel.done(i, r) },
-			}
-		}
-		opt.Engine.Run(ctx, jobs)
-		if err := rel.err(); err != nil {
-			return nil, err
-		}
+	}
+	opt.Engine.Run(ctx, jobs)
+	if err := rel.err(); err != nil {
+		return nil, err
 	}
 
 	for _, g := range p.groups {

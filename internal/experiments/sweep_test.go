@@ -209,19 +209,20 @@ func renderPlan(t *testing.T, plan *SweepPlan, eng *engine.Engine, format string
 	return buf.Bytes()
 }
 
-// TestSweepRunDeterministic: across all four formats, the serial buffered
-// rendering, the serial streamed rendering, and engine-backed streamed
-// renderings at several worker counts all produce identical bytes. Runs
+// TestSweepRunDeterministic: across all four formats, the buffered
+// rendering on a serial, uncached engine, the streamed rendering on the
+// same, and cached streamed renderings at several worker counts all
+// produce identical bytes. Runs
 // under -race in CI, exercising the point releaser against concurrent
 // OnDone callbacks.
 func TestSweepRunDeterministic(t *testing.T) {
 	plan := mustPlan(t, sweepBody)
 	for _, format := range []string{"text", "markdown", "json", "csv"} {
-		want := renderPlan(t, plan, nil, format, false)
+		want := renderPlan(t, plan, serialEngine(), format, false)
 		if len(want) == 0 {
 			t.Fatalf("%s: buffered serial render is empty", format)
 		}
-		if got := renderPlan(t, plan, nil, format, true); !bytes.Equal(want, got) {
+		if got := renderPlan(t, plan, serialEngine(), format, true); !bytes.Equal(want, got) {
 			t.Fatalf("%s: serial streamed render differs from buffered", format)
 		}
 		for _, workers := range []int{1, 2, 4} {

@@ -42,14 +42,13 @@ var paperTableII = map[string]struct {
 }
 
 // measureApp runs a workload on the simulator across the core grid (one
-// engine job per core count when opt.Engine is set) and extracts model
-// parameters.
+// engine job per core count) and extracts model parameters.
 func measureApp(ctx context.Context, w workload.Workload, opt Options) (core.AppParams, []*trace.Profile, error) {
 	ds, err := datasetFor(w, opt)
 	if err != nil {
 		return core.AppParams{}, nil, err
 	}
-	profiles, err := workload.SimProfilesEngine(ctx, opt.Engine, w, ds, simCoreCounts(opt), simScale(opt))
+	profiles, err := workload.SimProfiles(ctx, opt.Engine, w, ds, simCoreCounts(opt), simScale(opt))
 	if err != nil {
 		return core.AppParams{}, nil, err
 	}

@@ -1,13 +1,14 @@
 // Package serve is the HTTP serving front end over the streaming
 // experiment pipeline: one process owns a shared engine.Engine (and
 // optionally a diskcache.Store underneath it), and every HTTP client gets
-// its own experiments.Stream sink writing straight into the chunked
-// response body. Concurrent identical requests collapse into one
+// its own experiments.StreamElements emit hook writing straight into the
+// chunked response body. Concurrent identical requests collapse into one
 // computation via the engine's singleflight cache, a warm disk cache
 // serves whole runs without executing a single job, and a client that
 // disconnects mid-stream cancels its outstanding jobs through the
-// request context (and through the sink-error cancellation in
-// experiments.Stream), so abandoned requests stop burning simulator time.
+// request context (and through the emit-error cancellation in
+// experiments.StreamElements), so abandoned requests stop burning
+// simulator time.
 //
 // Endpoints:
 //
@@ -81,7 +82,7 @@ type Server struct {
 	// its own Config.Store wiring.
 	Store *diskcache.Store
 	// Opt is applied to every run (Quick, UseDuration). Opt.Engine is
-	// overwritten per request by experiments.Stream.
+	// overwritten per request by experiments.StreamElements.
 	Opt experiments.Options
 	// Experiments is the registry served; nil selects
 	// experiments.Registry().
@@ -385,9 +386,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // handleRun streams one experiment (or the whole registry) through the
-// requested renderer backend. The response is chunked: each experiment's
-// rendering is flushed the moment experiments.Stream releases it, so the
-// client reads artifacts incrementally while later ones still compute.
+// requested renderer backend. The response is chunked: each element (a
+// table row, a chart series) is flushed the moment
+// experiments.StreamElements releases it, so the client reads artifacts
+// incrementally while later ones still compute.
 // Errors before the first body byte (an immediately failing experiment, a
 // renderer that errors on Begin) still get a clean 500; errors after the
 // first byte abort the connection (http.ErrAbortHandler) — a truncated

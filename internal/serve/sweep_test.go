@@ -59,7 +59,7 @@ func bufferedSweep(t *testing.T, grid, format string) []byte {
 	if err := r.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := plan.Run(context.Background(), experiments.Options{})
+	doc, err := plan.Run(context.Background(), experiments.Options{Engine: engine.New(engine.Config{Workers: 1, DisableCache: true})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestJoinedRunsBitIdentical(t *testing.T) {
 		// a real re-execution under each scheduling regime.
 		for _, workers := range []int{1, 2, 4} {
 			eng := engine.New(engine.Config{Workers: workers, DisableCache: true})
-			runs, err := workload.SimRunsEngine(context.Background(), eng, w, ds, []sim.Config{mcfg}, 1)
+			runs, err := workload.SimRuns(context.Background(), eng, w, ds, []sim.Config{mcfg}, 1)
 			if err != nil {
 				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
 			}

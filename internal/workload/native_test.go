@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mergescale/internal/engine"
+	"mergescale/internal/trace"
 	"mergescale/internal/workload"
 	"mergescale/internal/workload/contend"
 )
@@ -25,16 +26,21 @@ func (s *countingStore) Put(string, any) {
 }
 
 // TestNativeProfilesEngineMatchesSerial: routing native runs through
-// engine jobs (and back out of the cache) changes no profile.
+// engine jobs (and back out of the cache) changes no profile relative to
+// calling RunNative directly.
 func TestNativeProfilesEngineMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	ds := testData(t, 46)
 	threads := []int{1, 2, 3, 4}
 	eng := engine.New(engine.Config{Workers: 2})
 	for _, w := range append(allWorkloads(), contend.New()) {
-		want, err := workload.NativeProfiles(ctx, nil, w, ds, threads, false)
-		if err != nil {
-			t.Fatalf("%s serial: %v", w.Name(), err)
+		want := make([]*trace.Profile, len(threads))
+		for i, th := range threads {
+			p, err := w.RunNative(ds, th, false)
+			if err != nil {
+				t.Fatalf("%s serial: %v", w.Name(), err)
+			}
+			want[i] = p
 		}
 		// The second engine pass is served from the memory cache.
 		for pass := 0; pass < 2; pass++ {
@@ -82,16 +88,16 @@ func TestNativeProfilesTimingUncached(t *testing.T) {
 	}
 }
 
-// TestNativeProfilesCancelled: a cancelled context stops the runs on
-// both paths.
+// TestNativeProfilesCancelled: a cancelled context stops the runs on a
+// serial and a parallel engine.
 func TestNativeProfilesCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ds := testData(t, 48)
 	w := allWorkloads()[0]
-	for _, eng := range []*engine.Engine{nil, engine.New(engine.Config{Workers: 2})} {
+	for _, eng := range []*engine.Engine{serialEngine(), engine.New(engine.Config{Workers: 2})} {
 		if _, err := workload.NativeProfiles(ctx, eng, w, ds, []int{1, 2}, false); err == nil {
-			t.Errorf("engine=%v: cancelled call returned no error", eng != nil)
+			t.Errorf("workers=%d: cancelled call returned no error", eng.Workers())
 		}
 	}
 }

@@ -56,7 +56,9 @@ func (r SimRun) PhaseCycles(name string) uint64 {
 }
 
 // Profile converts the per-phase cycle counts into a trace.Profile
-// (Work = cycles).
+// (Work = cycles). Phase names in the generated programs must match the
+// trace section names; an unknown phase or a run with no cycles is an
+// error.
 func (r SimRun) Profile() (*trace.Profile, error) {
 	return phasesToProfile(r.Workload, r.Cores, r.Phases)
 }
@@ -133,25 +135,10 @@ func SimRunKey(w Workload, spec datagen.Spec, cfg sim.Config, scale int) string 
 	return kw.SumRelease()
 }
 
-// SimRunsEngine fans one engine job per machine configuration, so each
-// per-core simulation is scheduled, singleflighted, and disk-cached
-// independently. Results come back in cfgs order. A nil eng runs the
-// configurations serially on the calling goroutine.
-func SimRunsEngine(ctx context.Context, eng *engine.Engine, w Workload, ds *datagen.Dataset, cfgs []sim.Config, scale int) ([]SimRun, error) {
-	if eng == nil {
-		out := make([]SimRun, len(cfgs))
-		for i, cfg := range cfgs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, err := RunSim(w, ds, cfg, scale)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
+// SimRuns fans one engine job per machine configuration, so each per-core
+// simulation is scheduled, singleflighted, and disk-cached independently.
+// Results come back in cfgs order.
+func SimRuns(ctx context.Context, eng *engine.Engine, w Workload, ds *datagen.Dataset, cfgs []sim.Config, scale int) ([]SimRun, error) {
 	jobs := make([]engine.Job, len(cfgs))
 	for i, cfg := range cfgs {
 		cfg := cfg
@@ -192,11 +179,12 @@ func defaultConfigs(coreCounts []int) []sim.Config {
 // ModelAccuracy) are read-only, so sharing the derived profile is safe.
 var profiles sync.Map // key string -> *trace.Profile
 
-// SimProfilesEngine is the engine-sharded SimProfiles: one job per core
-// count, each independently cached. A nil eng degrades to serial runs.
-func SimProfilesEngine(ctx context.Context, eng *engine.Engine, w Workload, ds *datagen.Dataset, coreCounts []int, scale int) ([]*trace.Profile, error) {
+// SimProfiles runs the workload on the simulator across core counts and
+// converts each run's per-phase cycles into a trace.Profile (Work =
+// cycles): one engine job per core count, each independently cached.
+func SimProfiles(ctx context.Context, eng *engine.Engine, w Workload, ds *datagen.Dataset, coreCounts []int, scale int) ([]*trace.Profile, error) {
 	cfgs := defaultConfigs(coreCounts)
-	runs, err := SimRunsEngine(ctx, eng, w, ds, cfgs, scale)
+	runs, err := SimRuns(ctx, eng, w, ds, cfgs, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -217,11 +205,12 @@ func SimProfilesEngine(ctx context.Context, eng *engine.Engine, w Workload, ds *
 	return out, nil
 }
 
-// SimSpeedupCurveEngine is the engine-sharded SimSpeedupCurve: one job per
-// core count sharing cache entries with SimProfilesEngine (both derive
-// from the same SimRun jobs).
-func SimSpeedupCurveEngine(ctx context.Context, eng *engine.Engine, w Workload, ds *datagen.Dataset, coreCounts []int, scale int) (map[int]float64, error) {
-	runs, err := SimRunsEngine(ctx, eng, w, ds, defaultConfigs(coreCounts), scale)
+// SimSpeedupCurve runs the workload on the given simulated core counts and
+// returns speedups relative to the single-core run — the series of Figure
+// 2(a). It shares cache entries with SimProfiles (both derive from the
+// same SimRun jobs).
+func SimSpeedupCurve(ctx context.Context, eng *engine.Engine, w Workload, ds *datagen.Dataset, coreCounts []int, scale int) (map[int]float64, error) {
+	runs, err := SimRuns(ctx, eng, w, ds, defaultConfigs(coreCounts), scale)
 	if err != nil {
 		return nil, err
 	}

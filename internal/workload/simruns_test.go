@@ -12,19 +12,23 @@ import (
 )
 
 // TestSimRunsEngineMatchesSerial: the engine-sharded per-core runs must be
-// identical to the serial reference path — same cycles, phases, counters.
+// identical to calling RunSim serially — same cycles, phases, counters.
 func TestSimRunsEngineMatchesSerial(t *testing.T) {
 	ds := testData(t, 43)
 	km := kmeans.New()
 	km.Cfg.Iters = 2
 	cfgs := []sim.Config{sim.DefaultConfig(1), sim.DefaultConfig(2), sim.DefaultConfig(4)}
 
-	serial, err := workload.SimRunsEngine(context.Background(), nil, km, ds, cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
+	serial := make([]workload.SimRun, len(cfgs))
+	for i, cfg := range cfgs {
+		r, err := workload.RunSim(km, ds, cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = r
 	}
 	eng := engine.New(engine.Config{Workers: 4})
-	sharded, err := workload.SimRunsEngine(context.Background(), eng, km, ds, cfgs, 1)
+	sharded, err := workload.SimRuns(context.Background(), eng, km, ds, cfgs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +50,13 @@ func TestSimCurveAndProfilesShareCache(t *testing.T) {
 	cores := []int{1, 2, 4}
 	eng := engine.New(engine.Config{Workers: 2})
 
-	if _, err := workload.SimProfilesEngine(context.Background(), eng, km, ds, cores, 1); err != nil {
+	if _, err := workload.SimProfiles(context.Background(), eng, km, ds, cores, 1); err != nil {
 		t.Fatal(err)
 	}
 	executed := eng.Stats().Executed
 	before := sim.Runs()
 
-	sp, err := workload.SimSpeedupCurveEngine(context.Background(), eng, km, ds, cores, 1)
+	sp, err := workload.SimSpeedupCurve(context.Background(), eng, km, ds, cores, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,26 +71,34 @@ func TestSimCurveAndProfilesShareCache(t *testing.T) {
 	}
 }
 
-// TestSimRunsEngineMatchesLegacySerial pins the refactor: the legacy
-// helpers (SimProfiles, SimSpeedupCurve) must produce the same values as
-// the engine-sharded path.
+// TestSimRunsEngineMatchesLegacySerial pins the speedup curve against the
+// serial derivation it is defined by: 1-core cycles over each core count's
+// cycles, from RunSim called directly.
 func TestSimRunsEngineMatchesLegacySerial(t *testing.T) {
 	ds := testData(t, 45)
 	km := kmeans.New()
 	km.Cfg.Iters = 2
 	cores := []int{1, 2}
 
-	legacy, err := workload.SimSpeedupCurve(km, ds, cores, 1)
-	if err != nil {
-		t.Fatal(err)
+	cycles := map[int]float64{}
+	for _, c := range cores {
+		r, err := workload.RunSim(km, ds, sim.DefaultConfig(c), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles[c] = float64(r.Cycles)
+	}
+	want := map[int]float64{}
+	for _, c := range cores {
+		want[c] = cycles[1] / cycles[c]
 	}
 	eng := engine.New(engine.Config{Workers: 2})
-	sharded, err := workload.SimSpeedupCurveEngine(context.Background(), eng, km, ds, cores, 1)
+	got, err := workload.SimSpeedupCurve(context.Background(), eng, km, ds, cores, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy, sharded) {
-		t.Fatalf("legacy %v != sharded %v", legacy, sharded)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("serial %v != sharded %v", want, got)
 	}
 }
 
@@ -118,35 +130,5 @@ func TestSimRunKeyCoversConfiguration(t *testing.T) {
 	km3.Cfg.Iters = 2
 	if k := workload.SimRunKey(km3, ds.Spec, sim.DefaultConfig(2), 1); k != base {
 		t.Error("key depends on workload identity beyond Name()+Params()")
-	}
-}
-
-// TestSimRunProfileMatchesSimProfile: deriving a profile from a cached
-// SimRun must equal running SimProfile directly.
-func TestSimRunProfileMatchesSimProfile(t *testing.T) {
-	ds := testData(t, 47)
-	for _, w := range allWorkloads() {
-		cfg := sim.DefaultConfig(2)
-		direct, err := workload.SimProfile(w, ds, cfg, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name(), err)
-		}
-		run, err := workload.RunSim(w, ds, cfg, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name(), err)
-		}
-		derived, err := run.Profile()
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name(), err)
-		}
-		if !reflect.DeepEqual(direct, derived) {
-			t.Errorf("%s: profile via SimRun differs from direct", w.Name())
-		}
-		if run.PhaseCycles("parallel") == 0 {
-			t.Errorf("%s: no parallel-phase cycles recorded", w.Name())
-		}
-		if len(run.PhaseNames()) == 0 {
-			t.Errorf("%s: no phases recorded", w.Name())
-		}
 	}
 }

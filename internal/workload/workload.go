@@ -51,17 +51,6 @@ func PartialBase(id int) uint64 {
 	return AddrPartials + uint64(id)*PartialAlign
 }
 
-// SimProfile runs the workload on the simulator and converts the per-phase
-// cycle counts into a trace.Profile (Work = cycles). Phase names in the
-// generated programs must match the trace section names.
-func SimProfile(w Workload, ds *datagen.Dataset, cfg sim.Config, scale int) (*trace.Profile, error) {
-	r, err := RunSim(w, ds, cfg, scale)
-	if err != nil {
-		return nil, err
-	}
-	return r.Profile()
-}
-
 // sectionByPhase maps simulator phase names onto trace sections. Hoisted
 // to package scope so phasesToProfile (on the per-job result path) does
 // not rebuild the map per call.
@@ -88,18 +77,6 @@ func phasesToProfile(name string, cores int, phases []sim.PhaseTime) (*trace.Pro
 	return p, nil
 }
 
-// ResultToProfile maps simulator phase cycles onto trace sections.
-func ResultToProfile(name string, cores int, res sim.Result) (*trace.Profile, error) {
-	return phasesToProfile(name, cores, res.Phases)
-}
-
-// SimSpeedupCurve runs the workload on 1..maxCores (doubling) simulated
-// cores and returns speedups relative to the single-core run — the series
-// of Figure 2(a). It is the serial reference form of SimSpeedupCurveEngine.
-func SimSpeedupCurve(w Workload, ds *datagen.Dataset, coreCounts []int, scale int) (map[int]float64, error) {
-	return SimSpeedupCurveEngine(context.Background(), nil, w, ds, coreCounts, scale)
-}
-
 // NativeRunKey is the engine cache key of one native run. Like SimRunKey
 // it covers everything RunNative's operation counts depend on — workload
 // identity and tunables (Params), the data-set spec and the thread count —
@@ -118,14 +95,13 @@ func NativeRunKey(w Workload, spec datagen.Spec, threads int) string {
 // counts, one engine job per thread count keyed by NativeRunKey, so runs
 // are scheduled across the engine's workers, singleflighted across
 // experiments and disk-cached. Results come back in threadCounts order;
-// each caller gets its own copy of every profile. A nil eng runs the
-// thread counts serially on the calling goroutine. With timing set the
-// runs are never cached (wall-clock sections are nondeterministic) and
-// also run serially, so no run is timed while its siblings compete for
-// the CPU.
+// each caller gets its own copy of every profile. With timing set the
+// runs bypass eng: they are never cached (wall-clock sections are
+// nondeterministic) and run serially on the calling goroutine, so no run
+// is timed while its siblings compete for the CPU.
 func NativeProfiles(ctx context.Context, eng *engine.Engine, w Workload, ds *datagen.Dataset, threadCounts []int, timing bool) ([]*trace.Profile, error) {
 	out := make([]*trace.Profile, len(threadCounts))
-	if eng == nil || timing {
+	if timing {
 		for i, th := range threadCounts {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -163,10 +139,4 @@ func NativeProfiles(ctx context.Context, eng *engine.Engine, w Workload, ds *dat
 		out[i] = &p
 	}
 	return out, nil
-}
-
-// SimProfiles runs the workload on the simulator across core counts. It is
-// the serial reference form of SimProfilesEngine.
-func SimProfiles(w Workload, ds *datagen.Dataset, coreCounts []int, scale int) ([]*trace.Profile, error) {
-	return SimProfilesEngine(context.Background(), nil, w, ds, coreCounts, scale)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"mergescale/internal/engine"
 	"mergescale/internal/sim"
 	"mergescale/internal/trace"
 	"mergescale/internal/workload"
@@ -20,6 +21,12 @@ func testData(t *testing.T, seed uint64) *datagen.Dataset {
 		t.Fatal(err)
 	}
 	return ds
+}
+
+// serialEngine is the serial, uncached reference engine: every job runs
+// inline on the caller, in submission order, computed from scratch.
+func serialEngine() *engine.Engine {
+	return engine.New(engine.Config{Workers: 1, DisableCache: true})
 }
 
 func allWorkloads() []workload.Workload {
@@ -49,7 +56,14 @@ func TestPartialBaseAddressesDisjoint(t *testing.T) {
 func TestSimProfileForEachWorkload(t *testing.T) {
 	ds := testData(t, 41)
 	for _, w := range allWorkloads() {
-		prof, err := workload.SimProfile(w, ds, sim.DefaultConfig(4), 1)
+		run, err := workload.RunSim(w, ds, sim.DefaultConfig(4), 1)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		if run.PhaseCycles("parallel") == 0 || len(run.PhaseNames()) == 0 {
+			t.Errorf("%s: phases not recorded: %v", w.Name(), run.Phases)
+		}
+		prof, err := run.Profile()
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name(), err)
 		}
@@ -69,7 +83,7 @@ func TestSimSpeedupCurveMonotone(t *testing.T) {
 	ds := testData(t, 42)
 	km := kmeans.New()
 	km.Cfg.Iters = 2
-	sp, err := workload.SimSpeedupCurve(km, ds, []int{1, 2, 4, 8}, 1)
+	sp, err := workload.SimSpeedupCurve(context.Background(), serialEngine(), km, ds, []int{1, 2, 4, 8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,19 +109,22 @@ func TestSimSpeedupCurveNeedsBase(t *testing.T) {
 	ds := testData(t, 43)
 	km := kmeans.New()
 	km.Cfg.Iters = 1
-	if _, err := workload.SimSpeedupCurve(km, ds, []int{2, 4}, 1); err == nil {
+	if _, err := workload.SimSpeedupCurve(context.Background(), serialEngine(), km, ds, []int{2, 4}, 1); err == nil {
 		t.Error("curve without a 1-core run should fail")
 	}
 }
 
-func TestResultToProfileRejectsUnknownPhase(t *testing.T) {
-	res := sim.Result{Phases: []sim.PhaseTime{{Name: "warmup", Cycles: 10}}}
-	if _, err := workload.ResultToProfile("x", 1, res); err == nil {
+func TestSimRunProfileRejectsUnknownPhase(t *testing.T) {
+	run := workload.SimRun{Workload: "x", Cores: 1, Phases: []sim.PhaseTime{{Name: "warmup", Cycles: 10}}}
+	if _, err := run.Profile(); err == nil {
 		t.Error("unknown phase should fail")
 	}
-	res = sim.Result{}
-	if _, err := workload.ResultToProfile("x", 1, res); err == nil {
-		t.Error("empty result should fail")
+	run = workload.SimRun{Workload: "x", Cores: 1, Phases: []sim.PhaseTime{{Name: "parallel"}}}
+	if _, err := run.Profile(); err == nil {
+		t.Error("zero-cycle run should fail")
+	}
+	if _, err := (workload.SimRun{}).Profile(); err == nil {
+		t.Error("empty run should fail")
 	}
 }
 
@@ -115,7 +132,7 @@ func TestNativeProfilesThreadGrid(t *testing.T) {
 	ds := testData(t, 44)
 	km := kmeans.New()
 	km.Cfg.Iters = 2
-	profiles, err := workload.NativeProfiles(context.Background(), nil, km, ds, []int{1, 3, 5}, false)
+	profiles, err := workload.NativeProfiles(context.Background(), serialEngine(), km, ds, []int{1, 3, 5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +152,7 @@ func TestNativeProfilesThreadGrid(t *testing.T) {
 func TestSimSerialGrowthAcrossWorkloads(t *testing.T) {
 	ds := testData(t, 45)
 	for _, w := range allWorkloads() {
-		profiles, err := workload.SimProfiles(w, ds, []int{1, 2, 4, 8}, 1)
+		profiles, err := workload.SimProfiles(context.Background(), serialEngine(), w, ds, []int{1, 2, 4, 8}, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name(), err)
 		}

@@ -73,20 +73,22 @@ for id in ext-contend ext-contend-split; do
     grep -q '0 executed' "$tmp/contend.$id.stats"
 done
 
-echo "== streamed vs buffered byte identity =="
-# The streaming pipeline must render exactly the bytes of a buffered run,
-# for every backend. The cache directory is warm from the gate above, so
-# these passes replay from disk in milliseconds.
+echo "== serial cold vs parallel warm byte identity =="
+# Every run streams its elements in registry order, whatever order the
+# engine resolves jobs in. A serial, uncached run (jobs execute inline,
+# one after another, each computed from scratch) must therefore render
+# exactly the bytes of a 4-worker run replayed from the warm cache
+# directory above, for every backend.
 for format in text markdown json csv; do
-    "$tmp/mergescale" -quick -cachedir "$tmp/cache" -format "$format" run all > "$tmp/buffered.$format"
-    "$tmp/mergescale" -quick -cachedir "$tmp/cache" -format "$format" -stream run all > "$tmp/streamed.$format"
-    cmp "$tmp/buffered.$format" "$tmp/streamed.$format"
+    "$tmp/mergescale" -quick -workers 1 -nocache -format "$format" run all > "$tmp/serial.$format"
+    "$tmp/mergescale" -quick -workers 4 -cachedir "$tmp/cache" -format "$format" run all > "$tmp/warm4.$format"
+    cmp "$tmp/serial.$format" "$tmp/warm4.$format"
 done
 
 echo "== HTTP serving front end =="
 # Boot the server on an ephemeral port over the warm cache directory,
 # fetch run/all over chunked HTTP, and require byte identity with the
-# CLI's buffered output plus zero executed jobs (/stats counts since
+# CLI's serial output plus zero executed jobs (/stats counts since
 # boot, so a warm disk cache must satisfy the whole run).
 serve_pid=""
 trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
@@ -109,7 +111,7 @@ curl -sfS "http://$addr/healthz" > /dev/null
 
 echo "== render stampede gate =="
 # 8 concurrent identical cold /run/all clients against the freshly booted
-# server: every body must match the CLI's buffered bytes, and /metrics
+# server: every body must match the CLI's serial bytes, and /metrics
 # must show exactly ONE render — the singleflight leader; the other 7
 # were coalesced onto it or served from the render cache.
 stampede_pids=""
@@ -126,14 +128,14 @@ for pid in $stampede_pids; do
 done
 i=0
 while [ $i -lt 8 ]; do
-    cmp "$tmp/buffered.text" "$tmp/stampede.$i"
+    cmp "$tmp/serial.text" "$tmp/stampede.$i"
     i=$((i + 1))
 done
 curl -sfS "http://$addr/metrics" > "$tmp/metrics.txt"
 grep -q '^mergescale_renders_total 1$' "$tmp/metrics.txt"
 
 curl -sfS "http://$addr/run/all" > "$tmp/http.out"
-cmp "$tmp/buffered.text" "$tmp/http.out"
+cmp "$tmp/serial.text" "$tmp/http.out"
 curl -sfS "http://$addr/stats" > "$tmp/stats.json"
 grep -q '"executed":0' "$tmp/stats.json"
 grep -q '"storeHits":' "$tmp/stats.json"
@@ -228,7 +230,7 @@ if [ -z "$addr" ]; then
     exit 1
 fi
 curl -sfS "http://$addr/run/all" > "$tmp/chaos.out"
-cmp "$tmp/buffered.text" "$tmp/chaos.out"
+cmp "$tmp/serial.text" "$tmp/chaos.out"
 curl -sfS "http://$addr/metrics" > "$tmp/chaos.metrics"
 grep -q '^mergescale_store_breaker_state 2$' "$tmp/chaos.metrics"
 grep -q '^mergescale_store_breaker_opened_total [1-9]' "$tmp/chaos.metrics"
