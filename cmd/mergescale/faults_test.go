@@ -18,7 +18,6 @@ func TestFaultsFlagValidation(t *testing.T) {
 		{[]string{"-faults", "get.err=1", "-nocache", "-cachedir", t.TempDir(), "-quick", "run", "fig4"}, "requires -cachedir"},
 		{[]string{"-faults", "get.err=2", "-cachedir", t.TempDir(), "serve"}, "[0,1]"},
 		{[]string{"-faults", "get.err=1", "serve"}, "requires -cachedir"},
-		{[]string{"sweep", "-faults", "put.err=1"}, "requires -cachedir"},
 	}
 	for _, c := range cases {
 		var out, errOut bytes.Buffer

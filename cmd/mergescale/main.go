@@ -5,15 +5,14 @@
 //	mergescale -list
 //	mergescale [-quick] [-format F] [-out FILE] [-duration]
 //	           [-workers N] [-cachedir DIR] [-cachettl D]
-//	           [-pinfile FILE] [-nocache] [-faults SPEC] [-stats]
+//	           [-nocache] [-faults SPEC] [-stats]
 //	           run <experiment-id>|all
 //	mergescale [-quick] [-duration] [-workers N] [-cachedir DIR]
-//	           [-cachettl D] [-pinfile FILE] [-nocache] [-faults SPEC] serve
+//	           [-cachettl D] [-nocache] [-faults SPEC] serve
 //	           [-addr HOST:PORT] [-ratelimit N] [-rateburst N]
 //	           [-maxstreams N] [-reqtimeout D] [-draintimeout D]
-//	mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-workers N]
-//	           [-cachedir DIR] [-cachettl D] [-nocache] [-pinfile FILE]
-//	           [-faults SPEC] [-stats] [-timing]
+//	mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing]
+//	           [-nocache]
 //	mergescale load -url URL [-profile P] [-targets IDS] [-formats F]
 //	           [-concurrency N] [-requests N | -for D] [-rate R] [-seed N]
 //	           [-alpha A] [-burstsize N] [-burstgap D] [-sweepgrid FILE]
@@ -51,10 +50,10 @@
 //
 // The sweep subcommand evaluates a parametric design-space grid (a JSON
 // description of apps × budgets × r values — the exact POST /sweep
-// request body) and streams the rendered tables element-granularly: each
-// grid point is one engine job under a canonical normalized key, and its
-// table row flushes the moment the job resolves. The bytes are identical
-// to the POST /sweep response for the same grid and format.
+// request body) and streams the rendered tables element-granularly: grid
+// points are evaluated in canonical order with no engine or cache, and
+// each table row flushes the moment its point is computed. The bytes are
+// identical to the POST /sweep response for the same grid and format.
 //
 // The load subcommand is the trace-driven load harness (internal/load):
 // it replays a deterministic request trace (uniform, power-law, or burst)
@@ -63,7 +62,7 @@
 // committed BENCH_serve.json. -retries arms exponential-backoff retry of
 // retryable failures (429/503/5xx/transport), honoring Retry-After.
 //
-// -faults SPEC (run, serve, sweep; requires -cachedir) arms the
+// -faults SPEC (run, serve; requires -cachedir) arms the
 // deterministic fault injector over the disk store — see internal/faults
 // for the grammar (e.g. "seed=7,get.err=0.01,put.enospc=1/50"). The
 // engine reads the store through a circuit breaker either way: enough
@@ -114,13 +113,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("workers", 0, "engine worker count (0 = GOMAXPROCS, 1 = serial)")
 		cachedir  = fs.String("cachedir", "", "persist engine results to this directory across runs")
 		cachettl  = fs.Duration("cachettl", 0, "expire disk-cache entries older than this (0 = never)")
-		pinfile   = fs.String("pinfile", "", "persist the disk cache's pin set to this file across restarts (requires -cachedir)")
 		nocache   = fs.Bool("nocache", false, "disable the engine result cache (memory and disk)")
 		faultSpec = fs.String("faults", "", "inject deterministic disk-store faults per this spec, e.g. seed=7,get.err=0.01 (requires -cachedir; see internal/faults)")
 		stats     = fs.Bool("stats", false, "print engine cache/worker statistics to stderr")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-out FILE] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-pinfile FILE] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-pinfile FILE] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-pinfile FILE] [-faults SPEC] [-stats] [-timing]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-retries N] [-retrybase D] [-out FILE]\n       mergescale -list\n")
+		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-out FILE] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing] [-nocache]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-retries N] [-retrybase D] [-out FILE]\n       mergescale -list\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -139,10 +137,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *cachettl < 0 {
 		fmt.Fprintf(stderr, "mergescale: -cachettl must be >= 0 (got %s)\n", *cachettl)
-		return 2
-	}
-	if *pinfile != "" && *cachedir == "" {
-		fmt.Fprintf(stderr, "mergescale: -pinfile requires -cachedir (pins index disk-cache entries)\n")
 		return 2
 	}
 	spec, err := faults.ParseSpec(*faultSpec)
@@ -180,9 +174,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runLoad(rest[1:], stdout, stderr)
 	}
 	if len(rest) >= 1 && rest[0] == "sweep" {
-		// sweep owns its whole flag surface (it re-declares the cache and
-		// rendering flags it honors), so a global flag before the
-		// subcommand is a mistake, same as load.
+		// sweep owns its whole flag surface (it re-declares the rendering
+		// flags it honors), so a global flag before the subcommand is a
+		// mistake, same as load.
 		conflict := ""
 		fs.Visit(func(f *flag.Flag) {
 			if conflict == "" {
@@ -218,7 +212,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			workers:  *workers,
 			cachedir: *cachedir,
 			cachettl: *cachettl,
-			pinfile:  *pinfile,
 			nocache:  *nocache,
 			faults:   spec,
 		}, stderr)
@@ -286,7 +279,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var chain storeChain
 	if *cachedir != "" && !*nocache {
 		chain = openStoreChain(*cachedir,
-			diskcache.Options{TTL: *cachettl, PinFile: *pinfile, Log: log.New(stderr, "mergescale: ", 0)},
+			diskcache.Options{TTL: *cachettl, Log: log.New(stderr, "mergescale: ", 0)},
 			spec, stderr)
 		cfg.Store = chain.store()
 	}
@@ -375,7 +368,6 @@ type serveConfig struct {
 	workers  int
 	cachedir string
 	cachettl time.Duration
-	pinfile  string
 	nocache  bool
 	faults   faults.Spec
 }
@@ -392,7 +384,6 @@ func runServe(args []string, cfg serveConfig, stderr io.Writer) int {
 	ratelimit := fs.Float64("ratelimit", 0, "per-client request rate limit in req/s; over-limit requests get 429 (0 = off)")
 	rateburst := fs.Int("rateburst", 0, "rate-limiter burst size (0 = ceil(ratelimit), min 1)")
 	maxstreams := fs.Int("maxstreams", 0, "max concurrently executing /run streams; excess requests get 503 (0 = unlimited)")
-	pincap := fs.Int("pincap", 0, "max disk-cache keys sweep clients may pin in aggregate; 0 ignores \"pin\":true requests")
 	reqtimeout := fs.Duration("reqtimeout", 0, "per-request deadline for /run and /sweep; expiry gets 503 before the first byte, a chunked abort after (0 = none)")
 	draintimeout := fs.Duration("draintimeout", serve.DefaultDrainTimeout, "graceful-shutdown bound: how long in-flight responses get to flush after SIGINT/SIGTERM")
 	if err := fs.Parse(args); err != nil {
@@ -405,8 +396,8 @@ func runServe(args []string, cfg serveConfig, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "mergescale serve: unexpected arguments %v\n", fs.Args())
 		return 2
 	}
-	if *ratelimit < 0 || *rateburst < 0 || *maxstreams < 0 || *pincap < 0 {
-		fmt.Fprintf(stderr, "mergescale serve: -ratelimit, -rateburst, -maxstreams and -pincap must be >= 0\n")
+	if *ratelimit < 0 || *rateburst < 0 || *maxstreams < 0 {
+		fmt.Fprintf(stderr, "mergescale serve: -ratelimit, -rateburst and -maxstreams must be >= 0\n")
 		return 2
 	}
 	if *reqtimeout < 0 || *draintimeout <= 0 {
@@ -419,7 +410,7 @@ func runServe(args []string, cfg serveConfig, stderr io.Writer) int {
 	var chain storeChain
 	if cfg.cachedir != "" && !cfg.nocache {
 		chain = openStoreChain(cfg.cachedir,
-			diskcache.Options{TTL: cfg.cachettl, PinFile: cfg.pinfile, Log: logger},
+			diskcache.Options{TTL: cfg.cachettl, Log: logger},
 			cfg.faults, stderr)
 		engCfg.Store = chain.store()
 	}
@@ -433,7 +424,6 @@ func runServe(args []string, cfg serveConfig, stderr io.Writer) int {
 		RateLimit:    *ratelimit,
 		RateBurst:    *rateburst,
 		MaxStreams:   *maxstreams,
-		PinCap:       *pincap,
 		ReqTimeout:   *reqtimeout,
 		DrainTimeout: *draintimeout,
 	}
@@ -464,8 +454,8 @@ func printStats(stderr io.Writer, eng *engine.Engine, chain storeChain) {
 	ds := chain.disk.Stats()
 	entries, bytes := chain.disk.Size()
 	errs := ""
-	if ds.WriteErrs > 0 || ds.PinSaveErrs > 0 {
-		errs = fmt.Sprintf(", %d write errors, %d pin-save errors", ds.WriteErrs, ds.PinSaveErrs)
+	if ds.WriteErrs > 0 {
+		errs = fmt.Sprintf(", %d write errors", ds.WriteErrs)
 	}
 	fmt.Fprintf(stderr, "disk: %d hits / %d misses, %d writes (%d skipped)%s, %d evictions, %d expired, %d dropped, %d entries / %d bytes in %s\n",
 		st.StoreHits, st.StoreMisses, ds.Puts, ds.PutSkips, errs, ds.Evictions, ds.Expired, ds.Dropped, entries, bytes, chain.disk.Dir())

@@ -6,16 +6,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"mergescale/internal/engine"
-	"mergescale/internal/engine/diskcache"
 	"mergescale/internal/experiments"
-	"mergescale/internal/faults"
 	"mergescale/internal/report"
 )
 
@@ -24,32 +20,24 @@ import (
 // the same experiments.SweepRequest struct decodes both, so the CLI and
 // the endpoint can never drift) and stream the rendered table to stdout.
 // The output is byte-identical to the POST /sweep body for the same grid
-// and format, and a -cachedir shared with a server shares the per-point
-// cache entries, because both sides normalize the grid into the same
-// canonical engine keys.
+// and format. Points are plain model arithmetic evaluated in plan order,
+// so there is no engine, worker pool or cache to configure; -nocache is
+// still accepted, and has no effect, so scripts that pass it keep working.
 //
 // -timing prints time-to-first-row and total wall time to stderr (never
-// stdout, so it cannot perturb the rendered bytes); scripts/bench.sh
-// reads those lines to report how much of a cold sweep's latency the
-// element-granular stream hides.
+// stdout, so it cannot perturb the rendered bytes).
 func runSweep(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mergescale sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		gridPath  = fs.String("grid", "-", "JSON grid file (apps × budgets × rs); - reads stdin")
-		format    = fs.String("format", "text", "output format: text | markdown | json | csv")
-		outPath   = fs.String("out", "", "write rendered output to this file instead of stdout")
-		workers   = fs.Int("workers", 0, "engine worker count (0 = GOMAXPROCS, 1 = serial)")
-		cachedir  = fs.String("cachedir", "", "persist per-point results to this directory across runs")
-		cachettl  = fs.Duration("cachettl", 0, "expire disk-cache entries older than this (0 = never)")
-		nocache   = fs.Bool("nocache", false, "disable the engine result cache (memory and disk)")
-		pinfile   = fs.String("pinfile", "", "persist the disk cache's pin set to this file (requires -cachedir)")
-		faultSpec = fs.String("faults", "", "inject deterministic disk-store faults per this spec, e.g. seed=7,get.err=0.01 (requires -cachedir; see internal/faults)")
-		stats     = fs.Bool("stats", false, "print engine cache/worker statistics to stderr")
-		timing    = fs.Bool("timing", false, "print time-to-first-row and total wall time to stderr")
+		gridPath = fs.String("grid", "-", "JSON grid file (apps × budgets × rs); - reads stdin")
+		format   = fs.String("format", "text", "output format: text | markdown | json | csv")
+		outPath  = fs.String("out", "", "write rendered output to this file instead of stdout")
+		timing   = fs.Bool("timing", false, "print time-to-first-row and total wall time to stderr")
 	)
+	fs.Bool("nocache", false, "no effect: sweep points are never cached (accepted for older scripts)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-pinfile FILE] [-faults SPEC] [-stats] [-timing]\n")
+		fmt.Fprintf(stderr, "usage: mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing] [-nocache]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -62,31 +50,9 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "mergescale sweep: unexpected arguments %v\n", fs.Args())
 		return 2
 	}
-	if *workers < 0 {
-		fmt.Fprintf(stderr, "mergescale sweep: -workers must be >= 0 (got %d)\n", *workers)
-		return 2
-	}
-	if *cachettl < 0 {
-		fmt.Fprintf(stderr, "mergescale sweep: -cachettl must be >= 0 (got %s)\n", *cachettl)
-		return 2
-	}
-	if *pinfile != "" && *cachedir == "" {
-		fmt.Fprintf(stderr, "mergescale sweep: -pinfile requires -cachedir (pins index disk-cache entries)\n")
-		return 2
-	}
-	spec, err := faults.ParseSpec(*faultSpec)
-	if err != nil {
-		fmt.Fprintf(stderr, "mergescale sweep: -faults: %v\n", err)
-		return 2
-	}
-	if spec.Active() && (*cachedir == "" || *nocache) {
-		fmt.Fprintf(stderr, "mergescale sweep: -faults requires -cachedir (and no -nocache): faults inject into the disk store\n")
-		return 2
-	}
-
-	// Decode and normalize before opening any output or cache: a bad grid
-	// must not truncate a previous report file or touch the engine, exactly
-	// as a bad POST /sweep body never creates a job.
+	// Decode and normalize before opening any output: a bad grid must not
+	// truncate a previous report file, exactly as a bad POST /sweep body
+	// is refused before any point is evaluated.
 	var gridSrc io.Reader = os.Stdin
 	if *gridPath != "-" {
 		f, err := os.Open(*gridPath)
@@ -132,32 +98,13 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := engine.Config{Workers: *workers, DisableCache: *nocache}
-	var chain storeChain
-	if *cachedir != "" && !*nocache {
-		chain = openStoreChain(*cachedir,
-			diskcache.Options{TTL: *cachettl, PinFile: *pinfile, Log: log.New(stderr, "mergescale sweep: ", 0)},
-			spec, stderr)
-		cfg.Store = chain.store()
-	}
-	eng := engine.New(cfg)
-
-	// Pin before the run, matching the server: pins cover present and
-	// future entries, so the outcome is the same however the race with the
-	// engine's Put falls. Unlike the server, the CLI honors the pin flag
-	// unconditionally — the operator running it owns the cache — and
-	// PinAll records the whole set with a single pin-file write.
-	if plan.Pin && chain.disk != nil {
-		chain.disk.PinAll(plan.Keys())
-	}
-
 	start := time.Now()
 	var firstRow time.Duration
 	rows := 0
 	code := 0
 	runErr := renderer.Begin()
 	if runErr == nil {
-		_, runErr = plan.Run(ctx, experiments.Options{Engine: eng, Emit: func(el report.Element) error {
+		_, runErr = plan.Run(ctx, func(el report.Element) error {
 			if el.Kind == report.ElemRow {
 				if rows == 0 {
 					firstRow = time.Since(start)
@@ -165,7 +112,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 				rows++
 			}
 			return renderer.Element(el)
-		}})
+		})
 	}
 	if runErr == nil {
 		runErr = renderer.End()
@@ -183,13 +130,9 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *timing && code == 0 {
-		// One machine-readable line: bench.sh splits on '=' to build the
-		// cold/warm first-row/total rows of BENCH_sweep.json.
+		// One machine-readable line of key=value fields.
 		fmt.Fprintf(stderr, "mergescale sweep: points=%d rows=%d first-row=%.6fs total=%.6fs\n",
 			plan.Points(), rows, firstRow.Seconds(), total.Seconds())
-	}
-	if *stats {
-		printStats(stderr, eng, chain)
 	}
 	return code
 }

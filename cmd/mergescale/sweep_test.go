@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mergescale/internal/experiments"
+	"mergescale/internal/report"
 )
 
 const testSweepGrid = `{"apps":[{"f":0.975,"fcon":0.1,"fored":0.2},{"f":0.9}],"budgets":[64,256],"rs":[1,2,4,8,16]}`
@@ -20,27 +24,116 @@ func writeGrid(t *testing.T, grid string) string {
 	return path
 }
 
-// TestSweepRendersGrid: the subcommand renders a grid file to stdout with
-// one table per (app, budget) group and deterministic bytes across
-// worker counts.
+// bufferedSweep renders grid without streaming: normalize, run to a
+// document, then Begin/Replay/End.
+func bufferedSweep(t *testing.T, grid, format string) []byte {
+	t.Helper()
+	req, err := experiments.ParseSweepRequest(strings.NewReader(grid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := req.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := plan.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	r, err := report.NewRenderer(format, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.Replay(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.End(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSweepRendersGrid: in every format, the subcommand's streamed output
+// is byte-identical to the buffered render of the same grid, with one
+// table per (app, budget) group.
 func TestSweepRendersGrid(t *testing.T) {
 	grid := writeGrid(t, testSweepGrid)
-	var serial, parallel, errOut bytes.Buffer
-	if code := run([]string{"sweep", "-grid", grid, "-workers", "1"}, &serial, &errOut); code != 0 {
+	for _, format := range []string{"text", "markdown", "json", "csv"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"sweep", "-grid", grid, "-format", format}, &out, &errOut); code != 0 {
+			t.Fatalf("%s: exit %d: %s", format, code, errOut.String())
+		}
+		if want := bufferedSweep(t, testSweepGrid, format); !bytes.Equal(want, out.Bytes()) {
+			t.Fatalf("%s: streamed output differs from the buffered render", format)
+		}
+		if format != "text" {
+			continue
+		}
+		for _, want := range []string{"Design-space sweep", "N=64", "N=256", "peak"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("output lacks %q", want)
+			}
+		}
+	}
+}
+
+// TestSweepNocacheIsNoOp: -nocache is still accepted and changes nothing.
+// The benchmark harness checks /sweep bodies against `sweep -nocache`.
+func TestSweepNocacheIsNoOp(t *testing.T) {
+	grid := writeGrid(t, testSweepGrid)
+	var plain, nocache, errOut bytes.Buffer
+	if code := run([]string{"sweep", "-grid", grid}, &plain, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	if code := run([]string{"sweep", "-grid", grid, "-workers", "8"}, &parallel, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
+	if code := run([]string{"sweep", "-nocache", "-grid", grid}, &nocache, &errOut); code != 0 {
+		t.Fatalf("-nocache: exit %d: %s", code, errOut.String())
 	}
-	if serial.Len() == 0 {
-		t.Fatal("sweep rendered nothing")
+	if plain.Len() == 0 || !bytes.Equal(plain.Bytes(), nocache.Bytes()) {
+		t.Fatal("sweep -nocache rendered different bytes")
 	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Fatal("sweep output differs across worker counts")
+}
+
+// TestSweepRemovedFlagsAreUsageErrors: sweep points never reach an engine
+// or a cache, so the engine and cache flags sweep used to take are gone,
+// and passing one is a usage error rather than a silent no-op.
+func TestSweepRemovedFlagsAreUsageErrors(t *testing.T) {
+	grid := writeGrid(t, testSweepGrid)
+	for _, flags := range [][]string{
+		{"-workers", "2"},
+		{"-cachedir", t.TempDir()},
+		{"-cachettl", "1h"},
+		{"-pinfile", "p"},
+		{"-faults", "put.err=1"},
+		{"-stats"},
+	} {
+		var out, errOut bytes.Buffer
+		args := append([]string{"sweep", "-grid", grid}, flags...)
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2", flags, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: rendered output despite the usage error", flags)
+		}
 	}
-	for _, want := range []string{"Design-space sweep", "N=64", "N=256", "peak"} {
-		if !strings.Contains(serial.String(), want) {
-			t.Errorf("output lacks %q", want)
+}
+
+// TestPinFlagsAreUsageErrors: the disk-cache pin set is gone, and with it
+// the global -pinfile and serve -pincap flags.
+func TestPinFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-pinfile", "p", "-cachedir", t.TempDir(), "-quick", "run", "fig4"},
+		{"serve", "-pincap", "4"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined") {
+			t.Errorf("%v: stderr %q does not name the unknown flag", args, errOut.String())
 		}
 	}
 }
@@ -85,27 +178,6 @@ func TestSweepTimingGoesToStderr(t *testing.T) {
 	}
 }
 
-// TestSweepWarmDiskCache: a second run against the same cache dir replays
-// every point from disk (0 executed) with identical bytes.
-func TestSweepWarmDiskCache(t *testing.T) {
-	grid := writeGrid(t, testSweepGrid)
-	dir := t.TempDir()
-	var cold, warm, errOut bytes.Buffer
-	if code := run([]string{"sweep", "-grid", grid, "-cachedir", dir}, &cold, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	errOut.Reset()
-	if code := run([]string{"sweep", "-grid", grid, "-cachedir", dir, "-stats"}, &warm, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
-		t.Fatal("warm sweep rendered different bytes")
-	}
-	if !strings.Contains(errOut.String(), "0 executed") {
-		t.Fatalf("warm sweep executed jobs: %s", errOut.String())
-	}
-}
-
 // TestSweepRejectsGlobalFlags: like load, sweep owns its flag surface —
 // a global flag before the subcommand is refused, not silently ignored.
 func TestSweepRejectsGlobalFlags(t *testing.T) {
@@ -115,18 +187,5 @@ func TestSweepRejectsGlobalFlags(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "does not apply to sweep") {
 		t.Fatalf("unexpected stderr: %s", errOut.String())
-	}
-}
-
-// TestSweepPinfileRequiresCachedir: a pin file without a disk cache has
-// nothing to index.
-func TestSweepPinfileRequiresCachedir(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"sweep", "-grid", "x", "-pinfile", "p"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	errOut.Reset()
-	if code := run([]string{"-pinfile", "p", "run", "fig4"}, &out, &errOut); code != 2 {
-		t.Fatalf("global -pinfile without -cachedir: exit %d, want 2", code)
 	}
 }

@@ -12,14 +12,8 @@ import (
 func init() {
 	// Batched sweep results cross the engine's persistent store inside gob
 	// envelopes; the element type is exported but the slice needs its own
-	// registration, and both sides of the cache are this package. The bare
-	// point is registered too: the parametric /sweep endpoint deliberately
-	// submits one job per grid point (see the granularity note below — for
-	// /sweep the point is the streaming unit, so per-point keys are the
-	// feature, not overhead) and those single-point results cross the same
-	// store.
+	// registration, and both sides of the cache are this package.
 	gob.Register([]SweepPoint(nil))
-	gob.Register(SweepPoint{})
 }
 
 // This file contains the engine-backed forms of the design-space sweeps:

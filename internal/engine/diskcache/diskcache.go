@@ -24,16 +24,12 @@
 // (Options.MaxBytes, default DefaultMaxBytes), evicting the
 // least-recently-used entries (by file mtime, which Get refreshes) after
 // each write. The cap is enforced per process: concurrent writers may
-// transiently overshoot, which the next Put repairs. Pin exempts
-// individual keys from eviction.
+// transiently overshoot, which the next Put repairs.
 //
 // Expiry. Options.TTL bounds entry lifetime from write time (WrittenAt in
 // the envelope, so LRU recency bumps never extend a lifetime); zero means
 // entries never expire. An expired entry reads as a miss and is unlinked —
-// the slot self-heals on the next Put. Expiry applies to pinned entries
-// too: Pin only shields an entry from LRU eviction, so an expired-but-
-// pinned entry survives capacity pressure until its key is recomputed and
-// rewritten in place.
+// the slot self-heals on the next Put.
 package diskcache
 
 import (
@@ -87,17 +83,8 @@ type Options struct {
 	// default) never expires. Expired entries read as misses and are
 	// unlinked so the slot self-heals on the next Put.
 	TTL time.Duration
-	// PinFile, when non-empty, makes the pin set survive restarts: Open
-	// re-pins every key listed in the file, and Pin/Unpin rewrite it
-	// atomically (temp+rename, keys sorted, one key per line; blank lines
-	// and lines starting with '#' are ignored). Keys containing a newline
-	// cannot be represented and are pinned in memory only — engine keys
-	// (16 hex digits) are always representable. The file lives wherever
-	// the path points, typically next to the cache directory, so several
-	// stores may share a directory while keeping distinct pin sets.
-	PinFile string
 	// Log, when non-nil, receives one line the first time each failure
-	// kind occurs (envelope write, pin-file save, unencodable value) —
+	// kind occurs (envelope write, unencodable value) —
 	// once per kind, not per operation, so a dead disk degrades quietly
 	// instead of flooding stderr at request rate. The counters in Stats
 	// carry the ongoing tally.
@@ -128,13 +115,12 @@ type Hooks struct {
 // engine.Stats (StoreHits/StoreMisses); these are the store's own write-
 // and health-side counters.
 type Stats struct {
-	Puts        uint64 // entries written
-	PutSkips    uint64 // writes skipped (unencodable value — a value problem, not a store fault)
-	WriteErrs   uint64 // envelope writes that failed on file I/O (temp create/write/close/rename)
-	PinSaveErrs uint64 // pin-file rewrites that failed on file I/O (in-memory pins kept)
-	Evictions   uint64 // entries removed to stay under the byte cap
-	Expired     uint64 // entries past their TTL removed by Get
-	Dropped     uint64 // corrupt/stale/mismatched entries removed by Get
+	Puts      uint64 // entries written
+	PutSkips  uint64 // writes skipped (unencodable value — a value problem, not a store fault)
+	WriteErrs uint64 // envelope writes that failed on file I/O (temp create/write/close/rename)
+	Evictions uint64 // entries removed to stay under the byte cap
+	Expired   uint64 // entries past their TTL removed by Get
+	Dropped   uint64 // corrupt/stale/mismatched entries removed by Get
 }
 
 // entry is the in-memory index record for one entry file.
@@ -157,24 +143,11 @@ type Store struct {
 	// count.
 	logEncodeOnce sync.Once
 	logWriteOnce  sync.Once
-	logPinOnce    sync.Once
 
 	mu      sync.Mutex
 	entries map[string]entry // file name -> info
-	pinned  map[string]bool  // file names exempt from LRU eviction
-	pinKeys map[string]bool  // original key strings, for pin-file rewrite
-	pinFile string           // "" = pin set is process-local
-	pinGen  uint64           // bumped (under mu) on every pin-set change
 	total   int64
 	stats   Stats
-
-	// pinSaveMu serializes pin-file writes, which happen outside mu so
-	// pin persistence never blocks Get/Put traffic. pinSavedGen (guarded
-	// by pinSaveMu) is the generation of the snapshot on disk; a writer
-	// holding an older snapshot than the one already written skips, so
-	// racing writers always land newest-last.
-	pinSaveMu   sync.Mutex
-	pinSavedGen uint64
 }
 
 // Open creates dir if needed, indexes any existing entries, and returns a
@@ -188,11 +161,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		max = DefaultMaxBytes
 	}
 	s := &Store{dir: dir, max: max, ttl: opts.TTL, entries: map[string]entry{},
-		pinned: map[string]bool{}, pinKeys: map[string]bool{}, pinFile: opts.PinFile,
 		log: opts.Log, hooks: opts.Hooks}
-	if err := s.loadPinFile(); err != nil {
-		return nil, err
-	}
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("diskcache: %w", err)
@@ -287,9 +256,7 @@ func (s *Store) GetE(key string) (any, bool, error) {
 	}
 	if s.ttl > 0 && time.Since(time.Unix(0, env.WrittenAt)) > s.ttl {
 		// Past its lifetime: a miss that self-heals — the slot is freed now
-		// and rewritten by the Put that follows the recomputation. Pinning
-		// does not rescue expired entries; it only shields live ones from
-		// LRU eviction.
+		// and rewritten by the Put that follows the recomputation.
 		s.drop(name, &s.stats.Expired)
 		return nil, false, nil
 	}
@@ -315,196 +282,6 @@ func (s *Store) drop(name string, counter *uint64) {
 	}
 	*counter++
 	s.mu.Unlock()
-}
-
-// Pin exempts key's entry — present or future — from LRU eviction, so a
-// result worth keeping warm (a full-run artifact, a seed configuration)
-// survives capacity pressure from bulkier neighbors. Pinned entries still
-// count toward the byte cap (many pins can hold the store above it, which
-// only more Puts of pinned keys can worsen) and still expire under TTL:
-// expiry reads as a miss whose recomputation rewrites the slot in place.
-// With a pin file configured (Options.PinFile), the pin additionally
-// persists: the named file is rewritten so the key is re-pinned by the
-// next Open, making pinned working sets restart-surviving. To pin many
-// keys, use PinAll — one pin-file write instead of one per key.
-func (s *Store) Pin(key string) {
-	s.PinAll([]string{key})
-}
-
-// PinAll pins every key in one shot: the pin set updates under the lock
-// once and the pin file (when configured) is rewritten once, from a
-// snapshot, outside the entry mutex — a 4096-key working set is one
-// sorted file write, not 4096, and concurrent Get/Put traffic never
-// waits behind pin-file I/O.
-func (s *Store) PinAll(keys []string) {
-	s.TryPinAll(keys, 0)
-}
-
-// TryPinAll atomically pins every key iff doing so keeps the total
-// distinct pinned-key count within maxTotal (<= 0 means no limit).
-// Already-pinned keys cost nothing — re-pinning a working set at the cap
-// still succeeds — and a refusal changes nothing. Check and pin happen
-// under one lock hold, so concurrent callers cannot jointly overshoot
-// the cap. It reports whether the keys were pinned.
-func (s *Store) TryPinAll(keys []string, maxTotal int) bool {
-	s.mu.Lock()
-	if maxTotal > 0 {
-		fresh := 0
-		seen := make(map[string]bool, len(keys))
-		for _, key := range keys {
-			if !s.pinKeys[key] && !seen[key] {
-				seen[key] = true
-				fresh++
-			}
-		}
-		if len(s.pinKeys)+fresh > maxTotal {
-			s.mu.Unlock()
-			return false
-		}
-	}
-	changed := false
-	for _, key := range keys {
-		s.pinned[fileName(key)] = true
-		if !s.pinKeys[key] {
-			s.pinKeys[key] = true
-			changed = true
-		}
-	}
-	snap, gen := s.pinSnapshotLocked(changed)
-	s.mu.Unlock()
-	s.writePinFile(snap, gen)
-	return true
-}
-
-// Unpin makes key's entry an ordinary LRU citizen again (and removes it
-// from the pin file, when one is configured).
-func (s *Store) Unpin(key string) {
-	s.mu.Lock()
-	delete(s.pinned, fileName(key))
-	changed := s.pinKeys[key]
-	delete(s.pinKeys, key)
-	snap, gen := s.pinSnapshotLocked(changed)
-	s.mu.Unlock()
-	s.writePinFile(snap, gen)
-}
-
-// PinnedCount returns the number of distinct pinned keys, including pins
-// loaded from the pin file and pins for entries that do not exist yet.
-func (s *Store) PinnedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pinKeys)
-}
-
-// loadPinFile re-pins every key recorded by a previous process. A missing
-// file is a fresh start, not an error; an unreadable one fails Open
-// loudly — silently dropping a pin set would defeat its purpose.
-func (s *Store) loadPinFile() error {
-	if s.pinFile == "" {
-		return nil
-	}
-	data, err := os.ReadFile(s.pinFile)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("diskcache: pin file: %w", err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		key := strings.TrimSpace(line)
-		if key == "" || strings.HasPrefix(key, "#") {
-			continue
-		}
-		s.pinKeys[key] = true
-		s.pinned[fileName(key)] = true
-	}
-	return nil
-}
-
-// pinSnapshotLocked captures the representable pin set and stamps it
-// with a fresh generation when a write is due; gen 0 means nothing to
-// write (no change, or no pin file configured). Keys containing a
-// newline cannot be represented line-wise and stay process-local.
-func (s *Store) pinSnapshotLocked(changed bool) ([]string, uint64) {
-	if !changed || s.pinFile == "" {
-		return nil, 0
-	}
-	s.pinGen++
-	keys := make([]string, 0, len(s.pinKeys))
-	for k := range s.pinKeys {
-		if !strings.Contains(k, "\n") {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys, s.pinGen
-}
-
-// writePinFile persists one pin-set snapshot: sorted for deterministic
-// bytes, written to a temp file and renamed into place so a crash never
-// leaves a torn pin set. It runs outside the entry mutex — pin-file I/O
-// never stalls Get/Put — and snapshots carry generations so racing
-// writers land newest-last: a snapshot older than the one already on
-// disk is skipped, never renamed over it. Because map mutation and
-// snapshot share one lock hold, the highest generation always reflects
-// the final in-memory set. Like Put, persistence is best-effort — an I/O
-// failure keeps the in-memory pins and is counted as a PinSaveErr.
-func (s *Store) writePinFile(keys []string, gen uint64) {
-	if gen == 0 {
-		return
-	}
-	s.pinSaveMu.Lock()
-	defer s.pinSaveMu.Unlock()
-	if gen <= s.pinSavedGen {
-		return
-	}
-	var buf bytes.Buffer
-	buf.WriteString("# mergescale disk-cache pin set: one engine key per line.\n")
-	for _, k := range keys {
-		buf.WriteString(k)
-		buf.WriteByte('\n')
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(s.pinFile), "pins-*"+tmpSuffix)
-	if err != nil {
-		s.pinSaveFail(err)
-		return
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		_ = os.Remove(tmp.Name())
-		s.pinSaveFail(err)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		s.pinSaveFail(err)
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.pinFile); err != nil {
-		_ = os.Remove(tmp.Name())
-		s.pinSaveFail(err)
-		return
-	}
-	s.pinSavedGen = gen
-}
-
-// pinSaveFail records one pin-file rewrite failure: counted always,
-// logged once. The in-memory pin set is untouched, so pins keep working
-// for this process and only restart survival is at risk.
-func (s *Store) pinSaveFail(err error) {
-	s.mu.Lock()
-	s.stats.PinSaveErrs++
-	s.mu.Unlock()
-	s.logPinOnce.Do(func() {
-		s.logf("diskcache: pin file save failed (in-memory pins kept; further failures counted silently): %v", err)
-	})
-}
-
-// Pinned reports whether key is currently pinned.
-func (s *Store) Pinned(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pinned[fileName(key)]
 }
 
 // Put implements engine.Store: it persists val under key with an atomic
@@ -590,15 +367,15 @@ func (s *Store) logf(format string, args ...any) {
 // evictLocked removes index records oldest-first (mtime, then name for a
 // deterministic tie-break) until total <= max, sparing keep — the entry
 // just written, so a single oversized value cannot evict itself into a
-// write/evict loop — and every pinned entry. It returns the file names for
-// the caller to unlink outside the lock.
+// write/evict loop. It returns the file names for the caller to unlink
+// outside the lock.
 func (s *Store) evictLocked(keep string) []string {
 	if s.total <= s.max {
 		return nil
 	}
 	names := make([]string, 0, len(s.entries))
 	for n := range s.entries {
-		if n != keep && !s.pinned[n] {
+		if n != keep {
 			names = append(names, n)
 		}
 	}

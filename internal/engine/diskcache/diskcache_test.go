@@ -349,72 +349,3 @@ func TestTTLRecencyBumpDoesNotExtendLifetime(t *testing.T) {
 		t.Fatal("fresh mtime rescued an expired entry")
 	}
 }
-
-// TestPinSurvivesEviction: under capacity pressure the pinned entry is
-// spared even when it is the coldest, and the unpinned one goes.
-func TestPinSurvivesEviction(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{MaxBytes: 1})
-	s.Put("keep", testVal{N: 1})
-	s.Pin("keep")
-	// Make the pinned entry the obvious LRU victim.
-	past := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(filepath.Join(dir, fileName("keep")), past, past); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	e := s.entries[fileName("keep")]
-	e.mtime = past
-	s.entries[fileName("keep")] = e
-	s.mu.Unlock()
-
-	s.Put("bulk", testVal{N: 2})
-
-	if v, ok := s.Get("keep"); !ok || v != (testVal{N: 1}) {
-		t.Error("pinned entry was evicted")
-	}
-	if !s.Pinned("keep") || s.Pinned("bulk") {
-		t.Error("Pinned() does not reflect the pin set")
-	}
-
-	// Unpin restores ordinary LRU behavior: the next write evicts it.
-	s.Unpin("keep")
-	s.mu.Lock()
-	e = s.entries[fileName("keep")]
-	e.mtime = past
-	s.entries[fileName("keep")] = e
-	s.mu.Unlock()
-	s.Put("bulk2", testVal{N: 3})
-	if _, ok := s.Get("keep"); ok {
-		t.Error("unpinned entry survived eviction")
-	}
-}
-
-// TestPinnedEntryStillExpires: Pin shields from LRU eviction only —
-// an expired pinned entry reads as a miss and self-heals, staying pinned
-// for its rewritten successor.
-func TestPinnedEntryStillExpires(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{TTL: time.Minute, MaxBytes: 1})
-	s.Put("k", testVal{N: 1})
-	s.Pin("k")
-	backdate(t, s, "k", 2*time.Minute)
-
-	// LRU pressure first: the expired-but-pinned entry must survive it.
-	s.Put("other", testVal{N: 9})
-	if _, err := os.Stat(filepath.Join(dir, fileName("k"))); err != nil {
-		t.Fatal("expired-but-pinned entry did not survive eviction")
-	}
-
-	// Reading it is still a miss, and the slot self-heals pinned.
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("expired pinned entry hit")
-	}
-	s.Put("k", testVal{N: 2})
-	if v, ok := s.Get("k"); !ok || v != (testVal{N: 2}) {
-		t.Errorf("healed slot: %v/%v", v, ok)
-	}
-	if !s.Pinned("k") {
-		t.Error("pin lost across expiry")
-	}
-}

@@ -129,30 +129,6 @@ func TestWriteErrLoggedOnce(t *testing.T) {
 	}
 }
 
-// TestPinSaveErrCountedAndLoggedOnce: pin-file persistence failing (the
-// file's directory is gone) keeps the in-memory pins, counts every
-// failure, and logs once.
-func TestPinSaveErrCountedAndLoggedOnce(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	s := open(t, dir, Options{
-		PinFile: filepath.Join(dir, "no-such-dir", "pins"),
-		Log:     log.New(&buf, "", 0),
-	})
-	s.Pin("a")
-	s.Pin("b")
-	if st := s.Stats(); st.PinSaveErrs != 2 {
-		t.Fatalf("PinSaveErrs = %d, want 2", st.PinSaveErrs)
-	}
-	if !s.Pinned("a") || !s.Pinned("b") {
-		t.Fatal("in-memory pins lost after pin-file save failure")
-	}
-	lines := strings.Count(buf.String(), "\n")
-	if lines != 1 || !strings.Contains(buf.String(), "pin file save failed") {
-		t.Fatalf("log = %q, want exactly one pin-save line", buf.String())
-	}
-}
-
 // TestUnencodableValueNotAWriteErr: encode failures stay PutSkips (a
 // value problem), never WriteErrs (a disk problem) — the breaker must
 // not trip on a caller handing over a channel.

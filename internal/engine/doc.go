@@ -1,11 +1,12 @@
 // Package engine is the concurrent experiment runtime: a bounded worker
-// pool that executes heterogeneous jobs (paper artifacts, design-space
-// sweep points, simulator runs) with per-job context cancellation, a
-// two-level config-hash result cache, and deterministic output ordering.
+// pool that executes heterogeneous jobs (paper artifacts, batched
+// design-space sweeps, simulator and native runs) with per-job context
+// cancellation, a two-level config-hash result cache, and deterministic
+// output ordering.
 //
 // The engine is deliberately independent of the model and workload
 // packages so that any layer — cmd/mergescale submitting whole
-// experiments, internal/core sharding a sweep into per-point sub-jobs,
+// experiments, internal/core running each sweep grid as one sub-job,
 // internal/workload sharding simulator runs per core count — can fan out
 // through the same pool.
 //

@@ -9,7 +9,6 @@ import (
 	"math/bits"
 	"sort"
 	"strconv"
-	"sync"
 
 	"mergescale/internal/core"
 	"mergescale/internal/engine"
@@ -18,31 +17,31 @@ import (
 
 // This file implements design-space-as-a-service: a client-supplied
 // parameter grid (model params × BCE budget × r-grid) normalized into a
-// canonical SweepPlan whose points are individual engine jobs. The same
-// struct backs POST /sweep and the `mergescale sweep` CLI subcommand, so
-// both fronts validate, execute, cache and render identically —
-// byte-identical output for the same grid, however it arrives.
+// canonical SweepPlan and evaluated in plan order. The same struct backs
+// POST /sweep and the `mergescale sweep` CLI subcommand, so both fronts
+// validate, evaluate and render identically — byte-identical output for
+// the same grid, however it arrives.
 //
 // Normalization is the caching contract: apps, budgets and the r-grid are
-// sorted and deduplicated, app names are derived from the parameters
-// (client-chosen labels never reach a key), and each grid point's engine
-// key is built from the canonical values only. Two requests describing
-// the same design space in different order therefore resolve to the same
-// point keys — the second one replays from the engine's memory/disk cache
-// without executing a single job — and to the same plan fingerprint, so
-// the server's render cache can serve the second request's bytes whole.
+// sorted and deduplicated, and app names are derived from the parameters
+// (client-chosen labels never reach the output). Two requests describing
+// the same design space in different order therefore share one plan
+// fingerprint, so the server's render cache serves the second request's
+// bytes whole.
 //
-// Unlike the batched internal sweeps (see the granularity note in
-// core/sweep_parallel.go), /sweep submits one job per grid point on
-// purpose: the point is the streaming unit. Each resolved point releases
-// one table row through the element-granular release buffer, so the first
-// row of a cold 64-point sweep reaches the client while later points are
-// still computing.
+// Points evaluate in plan order on the calling goroutine, with no engine
+// involved. A point is one closed-form model evaluation — microseconds —
+// which costs less than hashing a key for it, let alone a cache lookup,
+// and caching points would grow a long-running server's memory with every
+// new grid. (The batched internal sweeps are engine jobs; see the
+// granularity note in core/sweep_parallel.go.) The point is the streaming
+// unit: each row is emitted the moment its point is evaluated, so the
+// first row reaches the client before later points are computed.
 
 // Request caps: a sweep is user-supplied work, so its size is bounded
-// before any job is created. The limits are generous for real design
+// before any point is evaluated. The limits are generous for real design
 // spaces (the paper's grids are tens of points) while keeping a single
-// request from monopolizing the engine.
+// request from monopolizing the server.
 const (
 	// MaxSweepPoints caps the total evaluated grid points per request.
 	MaxSweepPoints = 4096
@@ -67,14 +66,11 @@ type SweepApp struct {
 // SweepRequest is the wire form of a parametric design-space sweep,
 // shared verbatim by POST /sweep (JSON body) and `mergescale sweep -grid`
 // (JSON file). Rs may be empty: each budget then sweeps its full
-// power-of-two grid {1,2,...,N}. Pin asks the server to pin the evaluated
-// point keys in the disk cache so they survive eviction (and restarts,
-// when the store has a pin file).
+// power-of-two grid {1,2,...,N}.
 type SweepRequest struct {
 	Apps    []SweepApp `json:"apps"`
 	Budgets []int      `json:"budgets"`
 	Rs      []float64  `json:"rs,omitempty"`
-	Pin     bool       `json:"pin,omitempty"`
 }
 
 // ParseSweepRequest decodes one JSON-encoded SweepRequest. Unknown fields
@@ -107,26 +103,24 @@ type sweepGroup struct {
 type sweepPlanPoint struct {
 	Group int
 	R     float64
-	Key   string // canonical engine key; identical across equivalent requests
 }
 
 // SweepPlan is a validated, normalized sweep: apps, budgets and grids are
-// canonical (sorted, deduplicated, parameter-derived labels), every point
-// has its engine key precomputed, and the total size is under the caps.
-// Plans are immutable after Normalize and safe for concurrent Runs.
+// canonical (sorted, deduplicated, parameter-derived labels) and the total
+// size is under the caps. Plans are immutable after Normalize and safe for
+// concurrent Runs.
 type SweepPlan struct {
 	Apps    []core.AppParams
 	Budgets []core.Budget
 	Rs      []float64 // nil when each budget uses its power-of-two default
-	Pin     bool
 
 	groups []sweepGroup
 	points []sweepPlanPoint
 }
 
 // sweepAppLabel derives the canonical display name from the parameters.
-// The label doubles as the AppParams.Name key component, so it must be a
-// pure function of the values.
+// The label doubles as the AppParams.Name fingerprint component, so it
+// must be a pure function of the values.
 func sweepAppLabel(a core.AppParams) string {
 	return "f=" + fg(a.F) + " fcon=" + fg(a.FCon) + " fored=" + fg(a.FOred) + " " + a.Growth.String()
 }
@@ -140,7 +134,7 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Normalize validates the request and produces its canonical plan. Every
 // rejection is a single-line reason suitable for an HTTP 400 body; no
-// engine work happens here, so malformed requests are refused for free.
+// point is evaluated here, so malformed requests are refused for free.
 func (req *SweepRequest) Normalize() (*SweepPlan, error) {
 	if len(req.Apps) == 0 {
 		return nil, fmt.Errorf("sweep: at least one app required")
@@ -216,11 +210,10 @@ func (req *SweepRequest) Normalize() (*SweepPlan, error) {
 	}
 
 	// Bound the grid before materializing it. The point slice below
-	// allocates a struct and hashes an engine key per point, so the size
-	// must be proven under the cap first: a 1 MiB body can describe tens
-	// of thousands of budgets × tens of thousands of rs — a multi-billion-
-	// point product that would burn CPU and memory long before its 400 if
-	// counted by building. The count here is O(budgets) and includes
+	// allocates a struct per point, so the size must be proven under the
+	// cap first: a 1 MiB body can describe tens of thousands of budgets ×
+	// tens of thousands of rs — a multi-billion-point product that would
+	// burn CPU and memory long before its 400 if counted by building. The count here is O(budgets) and includes
 	// points the build loop would skip (r exceeding the budget), so a
 	// grid padded with invalid points is refused conservatively; bounding
 	// the work beats indulging degenerate grids. Once over the cap the
@@ -240,7 +233,7 @@ func (req *SweepRequest) Normalize() (*SweepPlan, error) {
 		return nil, fmt.Errorf("sweep: %d grid points exceeds cap %d", gridPoints*len(apps), MaxSweepPoints)
 	}
 
-	p := &SweepPlan{Apps: apps, Budgets: budgets, Rs: rs, Pin: req.Pin}
+	p := &SweepPlan{Apps: apps, Budgets: budgets, Rs: rs}
 	for _, app := range apps {
 		for _, b := range budgets {
 			grid := rs
@@ -257,11 +250,7 @@ func (req *SweepRequest) Normalize() (*SweepPlan, error) {
 				if r > float64(b.N) {
 					continue // no valid design under this budget
 				}
-				p.points = append(p.points, sweepPlanPoint{
-					Group: len(p.groups),
-					R:     r,
-					Key:   sweepPointKey(app, b, r),
-				})
+				p.points = append(p.points, sweepPlanPoint{Group: len(p.groups), R: r})
 			}
 			g.End = len(p.points)
 			p.groups = append(p.groups, g)
@@ -290,30 +279,8 @@ func dedupe[T any](s []T, eq func(a, b T) bool) []T {
 	return out
 }
 
-// sweepPointKey builds the canonical engine key of one design point.
-// AppParams.Name participates in AppendKey, which is exactly why names
-// are derived from parameters: equivalent apps hash identically no matter
-// how the client spelled the request.
-func sweepPointKey(app core.AppParams, b core.Budget, r float64) string {
-	w := engine.AcquireKeyWriter()
-	w.WriteString("sweep-point")
-	engine.WriteAppender(w, app)
-	engine.WriteAppender(w, b)
-	w.WriteFloat64(r)
-	return w.SumRelease()
-}
-
 // Points returns the number of design points the plan evaluates.
 func (p *SweepPlan) Points() int { return len(p.points) }
-
-// Keys returns the canonical engine key of every point, for pinning.
-func (p *SweepPlan) Keys() []string {
-	keys := make([]string, len(p.points))
-	for i, pt := range p.points {
-		keys[i] = pt.Key
-	}
-	return keys
-}
 
 // Fingerprint digests the normalized grid. Equivalent requests — same
 // design space, any ordering or duplication — share it, so it keys the
@@ -337,64 +304,52 @@ func (p *SweepPlan) Fingerprint() string {
 	return w.SumRelease()
 }
 
-// sweepPointStart, when non-nil, is called at the top of every executed
-// point job with the point's plan index. Test-only: the first-byte
-// latency test uses it to hold the final point hostage until the first
-// row has been released, proving rows stream before the sweep completes.
+// sweepPointStart, when non-nil, is called before every point is
+// evaluated, with the point's plan index. Test-only: the first-byte
+// latency test uses it to hold the final point until the first row has
+// been emitted, proving rows stream before the sweep completes.
 var sweepPointStart func(i int)
 
 // sweepColumns are the table columns of every sweep group.
 var sweepColumns = []string{"r", "cores", "speedup"}
 
-// evalPoint computes one design point. Pure arithmetic — microseconds —
-// but submitted as its own engine job so each resolved point releases one
-// streamed row and caches under its own canonical key.
+// evalPoint computes one design point: pure arithmetic, microseconds.
 func evalPoint(g sweepGroup, r float64) core.SweepPoint {
 	return core.SweepPoint{R: r, Speedup: core.SpeedupCMP(g.App, core.SymDesign{Budget: g.Budget, R: r})}
 }
 
-// rowOf formats one rendered table row for a resolved point.
+// rowOf formats one rendered table row for an evaluated point.
 func rowOf(g sweepGroup, pt core.SweepPoint) []string {
 	d := core.SymDesign{Budget: g.Budget, R: pt.R}
 	return []string{fg(pt.R), fg(d.Cores()), f2(pt.Speedup)}
 }
 
 // Run evaluates the plan into a single document, one table per
-// (app, budget) group in canonical order. Every point is one job on
-// opt.Engine (required), and rows release in plan order as their jobs
-// resolve, so the first row goes out while later points still compute.
-// With opt.Emit set, elements stream fine-grained through it — the
-// signature matches Experiment.Run, so a plan drops into the same render
-// pipelines.
-func (p *SweepPlan) Run(ctx context.Context, opt Options) (*report.Document, error) {
-	em := report.NewEmitter("sweep", "Design-space sweep", opt.Emit)
+// (app, budget) group in canonical order. Points evaluate in plan order
+// on the calling goroutine, and each row goes out through emit (which may
+// be nil) as soon as its point is computed. The run stops at the first
+// point after ctx is done or emit has failed. The emit signature matches
+// Options.Emit, so a plan drops into the same render pipelines as the
+// registry experiments.
+func (p *SweepPlan) Run(ctx context.Context, emit func(report.Element) error) (*report.Document, error) {
+	em := report.NewEmitter("sweep", "Design-space sweep", emit)
 	res := make([]core.SweepPoint, len(p.points))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	rel := &sweepReleaser{plan: p, em: em, res: res, cancel: cancel}
-	jobs := make([]engine.Job, len(p.points))
-	for i := range p.points {
-		i := i
-		pt := p.points[i]
-		g := p.groups[pt.Group]
-		jobs[i] = engine.Job{
-			ID:  "sweep-point",
-			Key: pt.Key,
-			Fn: func(ctx context.Context) (any, error) {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				if hook := sweepPointStart; hook != nil {
-					hook(i)
-				}
-				return evalPoint(g, pt.R), nil
-			},
-			OnDone: func(r engine.Result) { rel.done(i, r) },
+	for i, pt := range p.points {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
 		}
-	}
-	opt.Engine.Run(ctx, jobs)
-	if err := rel.err(); err != nil {
-		return nil, err
+		if err := em.Err(); err != nil {
+			return nil, err
+		}
+		if hook := sweepPointStart; hook != nil {
+			hook(i)
+		}
+		g := p.groups[pt.Group]
+		if i == g.Start {
+			em.Table(g.Title, sweepColumns...)
+		}
+		res[i] = evalPoint(g, pt.R)
+		em.Row(rowOf(g, res[i])...)
 	}
 
 	for _, g := range p.groups {
@@ -403,65 +358,4 @@ func (p *SweepPlan) Run(ctx context.Context, opt Options) (*report.Document, err
 		}
 	}
 	return em.Finish()
-}
-
-// sweepReleaser releases sweep rows in plan order as point jobs resolve:
-// results park under their index, and the contiguous ready prefix flushes
-// through the Emitter (opening each group's table at its first point).
-// It is the point-granular analogue of the element releaser in engine.go;
-// the lock serializes Emitter calls, and the first failed point cancels
-// the remaining jobs.
-type sweepReleaser struct {
-	mu      sync.Mutex
-	plan    *SweepPlan
-	em      *report.Emitter
-	res     []core.SweepPoint
-	got     []bool
-	next    int
-	failure error
-	cancel  context.CancelFunc
-}
-
-func (r *sweepReleaser) done(i int, result engine.Result) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.got == nil {
-		r.got = make([]bool, len(r.res))
-	}
-	if result.Err != nil {
-		if r.failure == nil {
-			r.failure = fmt.Errorf("sweep: point %d: %w", i, result.Err)
-			r.cancel()
-		}
-		r.got[i] = true
-		return
-	}
-	pt, ok := result.Value.(core.SweepPoint)
-	if !ok {
-		if r.failure == nil {
-			r.failure = fmt.Errorf("sweep: point %d: unexpected cached result type %T", i, result.Value)
-			r.cancel()
-		}
-		r.got[i] = true
-		return
-	}
-	r.res[i] = pt
-	r.got[i] = true
-	for r.next < len(r.res) && r.got[r.next] {
-		if r.failure == nil {
-			p := r.plan.points[r.next]
-			g := r.plan.groups[p.Group]
-			if r.next == g.Start {
-				r.em.Table(g.Title, sweepColumns...)
-			}
-			r.em.Row(rowOf(g, r.res[r.next])...)
-		}
-		r.next++
-	}
-}
-
-func (r *sweepReleaser) err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.failure
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -10,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"mergescale/internal/engine"
 	"mergescale/internal/report"
 )
 
@@ -56,6 +56,9 @@ func TestParseSweepRequestRejects(t *testing.T) {
 		{"wrong type", `{"apps":"many","budgets":[64]}`},
 		{"trailing data", sweepBody + ` {"again":true}`},
 		{"huge exponent", `{"apps":[{"f":1e999}],"budgets":[64]}`},
+		// "pin" was a request field once; an old client sending it is
+		// told so instead of silently losing what it asked for.
+		{"pin field", `{"apps":[{"f":0.9}],"budgets":[64],"pin":true}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -152,21 +155,17 @@ func TestSweepNormalizeHugeProductRejectedCheaply(t *testing.T) {
 
 // TestSweepNormalizeCanonical: two spellings of the same design space —
 // reordered axes, duplicated values, growth default spelled out — must
-// normalize to the same plan: same fingerprint, same point keys in the
-// same order. This is the whole caching contract of POST /sweep.
+// normalize to the same plan: same fingerprint and byte-identical renders
+// in every format. This is the whole caching contract of POST /sweep.
 func TestSweepNormalizeCanonical(t *testing.T) {
 	a := mustPlan(t, sweepBody)
 	b := mustPlan(t, `{"apps":[{"f":0.9,"growth":"linear"},{"f":0.975,"fcon":0.1,"fored":0.2}],"budgets":[256,64,256],"rs":[16,8,4,2,1,16]}`)
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatalf("equivalent grids fingerprint differently: %s vs %s", a.Fingerprint(), b.Fingerprint())
 	}
-	ka, kb := a.Keys(), b.Keys()
-	if len(ka) != len(kb) {
-		t.Fatalf("equivalent grids have %d vs %d point keys", len(ka), len(kb))
-	}
-	for i := range ka {
-		if ka[i] != kb[i] {
-			t.Fatalf("point %d keys differ: %s vs %s", i, ka[i], kb[i])
+	for _, format := range []string{"text", "markdown", "json", "csv"} {
+		if !bytes.Equal(renderPlan(t, a, format, true), renderPlan(t, b, format, true)) {
+			t.Fatalf("%s: equivalent grids render different bytes", format)
 		}
 	}
 	// A genuinely different space must not collide.
@@ -180,7 +179,7 @@ func TestSweepNormalizeCanonical(t *testing.T) {
 // document, then Replay) or streamed (plan emits elements straight into
 // the renderer). The two must be byte-identical — the same guarantee the
 // registry experiments carry, extended to client-supplied sweeps.
-func renderPlan(t *testing.T, plan *SweepPlan, eng *engine.Engine, format string, streamed bool) []byte {
+func renderPlan(t *testing.T, plan *SweepPlan, format string, streamed bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	r, err := report.NewRenderer(format, &buf)
@@ -190,11 +189,11 @@ func renderPlan(t *testing.T, plan *SweepPlan, eng *engine.Engine, format string
 	if err := r.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Engine: eng}
+	var emit func(report.Element) error
 	if streamed {
-		opt.Emit = r.Element
+		emit = r.Element
 	}
-	doc, err := plan.Run(context.Background(), opt)
+	doc, err := plan.Run(context.Background(), emit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,58 +208,31 @@ func renderPlan(t *testing.T, plan *SweepPlan, eng *engine.Engine, format string
 	return buf.Bytes()
 }
 
-// TestSweepRunDeterministic: across all four formats, the buffered
-// rendering on a serial, uncached engine, the streamed rendering on the
-// same, and cached streamed renderings at several worker counts all
-// produce identical bytes. Runs
-// under -race in CI, exercising the point releaser against concurrent
-// OnDone callbacks.
+// TestSweepRunDeterministic: in all four formats, the streamed rendering
+// (rows emitted as points are evaluated) is byte-identical to the buffered
+// one (run to a document, then Replay), and a second run repeats it.
 func TestSweepRunDeterministic(t *testing.T) {
 	plan := mustPlan(t, sweepBody)
 	for _, format := range []string{"text", "markdown", "json", "csv"} {
-		want := renderPlan(t, plan, serialEngine(), format, false)
+		want := renderPlan(t, plan, format, false)
 		if len(want) == 0 {
-			t.Fatalf("%s: buffered serial render is empty", format)
+			t.Fatalf("%s: buffered render is empty", format)
 		}
-		if got := renderPlan(t, plan, serialEngine(), format, true); !bytes.Equal(want, got) {
-			t.Fatalf("%s: serial streamed render differs from buffered", format)
+		if got := renderPlan(t, plan, format, true); !bytes.Equal(want, got) {
+			t.Fatalf("%s: streamed render differs from buffered", format)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			eng := engine.New(engine.Config{Workers: workers})
-			if got := renderPlan(t, plan, eng, format, true); !bytes.Equal(want, got) {
-				t.Fatalf("%s workers=%d: engine streamed render differs from serial", format, workers)
-			}
+		if got := renderPlan(t, plan, format, false); !bytes.Equal(want, got) {
+			t.Fatalf("%s: second buffered render differs from the first", format)
 		}
-	}
-}
-
-// TestSweepWarmReplayExecutesNothing: a second equivalent run on the same
-// engine — even spelled in a different order — is served entirely from
-// the point cache and still renders the same bytes.
-func TestSweepWarmReplayExecutesNothing(t *testing.T) {
-	plan := mustPlan(t, sweepBody)
-	reordered := mustPlan(t, `{"apps":[{"f":0.9},{"f":0.975,"fcon":0.1,"fored":0.2}],"budgets":[256,64],"rs":[16,1,8,2,4]}`)
-	eng := engine.New(engine.Config{Workers: 4})
-	first := renderPlan(t, plan, eng, "text", true)
-	executed := eng.Stats().Executed
-	if executed == 0 {
-		t.Fatal("cold sweep executed no jobs")
-	}
-	second := renderPlan(t, reordered, eng, "text", true)
-	if again := eng.Stats().Executed; again != executed {
-		t.Fatalf("warm reordered sweep executed %d new jobs, want 0", again-executed)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatal("warm reordered sweep rendered different bytes")
 	}
 }
 
 // TestSweepFirstRowBeforeLastJobCompletes is the streaming-latency gate
-// (named in scripts/ci.sh): over a cold 64-point grid, the first table
-// row must be released before the final grid point's job finishes. The
-// sweepPointStart hook holds the last point hostage until the first row
-// is observed — if rows only flushed after the whole sweep, this would
-// deadlock (bounded by the timeout) instead of passing.
+// (named in scripts/ci.sh): over a 64-point grid, the first table row
+// must be emitted before the final grid point is evaluated. The
+// sweepPointStart hook holds the last point until the first row is
+// observed — if rows only went out after the whole sweep, the hook would
+// wait out its timeout instead of returning at once.
 func TestSweepFirstRowBeforeLastJobCompletes(t *testing.T) {
 	rs := make([]string, 64)
 	for i := range rs {
@@ -287,34 +259,65 @@ func TestSweepFirstRowBeforeLastJobCompletes(t *testing.T) {
 
 	var once sync.Once
 	rows := 0
-	eng := engine.New(engine.Config{Workers: 2})
-	_, err := plan.Run(context.Background(), Options{Engine: eng, Emit: func(el report.Element) error {
+	_, err := plan.Run(context.Background(), func(el report.Element) error {
 		if el.Kind == report.ElemRow {
 			once.Do(func() { close(firstRow) })
 			rows++
 		}
 		return nil
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if timedOut.Load() {
-		t.Fatal("last point job finished the wait by timeout: no row was released while the sweep was still executing")
+		t.Fatal("last point finished the wait by timeout: no row was emitted while the sweep was still evaluating")
 	}
 	if rows != 64 {
 		t.Fatalf("released %d rows, want 64", rows)
 	}
 }
 
+// TestSweepRunStopsEarly: a done context or a failed emit stops the run
+// at the next point, so an abandoned sweep evaluates nothing further.
+func TestSweepRunStopsEarly(t *testing.T) {
+	plan := mustPlan(t, sweepBody)
+	evaluated := 0
+	sweepPointStart = func(int) { evaluated++ }
+	defer func() { sweepPointStart = nil }()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := plan.Run(ctx, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	if evaluated != 0 {
+		t.Fatalf("cancelled run evaluated %d points, want 0", evaluated)
+	}
+
+	errGone := errors.New("client gone")
+	_, err := plan.Run(context.Background(), func(el report.Element) error {
+		if el.Kind == report.ElemRow {
+			return errGone
+		}
+		return nil
+	})
+	if !errors.Is(err, errGone) {
+		t.Fatalf("failed emit: err = %v, want %v", err, errGone)
+	}
+	if evaluated != 1 {
+		t.Fatalf("run evaluated %d points after its first row failed, want 1", evaluated)
+	}
+}
+
 // FuzzParseSweepRequest: no body may panic the decoder or normalizer, and
 // every rejection must stay a single line. Accepted plans must produce a
-// fingerprint and a full key set without panicking.
+// fingerprint without panicking.
 func FuzzParseSweepRequest(f *testing.F) {
 	f.Add(sweepBody)
 	f.Add(`{"apps":[{"f":0.9}],"budgets":[64]}`)
 	f.Add(`{"apps":[{"f":1e999}],"budgets":[64]}`)
 	f.Add(`{"apps":[],"budgets":[]}`)
-	f.Add(`{"apps":[{"f":0.9,"growth":"amdahl"}],"budgets":[1],"rs":[1],"pin":true}`)
+	f.Add(`{"apps":[{"f":0.9,"growth":"amdahl"}],"budgets":[1],"rs":[1]}`)
 	f.Add(`[]`)
 	f.Add(``)
 	f.Fuzz(func(t *testing.T, body string) {
@@ -337,9 +340,6 @@ func FuzzParseSweepRequest(f *testing.F) {
 		}
 		if plan.Fingerprint() == "" {
 			t.Fatal("accepted plan has empty fingerprint")
-		}
-		if got := len(plan.Keys()); got != plan.Points() {
-			t.Fatalf("%d keys for %d points", got, plan.Points())
 		}
 	})
 }

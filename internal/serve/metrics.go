@@ -223,7 +223,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("mergescale_disk_puts_total", "Disk-cache entries written.", ds.Puts)
 		counter("mergescale_disk_put_skips_total", "Disk-cache writes skipped (unencodable values).", ds.PutSkips)
 		counter("mergescale_disk_write_errors_total", "Disk-cache envelope writes failed on file I/O.", ds.WriteErrs)
-		counter("mergescale_disk_pin_save_errors_total", "Disk-cache pin-file rewrites failed on file I/O.", ds.PinSaveErrs)
 		counter("mergescale_disk_evictions_total", "Disk-cache LRU evictions.", ds.Evictions)
 		counter("mergescale_disk_expired_total", "Disk-cache entries expired by TTL.", ds.Expired)
 		counter("mergescale_disk_dropped_total", "Disk-cache entries dropped (corrupt/version/key mismatch).", ds.Dropped)

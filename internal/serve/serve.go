@@ -31,11 +31,11 @@
 // arrive.
 //
 // POST /sweep accepts a JSON grid (apps × budgets × r values), normalizes
-// it into canonical engine keys — sorted, deduplicated, labels derived
-// from parameters — and streams one table row per grid point as its
-// engine job resolves. Equivalent grids, however ordered, share cache
-// entries at both layers: per-point results in the engine/disk cache and
-// whole bodies in the render cache.
+// it into a canonical plan — sorted, deduplicated, labels derived from
+// parameters — and streams one table row per grid point as it is
+// evaluated. Points are plain model arithmetic and never reach the
+// engine; equivalent grids, however ordered, share one whole body in the
+// render cache.
 //
 // Under load, three more mechanisms engage (see docs/ARCHITECTURE.md
 // "Serving under load"): cold identical /run requests singleflight the
@@ -100,8 +100,9 @@ type Server struct {
 	Injector *faults.Injector
 	// ReqTimeout, when > 0, bounds each /run and /sweep request
 	// (CLI: serve -reqtimeout). The deadline propagates through the
-	// request context into the engine jobs; expiry before the first body
-	// byte is a clean 503, after it a chunked-transfer abort.
+	// request context into the engine jobs and /sweep's per-point check;
+	// expiry before the first body byte is a clean 503, after it a
+	// chunked-transfer abort.
 	ReqTimeout time.Duration
 	// DrainTimeout bounds graceful shutdown: how long ListenAndServe
 	// waits for in-flight responses to flush after its context is
@@ -120,15 +121,6 @@ type Server struct {
 	// MaxStreams, when > 0, caps concurrently executing /run streams;
 	// excess requests get 503 with Retry-After (CLI: serve -maxstreams).
 	MaxStreams int
-	// PinCap, when > 0, lets `"pin": true` sweep requests pin their point
-	// keys in the disk store, up to this many distinct pinned keys in
-	// aggregate across all requests (CLI: serve -pincap). Zero — the
-	// default — ignores client pin requests entirely: pinned entries are
-	// exempt from LRU eviction and can hold the store above its byte cap
-	// (restart-surviving with a pin file), so accumulating them is an
-	// operator grant, not a client right. Over-cap requests still run;
-	// only the pinning is declined (see the X-Sweep-Pin header).
-	PinCap int
 
 	// renderedBodies caches fully rendered /run responses keyed by
 	// (target, format); initialized once by Handler. See renderCache for
@@ -289,17 +281,15 @@ type engineStats struct {
 // The failure counters are omitempty: a healthy store's /stats bytes are
 // unchanged from before the counters existed.
 type diskStats struct {
-	Dir         string `json:"dir"`
-	Puts        uint64 `json:"puts"`
-	PutSkips    uint64 `json:"putSkips"`
-	WriteErrs   uint64 `json:"writeErrs,omitempty"`
-	PinSaveErrs uint64 `json:"pinSaveErrs,omitempty"`
-	Evictions   uint64 `json:"evictions"`
-	Expired     uint64 `json:"expired"`
-	Dropped     uint64 `json:"dropped"`
-	Entries     int    `json:"entries"`
-	Bytes       int64  `json:"bytes"`
-	Pinned      int    `json:"pinned"`
+	Dir       string `json:"dir"`
+	Puts      uint64 `json:"puts"`
+	PutSkips  uint64 `json:"putSkips"`
+	WriteErrs uint64 `json:"writeErrs,omitempty"`
+	Evictions uint64 `json:"evictions"`
+	Expired   uint64 `json:"expired"`
+	Dropped   uint64 `json:"dropped"`
+	Entries   int    `json:"entries"`
+	Bytes     int64  `json:"bytes"`
 }
 
 // renderStats reports the rendered-response cache counters. Coalesced
@@ -337,17 +327,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ds := s.Store.Stats()
 		entries, bytes := s.Store.Size()
 		payload.Disk = &diskStats{
-			Dir:         s.Store.Dir(),
-			Puts:        ds.Puts,
-			PutSkips:    ds.PutSkips,
-			WriteErrs:   ds.WriteErrs,
-			PinSaveErrs: ds.PinSaveErrs,
-			Evictions:   ds.Evictions,
-			Expired:     ds.Expired,
-			Dropped:     ds.Dropped,
-			Entries:     entries,
-			Bytes:       bytes,
-			Pinned:      s.Store.PinnedCount(),
+			Dir:       s.Store.Dir(),
+			Puts:      ds.Puts,
+			PutSkips:  ds.PutSkips,
+			WriteErrs: ds.WriteErrs,
+			Evictions: ds.Evictions,
+			Expired:   ds.Expired,
+			Dropped:   ds.Dropped,
+			Entries:   entries,
+			Bytes:     bytes,
 		}
 	}
 	if s.Breaker != nil {
@@ -439,15 +427,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweep streams one parametric design-space sweep. The JSON grid is
-// decoded, validated and normalized before any engine work — malformed
-// bodies get a one-line 400 and never create a job. The normalized plan
-// keys both layers of caching: every grid point is one engine job under a
-// canonical key (equivalent requests, however ordered or duplicated, hit
-// the same entries), and the rendered body caches under the plan
-// fingerprint, so a repeated equivalent grid is a whole-body hit. Cold
-// sweeps stream element-granularly: each point's table row flushes the
-// moment its job resolves, so the first row arrives while later points
-// still compute.
+// decoded, validated and normalized before any point is evaluated —
+// malformed bodies get a one-line 400 for free. The rendered body caches
+// under the plan fingerprint, so a repeated equivalent grid (however
+// ordered or duplicated) is a whole-body hit. The points themselves are
+// plain arithmetic evaluated in plan order on the request goroutine; they
+// never reach the engine, so a sweep leaves no engine or disk-cache state
+// behind. Cold sweeps stream element-granularly: each point's table row
+// flushes the moment it is evaluated.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	format := r.URL.Query().Get("format")
 	if format == "" {
@@ -467,33 +454,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Pin before the run: pins cover present and future entries, so the
-	// point results persist as pinned however the race with Put falls, and
-	// a render-cache hit (no jobs executed) still records the intent.
-	// Client pinning is an operator grant: with PinCap unset (the default)
-	// the request's pin flag is ignored, and TryPinAll checks-and-pins
-	// atomically against the aggregate cap, so a stream of varied pinned
-	// grids cannot inflate the LRU-exempt set without bound. The sweep
-	// itself runs either way; X-Sweep-Pin reports the outcome without
-	// touching the body bytes (which stay identical to the CLI's).
-	if plan.Pin {
-		pinState := "off"
-		if s.Store != nil && s.PinCap > 0 {
-			if s.Store.TryPinAll(plan.Keys(), s.PinCap) {
-				pinState = "ok"
-			} else {
-				pinState = "declined"
-				s.logf("serve: sweep pin declined: %d keys would exceed pin cap %d (pinned now: %d)",
-					plan.Points(), s.PinCap, s.Store.PinnedCount())
-			}
-		}
-		w.Header().Set("X-Sweep-Pin", pinState)
-	}
 	// Sweeps are pure model arithmetic — deterministic regardless of
 	// UseDuration — so the rendered body is always cacheable.
 	s.streamRender(w, r, renderKey{target: "sweep:" + plan.Fingerprint(), format: format}, true,
 		func(emit func(report.Element) error) error {
-			_, err := plan.Run(r.Context(), experiments.Options{Engine: s.Engine, Emit: emit})
+			_, err := plan.Run(r.Context(), emit)
 			return err
 		})
 }

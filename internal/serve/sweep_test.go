@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"mergescale/internal/engine"
-	"mergescale/internal/engine/diskcache"
 	"mergescale/internal/experiments"
 	"mergescale/internal/report"
 )
@@ -59,7 +58,7 @@ func bufferedSweep(t *testing.T, grid, format string) []byte {
 	if err := r.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := plan.Run(context.Background(), experiments.Options{Engine: engine.New(engine.Config{Workers: 1, DisableCache: true})})
+	doc, err := plan.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +91,8 @@ func TestSweepEndpointMatchesBufferedRender(t *testing.T) {
 }
 
 // TestSweepReorderedGridIsWholeBodyHit is the acceptance gate: two
-// differently-ordered spellings of one design space resolve to identical
-// canonical keys, so the second request is a rendered-body cache hit —
+// differently-ordered spellings of one design space resolve to one plan
+// fingerprint, so the second request is a rendered-body cache hit —
 // zero engine jobs, byte-identical bytes.
 func TestSweepReorderedGridIsWholeBodyHit(t *testing.T) {
 	srv := &Server{Engine: engine.New(engine.Config{Workers: 4})}
@@ -105,9 +104,6 @@ func TestSweepReorderedGridIsWholeBodyHit(t *testing.T) {
 		t.Fatalf("cold sweep: status %d cache %q", status, cache)
 	}
 	executed := srv.Engine.Stats().Executed
-	if executed == 0 {
-		t.Fatal("cold sweep executed no jobs")
-	}
 
 	status, cache, second := postSweep(t, ts, "", sweepGridReordered)
 	if status != http.StatusOK {
@@ -142,6 +138,7 @@ func TestSweepBadRequests(t *testing.T) {
 		{"negative budget", "", `{"apps":[{"f":0.9}],"budgets":[-4]}`},
 		{"r below one", "", `{"apps":[{"f":0.9}],"budgets":[64],"rs":[0.5]}`},
 		{"trailing data", "", sweepGrid + `{"x":1}`},
+		{"pin field", "", `{"apps":[{"f":0.9}],"budgets":[64],"pin":true}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,141 +180,28 @@ func TestSweepOverCapRejected(t *testing.T) {
 	}
 }
 
-// TestSweepPinPersistsPointKeys: with the operator's pin cap set, a
-// pinned sweep marks every canonical point key in the disk store, and
-// with a pin file configured the set survives a store reopen — the
-// restart-surviving pin path end to end.
-func TestSweepPinPersistsPointKeys(t *testing.T) {
-	dir := t.TempDir()
-	pinFile := dir + "/pins.txt"
-	store, err := diskcache.Open(dir, diskcache.Options{PinFile: pinFile})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{
-		Engine: engine.New(engine.Config{Workers: 2, Store: store}),
-		Store:  store,
-		PinCap: 64,
-	}
+// TestSweepLeavesNoEngineState is the bounded-memory guard: sweep points
+// are plain arithmetic, so a stream of distinct grids executes no engine
+// job and leaves nothing in the engine's memory cache. Only the render
+// cache (itself bounded) remembers a sweep.
+func TestSweepLeavesNoEngineState(t *testing.T) {
+	srv := &Server{Engine: engine.New(engine.Config{Workers: 2})}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	pinned := `{"apps":[{"f":0.9}],"budgets":[64],"rs":[1,2,4],"pin":true}`
-	status, _, body := postSweep(t, ts, "", pinned)
-	if status != http.StatusOK {
-		t.Fatalf("pinned sweep: status %d: %s", status, body)
-	}
-	req, err := experiments.ParseSweepRequest(strings.NewReader(pinned))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := req.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range plan.Keys() {
-		if !store.Pinned(key) {
-			t.Fatalf("point key %s not pinned after pin:true sweep", key)
+	for _, grid := range []string{
+		sweepGrid,
+		`{"apps":[{"f":0.8,"fcon":0.3}],"budgets":[16],"rs":[1,2,4]}`,
+		`{"apps":[{"f":0.99,"fored":0.5,"growth":"amdahl"}],"budgets":[128]}`,
+	} {
+		status, cache, body := postSweep(t, ts, "", grid)
+		if status != http.StatusOK || cache != "miss" {
+			t.Fatalf("sweep %s: status %d cache %q: %s", grid, status, cache, body)
 		}
 	}
-
-	reopened, err := diskcache.Open(dir, diskcache.Options{PinFile: pinFile})
-	if err != nil {
-		t.Fatal(err)
+	if n := srv.Engine.CacheLen(); n != 0 {
+		t.Fatalf("engine memory cache holds %d entries after three sweeps, want 0", n)
 	}
-	for _, key := range plan.Keys() {
-		if !reopened.Pinned(key) {
-			t.Fatalf("point key %s lost its pin across reopen", key)
-		}
-	}
-}
-
-// postPinnedSweep issues one pinned sweep and returns status plus the
-// X-Sweep-Pin header.
-func postPinnedSweep(t *testing.T, ts *httptest.Server, body string) (int, string) {
-	t.Helper()
-	resp, err := ts.Client().Post(ts.URL+"/sweep", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /sweep: %v", err)
-	}
-	defer resp.Body.Close()
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		t.Fatalf("POST /sweep: read body: %v", err)
-	}
-	return resp.StatusCode, resp.Header.Get("X-Sweep-Pin")
-}
-
-// TestSweepPinIgnoredWithoutPinCap: pinning is an operator grant. With
-// PinCap unset (the default), "pin": true sweeps still serve 200 but pin
-// nothing — a client cannot grow the LRU-exempt set on a server that
-// never opted in.
-func TestSweepPinIgnoredWithoutPinCap(t *testing.T) {
-	dir := t.TempDir()
-	store, err := diskcache.Open(dir, diskcache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{
-		Engine: engine.New(engine.Config{Workers: 2, Store: store}),
-		Store:  store,
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	status, pin := postPinnedSweep(t, ts, `{"apps":[{"f":0.9}],"budgets":[64],"rs":[1,2,4],"pin":true}`)
-	if status != http.StatusOK {
-		t.Fatalf("pinned sweep without pin cap: status %d, want 200", status)
-	}
-	if pin != "off" {
-		t.Fatalf("X-Sweep-Pin = %q, want off", pin)
-	}
-	if n := store.PinnedCount(); n != 0 {
-		t.Fatalf("%d keys pinned on a server with no pin cap, want 0", n)
-	}
-}
-
-// TestSweepPinCapDeclinesOverflow: the pin cap bounds the aggregate
-// pinned-key count across requests. A request that would push past it is
-// served normally but pins nothing (all-or-nothing, so the cap can never
-// be overshot), while re-pinning an already-pinned grid stays free.
-func TestSweepPinCapDeclinesOverflow(t *testing.T) {
-	dir := t.TempDir()
-	store, err := diskcache.Open(dir, diskcache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{
-		Engine: engine.New(engine.Config{Workers: 2, Store: store}),
-		Store:  store,
-		PinCap: 3,
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	threePoints := `{"apps":[{"f":0.9}],"budgets":[64],"rs":[1,2,4],"pin":true}`
-	status, pin := postPinnedSweep(t, ts, threePoints)
-	if status != http.StatusOK || pin != "ok" {
-		t.Fatalf("in-cap pinned sweep: status %d X-Sweep-Pin %q, want 200/ok", status, pin)
-	}
-	if n := store.PinnedCount(); n != 3 {
-		t.Fatalf("%d keys pinned after a 3-point pinned sweep, want 3", n)
-	}
-
-	// A different grid would exceed the cap: declined, nothing pinned.
-	status, pin = postPinnedSweep(t, ts, `{"apps":[{"f":0.8}],"budgets":[64],"rs":[1,2],"pin":true}`)
-	if status != http.StatusOK || pin != "declined" {
-		t.Fatalf("over-cap pinned sweep: status %d X-Sweep-Pin %q, want 200/declined", status, pin)
-	}
-	if n := store.PinnedCount(); n != 3 {
-		t.Fatalf("%d keys pinned after a declined sweep, want 3", n)
-	}
-
-	// The same grid again re-pins existing keys: free at the cap.
-	status, pin = postPinnedSweep(t, ts, threePoints)
-	if status != http.StatusOK || pin != "ok" {
-		t.Fatalf("re-pinned sweep at cap: status %d X-Sweep-Pin %q, want 200/ok", status, pin)
-	}
-	if n := store.PinnedCount(); n != 3 {
-		t.Fatalf("%d keys pinned after re-pinning the same grid, want 3", n)
+	if executed := srv.Engine.Stats().Executed; executed != 0 {
+		t.Fatalf("three sweeps executed %d engine jobs, want 0", executed)
 	}
 }

@@ -28,14 +28,6 @@
 #                      booted over a warm -quick disk cache. Reports
 #                      req/s plus p50/p95/p99 split cold (first render
 #                      per key) vs warm (render-cache hits).
-#   BENCH_sweep.json   element-granular streaming latency: `mergescale
-#                      sweep` over a pinned 64-point grid (2 apps x 2
-#                      budgets x 16 r values), cold then warm against one
-#                      disk cache, parsing time-to-first-row and total
-#                      wall time from the -timing stderr line. The cold
-#                      first-row/total gap is the streaming win (the
-#                      first row ships while later points compute); warm
-#                      first-row ~= warm total is the cache win.
 #   BENCH_faults.json  graceful-degradation cost: the BENCH_serve warm
 #                      replay repeated at 0%, 1%, and 10% injected
 #                      disk-store fault rates (-faults get.err/put.err
@@ -63,7 +55,7 @@
 #   BENCH_SERVE_CONCURRENCY  load closed-loop workers   (default 8)
 #   BENCH_FAULTS_REQUESTS    faults-suite trace length  (default 200)
 #   BENCH_SUITES       space-separated subset of "engine sim contend
-#                      sweep serve faults" to run (default: all six) —
+#                      serve faults" to run (default: all five) —
 #                      regenerate one JSON file without paying for the
 #                      rest
 #
@@ -77,7 +69,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 count=${BENCH_COUNT:-1}
-suites=${BENCH_SUITES:-engine sim contend sweep serve faults}
+suites=${BENCH_SUITES:-engine sim contend serve faults}
 
 want_suite() {
     case " $suites " in
@@ -159,57 +151,6 @@ if want_suite contend; then
     : > "$tmp"
     run_suite ./internal/workload/contend "${BENCH_CONTEND_PATTERN:-BenchmarkContend}" "${BENCH_CONTEND_TIME:-20x}"
     emit_json BENCH_contend.json
-fi
-
-if want_suite sweep; then
-    echo "== sweep first-row/total latency =="
-    # Pinned 64-point grid so rows compare across commits. Cold pass
-    # computes every point and streams rows as they resolve; warm pass
-    # replays the same grid from the disk cache. Timings come from the
-    # machine-readable -timing line on stderr:
-    #   mergescale sweep: points=N rows=N first-row=Xs total=Ys
-    sweepdir=$(mktemp -d)
-    trap 'rm -rf "$sweepdir"; rm -f "$tmp"' EXIT
-    go build -o "$sweepdir/mergescale" ./cmd/mergescale
-    cat > "$sweepdir/grid.json" <<'EOF'
-{"apps":[{"f":0.975,"fcon":0.1,"fored":0.2},{"f":0.9}],
- "budgets":[64,256],
- "rs":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]}
-EOF
-    "$sweepdir/mergescale" sweep -grid "$sweepdir/grid.json" -timing \
-        -cachedir "$sweepdir/cache" > /dev/null 2> "$sweepdir/cold.timing"
-    "$sweepdir/mergescale" sweep -grid "$sweepdir/grid.json" -timing \
-        -cachedir "$sweepdir/cache" > /dev/null 2> "$sweepdir/warm.timing"
-
-    # parse_timing FILE FIELD — extracts the seconds value of first-row=
-    # or total= from a -timing line.
-    parse_timing() {
-        sed -n "s/.* $2=\([0-9.]*\)s.*/\1/p" "$1"
-    }
-    points=$(sed -n 's/.* points=\([0-9]*\) .*/\1/p' "$sweepdir/cold.timing")
-    cold_first=$(parse_timing "$sweepdir/cold.timing" first-row)
-    cold_total=$(parse_timing "$sweepdir/cold.timing" total)
-    warm_first=$(parse_timing "$sweepdir/warm.timing" first-row)
-    warm_total=$(parse_timing "$sweepdir/warm.timing" total)
-    if [ -z "$points" ] || [ -z "$cold_first" ] || [ -z "$warm_total" ]; then
-        echo "bench.sh: could not parse -timing output:" >&2
-        cat "$sweepdir/cold.timing" "$sweepdir/warm.timing" >&2
-        exit 1
-    fi
-    cat > BENCH_sweep.json <<EOF
-{
-  "go": "$(go env GOVERSION)",
-  "goos": "$(go env GOOS)",
-  "goarch": "$(go env GOARCH)",
-  "grid": "2 apps x 2 budgets x 16 rs",
-  "points": $points,
-  "cold": {"first_row_s": $cold_first, "total_s": $cold_total},
-  "warm": {"first_row_s": $warm_first, "total_s": $warm_total}
-}
-EOF
-    rm -rf "$sweepdir"
-    echo "wrote BENCH_sweep.json:"
-    cat BENCH_sweep.json
 fi
 
 if want_suite serve; then
