@@ -58,8 +58,7 @@
 // The load subcommand is the trace-driven load harness (internal/load):
 // it replays a deterministic request trace (uniform, power-law, or burst)
 // against a running server and reports req/s plus p50/p95/p99 latency
-// split by render-cache temperature as JSON — the protocol behind the
-// committed BENCH_serve.json. -retries arms exponential-backoff retry of
+// split by render-cache temperature as JSON. -retries arms exponential-backoff retry of
 // retryable failures (429/503/5xx/transport), honoring Retry-After.
 //
 // -faults SPEC (run, serve; requires -cachedir) arms the

@@ -26,9 +26,9 @@ func init() {
 // A design point is a few microseconds of pure arithmetic, so per-point
 // jobs were pure overhead — key building, singleflight bookkeeping and
 // result boxing dominated the model evaluation by an order of magnitude
-// (measured in BENCH_engine.json). Batching the grid into one job removed
-// that overhead while keeping sweeps parallel across series and cached/
-// deduplicated at the granularity experiments actually share.
+// (measured by the registry benchmarks). Batching the grid into one job
+// removed that overhead while keeping sweeps parallel across series and
+// cached/deduplicated at the granularity experiments actually share.
 //
 // Each engine form runs the matching pure function in sweep.go as its job
 // body, so the two can never diverge; the engine adds only the key, the cache and

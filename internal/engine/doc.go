@@ -12,13 +12,20 @@
 //
 // # Concurrency model
 //
-// Nested submission is safe: when every worker slot is busy (e.g. a sweep
-// sharded from inside an experiment job), Run executes the job inline on
-// the calling goroutine instead of queueing, so a job waiting for its own
-// sub-jobs can never deadlock the pool. The Run caller therefore counts as
-// one of the Config.Workers workers, and Workers: 1 is exactly serial
-// execution on the calling goroutine. Keep this caller-runs-inline
-// invariant when extending the engine.
+// Run dispatches a batch through a claim loop: an atomic counter hands the
+// next unstarted job index to whichever goroutine asks first. The calling
+// goroutine counts as one of the Config.Workers workers. While at least
+// two jobs are unclaimed and a pool slot is free it starts a helper;
+// otherwise it claims and runs the next job itself. Helpers claim jobs
+// until the batch is exhausted, so a long job on one goroutine never holds
+// back the jobs after it, and at most Workers-1 helpers exist engine-wide.
+// Workers: 1 is exactly serial execution on the calling goroutine.
+//
+// Nested submission is safe: a job that submits sub-jobs (e.g. a sweep
+// sharded from inside an experiment job) never waits for a pool slot — it
+// claims its own sub-jobs — and Run waits only once every job has been
+// claimed, that is, only for jobs that are already running. Keep this
+// caller-claims invariant when extending the engine.
 //
 // # Caching
 //

@@ -48,11 +48,11 @@ type Job struct {
 	// OnDone, when non-nil, is invoked exactly once with the job's Result
 	// as soon as it is known — including cached, errored, and cancelled
 	// results — and always before Run returns. It runs on whichever
-	// goroutine resolved the job: a pool worker, or (per the caller-runs-
-	// inline invariant) the goroutine that called Run. Callbacks for
-	// different jobs may fire concurrently and in any completion order, so
-	// they must synchronize shared state themselves and should return
-	// quickly — a slow callback occupies a worker slot. This is the
+	// goroutine resolved the job: a pool helper, or the goroutine that
+	// called Run (which claims jobs too). Callbacks for different jobs may
+	// fire concurrently and in any completion order, so they must
+	// synchronize shared state themselves and should return quickly — a
+	// slow callback occupies a worker slot. This is the
 	// completion-notification hook the streaming experiment pipeline is
 	// built on: consumers learn of each result without polling Run's
 	// return slice.
@@ -72,7 +72,7 @@ type Stats struct {
 	Hits        uint64 // jobs satisfied by a cached or in-flight computation (memory)
 	Misses      uint64 // cacheable jobs that missed the memory cache
 	Executed    uint64 // job functions actually invoked
-	Inline      uint64 // jobs run on the submitting goroutine (pool saturated, or the single-job RunOne fast path — NOT a saturation signal by itself)
+	Inline      uint64 // jobs run by the goroutine that called Run (it claims jobs alongside its helpers) or RunOne — NOT a saturation signal by itself
 	StoreHits   uint64 // memory misses satisfied by the persistent store
 	StoreMisses uint64 // store lookups that fell through to computation
 }
@@ -115,9 +115,9 @@ func New(cfg Config) *Engine {
 		w = runtime.GOMAXPROCS(0)
 	}
 	// The goroutine calling Run participates as one of the w workers (it
-	// executes jobs inline whenever no pool slot is free), so only w-1
-	// extra goroutines may run at once. Workers=1 is therefore fully
-	// serial on the calling goroutine.
+	// claims jobs alongside the helpers it starts), so only w-1 helper
+	// goroutines may run at once, engine-wide. Workers=1 is therefore
+	// fully serial on the calling goroutine.
 	e := &Engine{
 		workers: w,
 		sem:     make(chan struct{}, w-1),
@@ -151,39 +151,61 @@ func (e *Engine) Stats() Stats {
 // nested calls from inside job functions. Jobs carrying an OnDone hook are
 // additionally reported one by one, in completion order, as they resolve
 // (see Job.OnDone); every hook has returned by the time Run does.
+//
+// Jobs are handed out by a claim loop: an atomic counter yields the next
+// unstarted index to whichever goroutine asks first. Before each job it
+// claims, the caller starts helpers while a pool slot is free and at least
+// two jobs are unclaimed; helpers claim until the batch is exhausted. A
+// long job on one goroutine therefore never holds back the jobs after it,
+// and the caller waits only for jobs that are already running.
 func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
 	results := make([]Result, len(jobs))
+	var next atomic.Int64
+	// claim hands out the next unstarted job index; ok is false once every
+	// job has been claimed.
+	claim := func() (i int, ok bool) {
+		i = int(next.Add(1) - 1)
+		return i, i < len(jobs)
+	}
+	run := func(i int) {
+		results[i] = e.exec(ctx, jobs[i])
+		if jobs[i].OnDone != nil {
+			jobs[i].OnDone(results[i])
+		}
+	}
 	var wg sync.WaitGroup
-	for i := range jobs {
-		select {
-		case e.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-e.sem }()
-				results[i] = e.exec(ctx, jobs[i])
-				if jobs[i].OnDone != nil {
-					jobs[i].OnDone(results[i])
-				}
-			}(i)
-		default:
-			// Pool saturated (or a nested Run inside a worker): execute on
-			// this goroutine so submitters can never deadlock waiting for
-			// their own sub-jobs.
-			e.inline.Add(1)
-			results[i] = e.exec(ctx, jobs[i])
-			if jobs[i].OnDone != nil {
-				jobs[i].OnDone(results[i])
+	for {
+		if len(jobs)-int(next.Load()) >= 2 {
+			select {
+			case e.sem <- struct{}{}:
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer func() { <-e.sem }()
+					for i, ok := claim(); ok; i, ok = claim() {
+						run(i)
+					}
+				}()
+				continue
+			default:
 			}
 		}
+		// The caller never waits for a slot: it claims work itself, so a
+		// nested Run inside a saturated pool still makes progress.
+		i, ok := claim()
+		if !ok {
+			break
+		}
+		e.inline.Add(1)
+		run(i)
 	}
 	wg.Wait()
 	return results
 }
 
 // RunOne is the single-job convenience form of Run. A single job offers no
-// fan-out, so it executes directly on the calling goroutine (the same
-// caller-runs behavior Run exhibits when the pool is saturated) without
+// fan-out, so it executes directly on the calling goroutine (as Run does
+// with a one-job batch, which never starts a helper) without
 // Run's slice/waitgroup bookkeeping — nested sweep and simulation jobs
 // take this path once per sweep.
 func (e *Engine) RunOne(ctx context.Context, job Job) Result {
@@ -319,46 +341,4 @@ func (e *Engine) CacheLen() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.cache)
-}
-
-// Map fans items out through the engine and collects the outputs in item
-// order. key may be nil (no caching); id labels jobs for error reporting.
-// The first error in item order is returned alongside the partial outputs.
-func Map[In, Out any](ctx context.Context, e *Engine, items []In, key func(In) string, fn func(context.Context, In) (Out, error)) ([]Out, error) {
-	jobs := make([]Job, len(items))
-	for i, item := range items {
-		item := item
-		k := ""
-		if key != nil {
-			k = key(item)
-		}
-		// The item index identifies the job in error messages; it is
-		// formatted lazily below rather than Sprintf-ed per submission.
-		jobs[i] = Job{
-			Key: k,
-			Fn: func(ctx context.Context) (any, error) {
-				return fn(ctx, item)
-			},
-		}
-	}
-	res := e.Run(ctx, jobs)
-	out := make([]Out, len(items))
-	var firstErr error
-	for i, r := range res {
-		if r.Err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("map[%d]: %w", i, r.Err)
-			}
-			continue
-		}
-		v, ok := r.Value.(Out)
-		if !ok && r.Value != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("map[%d]: unexpected result type %T", i, r.Value)
-			}
-			continue
-		}
-		out[i] = v
-	}
-	return out, firstErr
 }

@@ -264,6 +264,87 @@ func TestNestedSubmission(t *testing.T) {
 	}
 }
 
+// TestRunInlineJobDoesNotStallLaterJobs: a job the caller runs must not
+// hold back the jobs submitted after it. Job a finishes only once b has
+// started, and b only once c has finished, so the batch completes only if
+// whichever goroutine frees up first goes on to claim the next job. A
+// dispatcher that runs one job on the caller and hands the rest to slots
+// only between the caller's own jobs never reaches c while it runs b.
+func TestRunInlineJobDoesNotStallLaterJobs(t *testing.T) {
+	e := New(Config{Workers: 2})
+	bStarted := make(chan struct{})
+	cDone := make(chan struct{})
+	wait := func(ch chan struct{}, what string) error {
+		select {
+		case <-ch:
+			return nil
+		case <-time.After(5 * time.Second):
+			return fmt.Errorf("timed out waiting for %s", what)
+		}
+	}
+	jobs := []Job{
+		{ID: "a", Fn: func(context.Context) (any, error) {
+			return "a", wait(bStarted, "b to start")
+		}},
+		{ID: "b", Fn: func(context.Context) (any, error) {
+			close(bStarted)
+			return "b", wait(cDone, "c to finish")
+		}},
+		{ID: "c", Fn: func(context.Context) (any, error) {
+			close(cDone)
+			return "c", nil
+		}},
+	}
+	for i, r := range e.Run(context.Background(), jobs) {
+		if r.Err != nil || r.Value != jobs[i].ID {
+			t.Fatalf("job %s = %+v", jobs[i].ID, r)
+		}
+	}
+}
+
+// TestRunNeverExceedsWorkers: nested Runs submitted from one external
+// caller never execute more than Workers leaf jobs at once — the caller
+// plus at most Workers-1 helpers, engine-wide.
+func TestRunNeverExceedsWorkers(t *testing.T) {
+	for _, workers := range []int{2, 3} {
+		e := New(Config{Workers: workers})
+		var running, peak atomic.Int64
+		leaf := func(context.Context) (any, error) {
+			n := running.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(200 * time.Microsecond)
+			running.Add(-1)
+			return nil, nil
+		}
+		outer := make([]Job, 6)
+		for i := range outer {
+			outer[i] = Job{ID: fmt.Sprintf("outer%d", i), Fn: func(ctx context.Context) (any, error) {
+				mid := make([]Job, 3)
+				for j := range mid {
+					mid[j] = Job{ID: "mid", Fn: func(ctx context.Context) (any, error) {
+						leaves := make([]Job, 4)
+						for k := range leaves {
+							leaves[k] = Job{ID: "leaf", Fn: leaf}
+						}
+						e.Run(ctx, leaves)
+						return nil, nil
+					}}
+				}
+				e.Run(ctx, mid)
+				return nil, nil
+			}}
+		}
+		e.Run(context.Background(), outer)
+		if p := peak.Load(); p > int64(workers) {
+			t.Fatalf("workers=%d: %d leaf jobs ran at once", workers, p)
+		}
+		if p := peak.Load(); p < 1 {
+			t.Fatalf("workers=%d: no leaf job ran", workers)
+		}
+	}
+}
+
 // TestPanicIsolated converts a panicking job into an error without
 // crashing the pool.
 func TestPanicIsolated(t *testing.T) {
@@ -307,40 +388,6 @@ func TestKeyDeterminism(t *testing.T) {
 			t.Fatalf("key collision between %s and %s", prev, label)
 		}
 		seen[k] = label
-	}
-}
-
-// TestMap checks ordered fan-out with caching and error propagation.
-func TestMap(t *testing.T) {
-	e := New(Config{Workers: 4})
-	items := []int{1, 2, 3, 4, 5, 3, 2}
-	var calls atomic.Int64
-	out, err := Map(context.Background(), e, items,
-		func(v int) string { return Key("sq", v) },
-		func(_ context.Context, v int) (int, error) {
-			calls.Add(1)
-			return v * v, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, 4, 9, 16, 25, 9, 4}
-	if !reflect.DeepEqual(out, want) {
-		t.Fatalf("Map = %v, want %v", out, want)
-	}
-	if calls.Load() != 5 {
-		t.Fatalf("computed %d distinct items, want 5 (two were cached)", calls.Load())
-	}
-
-	_, err = Map(context.Background(), e, []int{7, 8}, nil,
-		func(_ context.Context, v int) (int, error) {
-			if v == 8 {
-				return 0, errors.New("eight is unlucky")
-			}
-			return v, nil
-		})
-	if err == nil {
-		t.Fatal("Map swallowed the error")
 	}
 }
 

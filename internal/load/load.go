@@ -8,9 +8,8 @@
 // ones replayed a cached body (classified by the server's X-Render-Cache
 // response header, so the split is exact, not inferred from timing).
 //
-// The CLI front end is `mergescale load`; scripts/bench.sh records a
-// pinned-protocol run as BENCH_serve.json so serving throughput gets the
-// same regression tracking as the engine and simulator suites.
+// The CLI front end is `mergescale load`; the benchmark's browse workload
+// tracks serving throughput and latency with spread across repeated runs.
 package load
 
 import (
@@ -137,8 +136,8 @@ type Bucket struct {
 
 // Result is the report of one load run. The protocol fields (profile,
 // concurrency, trace length, seed, alpha, targets, formats) are echoed
-// so a committed BENCH_serve.json row documents how it was produced —
-// compare rows only at equal protocol, like the other BENCH suites.
+// so a saved report documents how it was produced — compare reports only
+// at equal protocol.
 type Result struct {
 	Go          string   `json:"go"`
 	GOOS        string   `json:"goos"`

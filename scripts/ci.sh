@@ -22,6 +22,13 @@ echo "== go test -race (shuffled) =="
 # than in a future reordering.
 go test -race -shuffle=on ./...
 
+echo "== engine scheduler stress =="
+# The claim loop's guarantees — nested submission never deadlocks, a long
+# job never stalls the jobs after it, at most Workers jobs run at once,
+# OnDone fires exactly once — depend on goroutine interleavings; repeat
+# the tests that pin them under the race detector to shake out rare ones.
+go test -race -count=50 -run 'TestNestedSubmission|TestRunInlineJobDoesNotStallLaterJobs|TestRunNeverExceedsWorkers|TestOnDone|TestConcurrentRunCallers' ./internal/engine
+
 echo "== go test -bench (1 iteration) =="
 go test -bench=. -benchtime=1x -run '^$' .
 
