@@ -1,4 +1,5 @@
-// Command mergescale regenerates the paper's tables and figures.
+// Command mergescale regenerates the paper's tables and figures, runs
+// single workloads on the CMP simulator, and sweeps the analytical model.
 //
 // Usage:
 //
@@ -7,6 +8,10 @@
 //	           [-workers N] [-cachedir DIR] [-cachettl D]
 //	           [-nocache] [-faults SPEC] [-stats]
 //	           run <experiment-id>|all
+//	mergescale [-format F] [-out FILE] [-workers N] [-cachedir DIR]
+//	           [-cachettl D] [-nocache] [-faults SPEC] [-stats]
+//	           simulate [-workload kmeans|fuzzy|hop] [-cores N]
+//	           [-scale S] [-iters I]
 //	mergescale [-quick] [-duration] [-workers N] [-cachedir DIR]
 //	           [-cachettl D] [-nocache] [-faults SPEC] serve
 //	           [-addr HOST:PORT] [-ratelimit N] [-rateburst N]
@@ -48,12 +53,20 @@
 // admission control; GET /metrics exposes Prometheus text-format
 // counters. See docs/ARCHITECTURE.md "Serving" and "Serving under load".
 //
+// The simulate subcommand runs one clustering workload on the CMP
+// simulator and reports per-phase cycle counts and memory-system
+// statistics as one document. It takes run's global flags except -quick
+// and -duration (usage errors there); its run is one engine job, so
+// -cachedir shares results with run.
+//
 // The sweep subcommand evaluates a parametric design-space grid (a JSON
 // description of apps × budgets × r values — the exact POST /sweep
 // request body) and streams the rendered tables element-granularly: grid
 // points are evaluated in canonical order with no engine or cache, and
 // each table row flushes the moment its point is computed. The bytes are
 // identical to the POST /sweep response for the same grid and format.
+// The grid's optional "acmp_r" and "comm" fields select asymmetric
+// designs and the communication-aware model.
 //
 // The load subcommand is the trace-driven load harness (internal/load):
 // it replays a deterministic request trace (uniform, power-law, or burst)
@@ -61,7 +74,7 @@
 // split by render-cache temperature as JSON. -retries arms exponential-backoff retry of
 // retryable failures (429/503/5xx/transport), honoring Retry-After.
 //
-// -faults SPEC (run, serve; requires -cachedir) arms the
+// -faults SPEC (run, simulate, serve; requires -cachedir) arms the
 // deterministic fault injector over the disk store — see internal/faults
 // for the grammar (e.g. "seed=7,get.err=0.01,put.enospc=1/50"). The
 // engine reads the store through a circuit breaker either way: enough
@@ -82,6 +95,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -117,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stats     = fs.Bool("stats", false, "print engine cache/worker statistics to stderr")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-out FILE] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing] [-nocache]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-retries N] [-retrybase D] [-out FILE]\n       mergescale -list\n")
+		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-out FILE] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-format F] [-out FILE] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] simulate [-workload kmeans|fuzzy|hop] [-cores N] [-scale S] [-iters I]\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing] [-nocache]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-retries N] [-retrybase D] [-out FILE]\n       mergescale -list\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -155,69 +169,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	ef := engineFlags{workers: *workers, cachedir: *cachedir, cachettl: *cachettl, nocache: *nocache, faults: spec}
+	opt := experiments.Options{Quick: *quickRun, UseDuration: *duration}
 	rest := fs.Args()
-	if len(rest) >= 1 && rest[0] == "load" {
-		// Every global flag is either a rendering flag or server-side
-		// state; the load generator takes its whole configuration through
-		// its own flags, so any global flag here is a mistake.
-		conflict := ""
-		fs.Visit(func(f *flag.Flag) {
-			if conflict == "" {
-				conflict = f.Name
-			}
-		})
-		if conflict != "" {
-			fmt.Fprintf(stderr, "mergescale: -%s does not apply to load (see mergescale load -h)\n", conflict)
+	sub := ""
+	if len(rest) > 0 {
+		sub = rest[0]
+	}
+	switch sub {
+	case "load", "sweep":
+		// Both own their whole flag surface (sweep re-declares the
+		// rendering flags it honors, and load takes its configuration
+		// through its own flags), so any global flag is a mistake.
+		if rejectGlobals(fs, stderr, sub, "see mergescale "+sub+" -h") {
 			return 2
 		}
-		return runLoad(rest[1:], stdout, stderr)
-	}
-	if len(rest) >= 1 && rest[0] == "sweep" {
-		// sweep owns its whole flag surface (it re-declares the rendering
-		// flags it honors), so a global flag before the subcommand is a
-		// mistake, same as load.
-		conflict := ""
-		fs.Visit(func(f *flag.Flag) {
-			if conflict == "" {
-				conflict = f.Name
-			}
-		})
-		if conflict != "" {
-			fmt.Fprintf(stderr, "mergescale: -%s does not apply to sweep (see mergescale sweep -h)\n", conflict)
-			return 2
+		if sub == "load" {
+			return runLoad(rest[1:], stdout, stderr)
 		}
 		return runSweep(rest[1:], stdout, stderr)
-	}
-	if len(rest) >= 1 && rest[0] == "serve" {
+	case "serve":
 		// The rendering flags are per-request (format) or meaningless for a
 		// long-running server (out, csv, stats); silently ignoring
 		// them would be the same bug as -csv vs -format. Reject them.
-		conflict := ""
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "format", "out", "csv", "stats":
-				if conflict == "" {
-					conflict = f.Name
-				}
-			}
-		})
-		if conflict != "" {
-			fmt.Fprintf(stderr, "mergescale: -%s does not apply to serve (format is per-request: /run/{id}?format=F)\n", conflict)
+		if rejectGlobals(fs, stderr, sub, "format is per-request: /run/{id}?format=F", "format", "out", "csv", "stats") {
 			return 2
 		}
-		return runServe(rest[1:], serveConfig{
-			quick:    *quickRun,
-			duration: *duration,
-			workers:  *workers,
-			cachedir: *cachedir,
-			cachettl: *cachettl,
-			nocache:  *nocache,
-			faults:   spec,
-		}, stderr)
-	}
-	if len(rest) != 2 || rest[0] != "run" {
-		fs.Usage()
-		return 2
+		return runServe(rest[1:], opt, ef, stderr)
 	}
 
 	if *csv {
@@ -230,8 +208,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		*format = "csv"
 	}
+	rf := renderFlags{format: *format, outPath: *outPath, stats: *stats}
+	if sub == "simulate" {
+		// The experiment sizing flags mean nothing for one simulated run,
+		// which is sized by its own -scale and -iters.
+		if rejectGlobals(fs, stderr, sub, "size the run with -scale and -iters", "quick", "duration") {
+			return 2
+		}
+		return runSimulate(rest[1:], rf, ef, stdout, stderr)
+	}
+	if len(rest) != 2 || sub != "run" {
+		fs.Usage()
+		return 2
+	}
 
-	opt := experiments.Options{Quick: *quickRun, UseDuration: *duration}
 	var targets []experiments.Experiment
 	if rest[1] == "all" {
 		targets = experiments.Registry()
@@ -244,57 +234,133 @@ func run(args []string, stdout, stderr io.Writer) int {
 		targets = []experiments.Experiment{e}
 	}
 
-	out := stdout
-	var outFile *os.File
-	if *outPath != "" {
-		// Reject a bad -format before touching -out: os.Create truncates,
-		// and a format typo must not destroy the previous report file.
-		if _, err := report.NewRenderer(*format, io.Discard); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "mergescale: %v\n", err)
-			return 1
-		}
-		outFile = f
-		out = f
+	out, code := openOutput(rf.format, rf.outPath, stdout, stderr)
+	if out == nil {
+		return code
 	}
-	renderer, err := report.NewRenderer(*format, out)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-
 	// Ctrl-C or SIGTERM cancels in-flight jobs instead of killing
 	// mid-write — SIGTERM matters in containers, where the runtime sends
 	// it on stop and an untrapped run would die without cancelling jobs
 	// (serve has always trapped both; run now matches).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	eng, chain := ef.engine(stderr)
 
-	cfg := engine.Config{Workers: *workers, DisableCache: *nocache}
-	var chain storeChain
-	if *cachedir != "" && !*nocache {
-		chain = openStoreChain(*cachedir,
-			diskcache.Options{TTL: *cachettl, Log: log.New(stderr, "mergescale: ", 0)},
-			spec, stderr)
-		cfg.Store = chain.store()
-	}
-	eng := engine.New(cfg)
-
-	code := render(ctx, eng, targets, opt, renderer, stderr)
-	if outFile != nil {
-		if err := outFile.Close(); err != nil && code == 0 {
-			fmt.Fprintf(stderr, "mergescale: %v\n", err)
-			code = 1
-		}
-	}
-	if *stats {
+	// Table rows flush the moment their engine sub-jobs resolve, released
+	// in registry order.
+	code = render(out, func(r report.Renderer) error {
+		return experiments.StreamElements(ctx, eng, targets, opt, r.Element)
+	}, stderr)
+	code = out.close(code, stderr)
+	if rf.stats {
 		printStats(stderr, eng, chain)
 	}
 	return code
+}
+
+// rejectGlobals reports, as a usage error, the first global flag set
+// before subcommand sub that sub does not take: any set flag when names
+// is empty, else only those named. hint ends the message.
+func rejectGlobals(fs *flag.FlagSet, stderr io.Writer, sub, hint string, names ...string) bool {
+	conflict := ""
+	fs.Visit(func(f *flag.Flag) {
+		if conflict == "" && (len(names) == 0 || slices.Contains(names, f.Name)) {
+			conflict = f.Name
+		}
+	})
+	if conflict != "" {
+		fmt.Fprintf(stderr, "mergescale: -%s does not apply to %s (%s)\n", conflict, sub, hint)
+	}
+	return conflict != ""
+}
+
+// renderFlags are the global output flags run and simulate honor.
+type renderFlags struct {
+	format  string
+	outPath string
+	stats   bool
+}
+
+// output is a render destination: stdout, or the -out file.
+type output struct {
+	report.Renderer
+	file *os.File
+}
+
+// openOutput returns a renderer for format over stdout, or over path when
+// set. The format is checked before path is created, so a typo never
+// truncates the previous report. A nil output comes with the exit code of
+// the error already printed.
+func openOutput(format, path string, stdout, stderr io.Writer) (*output, int) {
+	if _, err := report.NewRenderer(format, io.Discard); err != nil {
+		fmt.Fprintln(stderr, err)
+		return nil, 2
+	}
+	o := &output{}
+	w := stdout
+	if path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			fmt.Fprintf(stderr, "mergescale: %v\n", err)
+			return nil, 1
+		}
+		o.file, w = f, f
+	}
+	o.Renderer, _ = report.NewRenderer(format, w)
+	return o, 0
+}
+
+// close closes the -out file, if any, and folds a close error into code.
+func (o *output) close(code int, stderr io.Writer) int {
+	if o.file == nil {
+		return code
+	}
+	if err := o.file.Close(); err != nil && code == 0 {
+		fmt.Fprintf(stderr, "mergescale: %v\n", err)
+		return 1
+	}
+	return code
+}
+
+// render frames one element stream into r — Begin, whatever stream
+// feeds it, End — and returns the exit code.
+func render(r report.Renderer, stream func(report.Renderer) error, stderr io.Writer) int {
+	err := r.Begin()
+	if err == nil {
+		err = stream(r)
+	}
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "mergescale: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// engineFlags are the global engine and cache flags run, simulate and
+// serve share.
+type engineFlags struct {
+	workers  int
+	cachedir string
+	cachettl time.Duration
+	nocache  bool
+	faults   faults.Spec
+}
+
+// engine builds the engine, over the persistent store chain when
+// -cachedir is set and -nocache is not.
+func (ef engineFlags) engine(stderr io.Writer) (*engine.Engine, storeChain) {
+	cfg := engine.Config{Workers: ef.workers, DisableCache: ef.nocache}
+	var chain storeChain
+	if ef.cachedir != "" && !ef.nocache {
+		chain = openStoreChain(ef.cachedir,
+			diskcache.Options{TTL: ef.cachettl, Log: log.New(stderr, "mergescale: ", 0)},
+			ef.faults, stderr)
+		cfg.Store = chain.store()
+	}
+	return engine.New(cfg), chain
 }
 
 // storeChain is one process's persistent-store stack: the disk cache at
@@ -339,44 +405,12 @@ func openStoreChain(cachedir string, opts diskcache.Options, spec faults.Spec, s
 	return storeChain{disk: disk, injector: in, breaker: faults.NewBreaker(es, faults.BreakerOptions{})}
 }
 
-// render streams the experiments into renderer element by element (table
-// rows flush the moment their engine sub-jobs resolve, released in
-// registry order) and returns the exit code.
-func render(ctx context.Context, eng *engine.Engine, targets []experiments.Experiment,
-	opt experiments.Options, renderer report.Renderer, stderr io.Writer) int {
-	err := renderer.Begin()
-	if err == nil {
-		err = experiments.StreamElements(ctx, eng, targets, opt, renderer.Element)
-	}
-	if err == nil {
-		err = renderer.End()
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "mergescale: %v\n", err)
-		return 1
-	}
-	return 0
-}
-
-// serveConfig carries the global flags the serve subcommand honors. The
-// rendering flags (-format, -out, -csv, -stats) are per-request
-// or meaningless for a server and are rejected before dispatch.
-type serveConfig struct {
-	quick    bool
-	duration bool
-	workers  int
-	cachedir string
-	cachettl time.Duration
-	nocache  bool
-	faults   faults.Spec
-}
-
 // runServe boots the HTTP front end over a shared engine + disk cache and
 // blocks until SIGINT/SIGTERM, then shuts down gracefully (in-flight
 // streams abort via their request contexts). The bound address is printed
 // to stderr once the listener is up, so -addr :0 callers (tests, CI) can
 // discover the ephemeral port.
-func runServe(args []string, cfg serveConfig, stderr io.Writer) int {
+func runServe(args []string, opt experiments.Options, ef engineFlags, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mergescale serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "HTTP listen address (host:port; port 0 picks a free port)")
@@ -404,22 +438,14 @@ func runServe(args []string, cfg serveConfig, stderr io.Writer) int {
 		return 2
 	}
 
-	logger := log.New(stderr, "mergescale: ", 0)
-	engCfg := engine.Config{Workers: cfg.workers, DisableCache: cfg.nocache}
-	var chain storeChain
-	if cfg.cachedir != "" && !cfg.nocache {
-		chain = openStoreChain(cfg.cachedir,
-			diskcache.Options{TTL: cfg.cachettl, Log: logger},
-			cfg.faults, stderr)
-		engCfg.Store = chain.store()
-	}
+	eng, chain := ef.engine(stderr)
 	srv := &serve.Server{
-		Engine:       engine.New(engCfg),
+		Engine:       eng,
 		Store:        chain.disk,
 		Breaker:      chain.breaker,
 		Injector:     chain.injector,
-		Opt:          experiments.Options{Quick: cfg.quick, UseDuration: cfg.duration},
-		Log:          logger,
+		Opt:          opt,
+		Log:          log.New(stderr, "mergescale: ", 0),
 		RateLimit:    *ratelimit,
 		RateBurst:    *rateburst,
 		MaxStreams:   *maxstreams,

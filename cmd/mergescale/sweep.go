@@ -74,61 +74,30 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	out := io.Writer(stdout)
-	var outFile *os.File
-	if *outPath != "" {
-		if _, err := report.NewRenderer(*format, io.Discard); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "mergescale sweep: %v\n", err)
-			return 1
-		}
-		outFile = f
-		out = f
+	out, code := openOutput(*format, *outPath, stdout, stderr)
+	if out == nil {
+		return code
 	}
-	renderer, err := report.NewRenderer(*format, out)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	start := time.Now()
 	var firstRow time.Duration
 	rows := 0
-	code := 0
-	runErr := renderer.Begin()
-	if runErr == nil {
-		_, runErr = plan.Run(ctx, func(el report.Element) error {
+	code = render(out, func(r report.Renderer) error {
+		_, err := plan.Run(ctx, func(el report.Element) error {
 			if el.Kind == report.ElemRow {
 				if rows == 0 {
 					firstRow = time.Since(start)
 				}
 				rows++
 			}
-			return renderer.Element(el)
+			return r.Element(el)
 		})
-	}
-	if runErr == nil {
-		runErr = renderer.End()
-	}
-	if runErr != nil {
-		fmt.Fprintf(stderr, "mergescale sweep: %v\n", runErr)
-		code = 1
-	}
+		return err
+	}, stderr)
 	total := time.Since(start)
-
-	if outFile != nil {
-		if err := outFile.Close(); err != nil && code == 0 {
-			fmt.Fprintf(stderr, "mergescale sweep: %v\n", err)
-			code = 1
-		}
-	}
+	code = out.close(code, stderr)
 	if *timing && code == 0 {
 		// One machine-readable line of key=value fields.
 		fmt.Fprintf(stderr, "mergescale sweep: points=%d rows=%d first-row=%.6fs total=%.6fs\n",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -151,6 +152,44 @@ func TestFig2dPaperBound(t *testing.T) {
 	for _, w := range []string{"kmeans", "fuzzy", "hop"} {
 		if !seen[w] {
 			t.Errorf("fig2d has no %s row", w)
+		}
+	}
+}
+
+// TestFig2dQuickGap pins the -quick Fig. 2(d) model/simulation ratios as
+// numbers. At this size hop's serial section grows super-linearly and the
+// linear growth fit underpredicts it (0.431 at p=8, far outside the
+// paper's full-size bound), so the ratios are recorded rather than
+// bounded: drift in either direction — better or worse agreement — fails
+// and must be re-recorded here on purpose.
+func TestFig2dQuickGap(t *testing.T) {
+	want := map[string][]float64{
+		"kmeans": {1.000, 1.113, 0.982, 1.010},
+		"fuzzy":  {1.000, 1.124, 0.982, 1.010},
+		"hop":    {1.000, 0.996, 0.763, 0.431},
+	}
+	const tol = 0.002 // the cells carry three decimals
+	doc, err := Fig2d(context.Background(), quickSerial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Tables) != 1 || len(doc.Tables[0].Rows) != len(want) {
+		t.Fatalf("fig2d: want one table of %d rows, got %+v", len(want), doc.Tables)
+	}
+	tab := doc.Tables[0]
+	for _, row := range tab.Rows {
+		ratios, ok := want[row[0]]
+		if !ok || len(row) != len(ratios)+1 {
+			t.Fatalf("unexpected fig2d row %v", row)
+		}
+		for i, cell := range row[1:] {
+			got, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				t.Fatalf("%s column %d: %v", row[0], i+1, err)
+			}
+			if math.Abs(got-ratios[i]) > tol {
+				t.Errorf("%s at %s: model/sim ratio %.3f, recorded %.3f", row[0], tab.Columns[i+1], got, ratios[i])
+			}
 		}
 	}
 }

@@ -67,10 +67,19 @@ type SweepApp struct {
 // shared verbatim by POST /sweep (JSON body) and `mergescale sweep -grid`
 // (JSON file). Rs may be empty: each budget then sweeps its full
 // power-of-two grid {1,2,...,N}.
+//
+// By default the grid sweeps symmetric designs of r BCEs per core. A
+// non-zero ACMPR sweeps asymmetric designs instead: the grid values are
+// the large core's size rl, next to small cores of ACMPR BCEs each. Comm
+// evaluates the Section V-E communication-aware model (core.NewCommModel)
+// in place of the extended Amdahl model. Both fields are omitted from the
+// JSON form when unset, so a symmetric request encodes as it always has.
 type SweepRequest struct {
 	Apps    []SweepApp `json:"apps"`
 	Budgets []int      `json:"budgets"`
 	Rs      []float64  `json:"rs,omitempty"`
+	ACMPR   float64    `json:"acmp_r,omitempty"`
+	Comm    bool       `json:"comm,omitempty"`
 }
 
 // ParseSweepRequest decodes one JSON-encoded SweepRequest. Unknown fields
@@ -113,6 +122,8 @@ type SweepPlan struct {
 	Apps    []core.AppParams
 	Budgets []core.Budget
 	Rs      []float64 // nil when each budget uses its power-of-two default
+	ACMPR   float64   // small-core BCEs of an asymmetric plan; 0 is symmetric
+	Comm    bool      // evaluate the communication-aware model
 
 	groups []sweepGroup
 	points []sweepPlanPoint
@@ -180,6 +191,12 @@ func (req *SweepRequest) Normalize() (*SweepPlan, error) {
 		return a.F == b.F && a.FCon == b.FCon && a.FOred == b.FOred && a.Growth == b.Growth
 	})
 
+	if r := req.ACMPR; !finite(r) {
+		return nil, fmt.Errorf("sweep: acmp_r must be finite (no NaN/Inf)")
+	} else if r < 0 || (r > 0 && r < 1) {
+		return nil, fmt.Errorf("sweep: acmp_r = %s must be >= 1 (or absent for symmetric designs)", fg(r))
+	}
+
 	budgets := make([]core.Budget, 0, len(req.Budgets))
 	for i, n := range req.Budgets {
 		b := core.Budget{N: n}
@@ -193,6 +210,10 @@ func (req *SweepRequest) Normalize() (*SweepPlan, error) {
 	}
 	sort.Slice(budgets, func(i, j int) bool { return budgets[i].N < budgets[j].N })
 	budgets = dedupe(budgets, func(a, b core.Budget) bool { return a.N == b.N })
+	// The smallest large core (rl = 1) leaves N-1 BCEs for small cores.
+	if largest := budgets[len(budgets)-1].N; req.ACMPR > float64(largest-1) {
+		return nil, fmt.Errorf("sweep: acmp_r = %s leaves no small core on any budget (largest N = %d)", fg(req.ACMPR), largest)
+	}
 
 	var rs []float64
 	if len(req.Rs) > 0 {
@@ -233,7 +254,14 @@ func (req *SweepRequest) Normalize() (*SweepPlan, error) {
 		return nil, fmt.Errorf("sweep: %d grid points exceeds cap %d", gridPoints*len(apps), MaxSweepPoints)
 	}
 
-	p := &SweepPlan{Apps: apps, Budgets: budgets, Rs: rs}
+	p := &SweepPlan{Apps: apps, Budgets: budgets, Rs: rs, ACMPR: req.ACMPR, Comm: req.Comm}
+	mode := ""
+	if p.ACMPR != 0 {
+		mode += " — ACMP r=" + fg(p.ACMPR)
+	}
+	if p.Comm {
+		mode += " — comm"
+	}
 	for _, app := range apps {
 		for _, b := range budgets {
 			grid := rs
@@ -243,11 +271,11 @@ func (req *SweepRequest) Normalize() (*SweepPlan, error) {
 			g := sweepGroup{
 				App:    app,
 				Budget: b,
-				Title:  app.Name + " — N=" + strconv.Itoa(b.N),
+				Title:  app.Name + " — N=" + strconv.Itoa(b.N) + mode,
 				Start:  len(p.points),
 			}
 			for _, r := range grid {
-				if r > float64(b.N) {
+				if !p.valid(b, r) {
 					continue // no valid design under this budget
 				}
 				p.points = append(p.points, sweepPlanPoint{Group: len(p.groups), R: r})
@@ -257,6 +285,9 @@ func (req *SweepRequest) Normalize() (*SweepPlan, error) {
 		}
 	}
 	if len(p.points) == 0 {
+		if p.ACMPR != 0 {
+			return nil, fmt.Errorf("sweep: no valid design points (every rl leaves less than one small core)")
+		}
 		return nil, fmt.Errorf("sweep: no valid design points (every r exceeds every budget)")
 	}
 	// len(p.points) <= gridPoints*len(apps) <= MaxSweepPoints by the
@@ -301,6 +332,15 @@ func (p *SweepPlan) Fingerprint() string {
 	for _, r := range p.Rs {
 		w.WriteFloat64(r)
 	}
+	// The modes are folded in only when set, so a symmetric plan keeps
+	// the fingerprint it always had.
+	if p.ACMPR != 0 {
+		w.WriteString("acmp_r")
+		w.WriteFloat64(p.ACMPR)
+	}
+	if p.Comm {
+		w.WriteString("comm")
+	}
 	return w.SumRelease()
 }
 
@@ -310,18 +350,40 @@ func (p *SweepPlan) Fingerprint() string {
 // been emitted, proving rows stream before the sweep completes.
 var sweepPointStart func(i int)
 
-// sweepColumns are the table columns of every sweep group.
-var sweepColumns = []string{"r", "cores", "speedup"}
-
-// evalPoint computes one design point: pure arithmetic, microseconds.
-func evalPoint(g sweepGroup, r float64) core.SweepPoint {
-	return core.SweepPoint{R: r, Speedup: core.SpeedupCMP(g.App, core.SymDesign{Budget: g.Budget, R: r})}
+// xName names the grid axis: r, the per-core BCEs of a symmetric design,
+// or rl, the large core's BCEs of an asymmetric one.
+func (p *SweepPlan) xName() string {
+	if p.ACMPR != 0 {
+		return "rl"
+	}
+	return "r"
 }
 
-// rowOf formats one rendered table row for an evaluated point.
-func rowOf(g sweepGroup, pt core.SweepPoint) []string {
-	d := core.SymDesign{Budget: g.Budget, R: pt.R}
-	return []string{fg(pt.R), fg(d.Cores()), f2(pt.Speedup)}
+// valid reports whether grid value x is a design under budget b; an
+// asymmetric design must keep at least one small core.
+func (p *SweepPlan) valid(b core.Budget, x float64) bool {
+	if p.ACMPR != 0 {
+		return core.AsymDesign{Budget: b, RL: x, R: p.ACMPR}.Valid()
+	}
+	return core.SymDesign{Budget: b, R: x}.Valid()
+}
+
+// eval computes one design point at grid value x: pure arithmetic,
+// microseconds. cores counts every core of the design, the large one
+// included.
+func (p *SweepPlan) eval(g sweepGroup, x float64) (speedup, cores float64) {
+	if p.ACMPR != 0 {
+		d := core.AsymDesign{Budget: g.Budget, RL: x, R: p.ACMPR}
+		if p.Comm {
+			return core.NewCommModel(g.App).SpeedupACMP(d), 1 + d.SmallCores()
+		}
+		return core.SpeedupACMP(g.App, d), 1 + d.SmallCores()
+	}
+	d := core.SymDesign{Budget: g.Budget, R: x}
+	if p.Comm {
+		return core.NewCommModel(g.App).SpeedupCMP(d), d.Cores()
+	}
+	return core.SpeedupCMP(g.App, d), d.Cores()
 }
 
 // Run evaluates the plan into a single document, one table per
@@ -333,6 +395,7 @@ func rowOf(g sweepGroup, pt core.SweepPoint) []string {
 // registry experiments.
 func (p *SweepPlan) Run(ctx context.Context, emit func(report.Element) error) (*report.Document, error) {
 	em := report.NewEmitter("sweep", "Design-space sweep", emit)
+	x := p.xName()
 	res := make([]core.SweepPoint, len(p.points))
 	for i, pt := range p.points {
 		if err := ctx.Err(); err != nil {
@@ -346,15 +409,16 @@ func (p *SweepPlan) Run(ctx context.Context, emit func(report.Element) error) (*
 		}
 		g := p.groups[pt.Group]
 		if i == g.Start {
-			em.Table(g.Title, sweepColumns...)
+			em.Table(g.Title, x, "cores", "speedup")
 		}
-		res[i] = evalPoint(g, pt.R)
-		em.Row(rowOf(g, res[i])...)
+		speedup, cores := p.eval(g, pt.R)
+		res[i] = core.SweepPoint{R: pt.R, Speedup: speedup}
+		em.Row(fg(pt.R), fg(cores), f2(speedup))
 	}
 
 	for _, g := range p.groups {
 		if best, ok := core.Best(res[g.Start:g.End]); ok {
-			em.Note(g.Title + ": peak " + f2(best.Speedup) + " at r=" + fg(best.R))
+			em.Note(g.Title + ": peak " + f2(best.Speedup) + " at " + x + "=" + fg(best.R))
 		}
 	}
 	return em.Finish()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mergescale/internal/core"
 	"mergescale/internal/report"
 )
 
@@ -104,6 +105,15 @@ func TestSweepNormalizeRejects(t *testing.T) {
 		// cheap pre-materialization bound is deliberately conservative.
 		{"over cap before skips", SweepRequest{Apps: []SweepApp{app}, Budgets: []int{2}, Rs: manyRs}, "exceeds cap"},
 		{"default grid over cap", SweepRequest{Apps: []SweepApp{app}, Budgets: seqBudgets(MaxSweepPoints + 1)}, "exceeds cap"},
+		{"nan acmp_r", SweepRequest{Apps: []SweepApp{app}, Budgets: []int{64}, ACMPR: math.NaN()}, "finite"},
+		{"inf acmp_r", SweepRequest{Apps: []SweepApp{app}, Budgets: []int{64}, ACMPR: math.Inf(1)}, "finite"},
+		{"negative acmp_r", SweepRequest{Apps: []SweepApp{app}, Budgets: []int{64}, ACMPR: -4}, ">= 1"},
+		{"fractional acmp_r", SweepRequest{Apps: []SweepApp{app}, Budgets: []int{64}, ACMPR: 0.5}, ">= 1"},
+		// rl >= 1 leaves at most N-1 BCEs for small cores, so acmp_r = 256
+		// fits no design on a 256-BCE budget.
+		{"acmp_r leaves no small core", SweepRequest{Apps: []SweepApp{app}, Budgets: []int{64, 256}, ACMPR: 256}, "no small core"},
+		{"acmp_r over every budget", SweepRequest{Apps: []SweepApp{app}, Budgets: []int{256}, ACMPR: 300}, "no small core"},
+		{"every rl leaves a fraction of a small core", SweepRequest{Apps: []SweepApp{app}, Budgets: []int{64}, Rs: []float64{62, 63, 64}, ACMPR: 4}, "no valid design points"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -172,6 +182,61 @@ func TestSweepNormalizeCanonical(t *testing.T) {
 	c := mustPlan(t, `{"apps":[{"f":0.9}],"budgets":[64],"rs":[1,2]}`)
 	if c.Fingerprint() == a.Fingerprint() {
 		t.Fatal("different grids share a fingerprint")
+	}
+	// The same grid in another model or design family is another plan:
+	// sharing a fingerprint would make the render cache serve the
+	// symmetric body for it.
+	seen := map[string]string{a.Fingerprint(): "symmetric"}
+	for _, mode := range []string{`"comm":true`, `"acmp_r":4`, `"acmp_r":4,"comm":true`, `"acmp_r":8`} {
+		p := mustPlan(t, sweepBody[:len(sweepBody)-1]+","+mode+"}")
+		if prev, dup := seen[p.Fingerprint()]; dup {
+			t.Fatalf("%s shares a fingerprint with %s", mode, prev)
+		}
+		seen[p.Fingerprint()] = mode
+	}
+	// Unset modes spelled out are the symmetric plan itself.
+	if d := mustPlan(t, sweepBody[:len(sweepBody)-1]+`,"acmp_r":0,"comm":false}`); d.Fingerprint() != a.Fingerprint() {
+		t.Fatal("explicit zero modes changed the fingerprint")
+	}
+}
+
+// TestSweepPredictParity: a one-app, one-budget grid with the default
+// power-of-two axis reproduces the core sweeps cell for cell in each of
+// the four model modes (symmetric, asymmetric, communication-aware, and
+// both), using the parameters the old standalone predictor defaulted to.
+func TestSweepPredictParity(t *testing.T) {
+	app := core.AppParams{F: 0.99, FCon: 0.6, FOred: 0.8, Growth: core.GrowthLinear}
+	b := core.Budget{N: 256}
+	grid := core.PowerOfTwoRs(b.N)
+	const body = `{"apps":[{"f":0.99,"fcon":0.6,"fored":0.8}],"budgets":[256]`
+	for _, tc := range []struct {
+		mode, x string
+		want    []core.SweepPoint
+	}{
+		{"", "r", core.SweepSymmetric(app, b, grid)},
+		{`,"acmp_r":4`, "rl", core.SweepAsymmetric(app, b, grid, 4)},
+		{`,"comm":true`, "r", core.SweepSymmetricComm(core.NewCommModel(app), b, grid)},
+		{`,"acmp_r":4,"comm":true`, "rl", core.SweepAsymmetricComm(core.NewCommModel(app), b, grid, 4)},
+	} {
+		doc, err := mustPlan(t, body+tc.mode+"}").Run(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Tables) != 1 {
+			t.Fatalf("%q: %d tables, want 1", tc.mode, len(doc.Tables))
+		}
+		tab := doc.Tables[0]
+		if tab.Columns[0] != tc.x {
+			t.Errorf("%q: x column %q, want %q", tc.mode, tab.Columns[0], tc.x)
+		}
+		if len(tab.Rows) != len(tc.want) || len(tc.want) == 0 {
+			t.Fatalf("%q: %d rows, want %d", tc.mode, len(tab.Rows), len(tc.want))
+		}
+		for i, pt := range tc.want {
+			if row := tab.Rows[i]; row[0] != fg(pt.R) || row[2] != f2(pt.Speedup) {
+				t.Errorf("%q row %d: got (%s, %s), want (%s, %s)", tc.mode, i, row[0], row[2], fg(pt.R), f2(pt.Speedup))
+			}
+		}
 	}
 }
 
@@ -318,6 +383,11 @@ func FuzzParseSweepRequest(f *testing.F) {
 	f.Add(`{"apps":[{"f":1e999}],"budgets":[64]}`)
 	f.Add(`{"apps":[],"budgets":[]}`)
 	f.Add(`{"apps":[{"f":0.9,"growth":"amdahl"}],"budgets":[1],"rs":[1]}`)
+	f.Add(`{"apps":[{"f":0.9}],"budgets":[64],"acmp_r":4,"comm":true}`)
+	f.Add(`{"apps":[{"f":0.9}],"budgets":[64],"acmp_r":-4}`)
+	f.Add(`{"apps":[{"f":0.9}],"budgets":[64],"acmp_r":0.5}`)
+	f.Add(`{"apps":[{"f":0.9}],"budgets":[256],"acmp_r":300}`)
+	f.Add(`{"apps":[{"f":0.9}],"budgets":[64],"acmp_r":1e999}`)
 	f.Add(`[]`)
 	f.Add(``)
 	f.Fuzz(func(t *testing.T, body string) {

@@ -184,21 +184,3 @@ func (d *Document) Replay(r Renderer) error {
 	}
 	return nil
 }
-
-// RenderDocument renders a single document to w in the named format with
-// full stream framing (Begin / Replay / End) — the one-document output
-// shape shared by cmd/simulate and cmd/predict, byte-identical to a
-// one-target mergescale run.
-func RenderDocument(w io.Writer, format string, d *Document) error {
-	r, err := NewRenderer(format, w)
-	if err != nil {
-		return err
-	}
-	if err := r.Begin(); err != nil {
-		return err
-	}
-	if err := d.Replay(r); err != nil {
-		return err
-	}
-	return r.End()
-}

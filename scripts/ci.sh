@@ -80,6 +80,15 @@ for id in ext-contend ext-contend-split; do
     grep -q '0 executed' "$tmp/contend.$id.stats"
 done
 
+echo "== simulate cold/warm disk-cache replay =="
+# One scaled-down simulator run twice over one cache dir: the warm run
+# must replay the run from disk, executing no job, with identical bytes.
+sim="simulate -workload kmeans -cores 4 -scale 64 -iters 1"
+"$tmp/mergescale" -cachedir "$tmp/simcache" $sim > "$tmp/sim.cold"
+"$tmp/mergescale" -cachedir "$tmp/simcache" -stats $sim > "$tmp/sim.warm" 2> "$tmp/sim.stats"
+cmp "$tmp/sim.cold" "$tmp/sim.warm"
+grep -q '0 executed' "$tmp/sim.stats"
+
 echo "== serial cold vs parallel warm byte identity =="
 # Every run streams its elements in registry order, whatever order the
 # engine resolves jobs in. A serial, uncached run (jobs execute inline,
@@ -192,6 +201,22 @@ EOF
 executed_before=$(curl -sfS "http://$addr/stats" | grep -o '"executed":[0-9]*')
 curl -sfS -X POST --data-binary @"$tmp/grid.json" "http://$addr/sweep" > "$tmp/sweep.http"
 cmp "$tmp/sweep.cli" "$tmp/sweep.http"
+# The same grid over asymmetric designs (small cores of 4 BCEs) under the
+# communication-aware model: both fronts serve the optional request
+# fields identically, and the plan is not the symmetric one's.
+cat > "$tmp/gridmodes.json" <<'EOF'
+{"apps":[{"f":0.975,"fcon":0.1,"fored":0.2},{"f":0.9}],
+ "budgets":[64,256],
+ "rs":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16],
+ "acmp_r":4,"comm":true}
+EOF
+"$tmp/mergescale" sweep -grid "$tmp/gridmodes.json" > "$tmp/sweepmodes.cli"
+curl -sfS -X POST --data-binary @"$tmp/gridmodes.json" "http://$addr/sweep" > "$tmp/sweepmodes.http"
+cmp "$tmp/sweepmodes.cli" "$tmp/sweepmodes.http"
+if cmp -s "$tmp/sweep.cli" "$tmp/sweepmodes.cli"; then
+    echo "acmp_r/comm grid rendered the symmetric body" >&2
+    exit 1
+fi
 
 echo "== reordered-grid render-cache gate =="
 # The same design space spelled with every axis shuffled and duplicated
