@@ -21,13 +21,13 @@
 //	mergescale load -url URL [-profile P] [-targets IDS] [-formats F]
 //	           [-concurrency N] [-requests N | -for D] [-rate R] [-seed N]
 //	           [-alpha A] [-burstsize N] [-burstgap D] [-sweepgrid FILE]
-//	           [-retries N] [-retrybase D] [-out FILE]
+//	           [-retries N] [-retrybase D] [-slo-warm-p99 D] [-out FILE]
 //
 // Experiment ids follow the paper's artifact numbering (table1..table4,
 // fig2a..fig7) plus the abl-* ablations; see DESIGN.md for the index.
 //
 // Experiments execute concurrently on the engine worker pool (one job per
-// artifact; design-space sweeps and per-core simulator runs shard into
+// artifact; per-core simulator runs and per-thread native runs shard into
 // sub-jobs), but the output is always rendered in registry order, so a
 // parallel run is byte-identical to -workers 1.
 //
@@ -131,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stats     = fs.Bool("stats", false, "print engine cache/worker statistics to stderr")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-out FILE] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-format F] [-out FILE] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] simulate [-workload kmeans|fuzzy|hop] [-cores N] [-scale S] [-iters I]\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing] [-nocache]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-retries N] [-retrybase D] [-out FILE]\n       mergescale -list\n")
+		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-out FILE] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-format F] [-out FILE] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] simulate [-workload kmeans|fuzzy|hop] [-cores N] [-scale S] [-iters I]\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing] [-nocache]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-burstsize N] [-burstgap D] [-sweepgrid FILE] [-retries N] [-retrybase D] [-slo-warm-p99 D] [-out FILE]\n       mergescale -list\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

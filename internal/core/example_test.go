@@ -1,26 +1,16 @@
 package core_test
 
 import (
-	"context"
 	"fmt"
 
 	"mergescale/internal/core"
-	"mergescale/internal/engine"
 )
 
-// ExampleSweepSymmetricEngine shards a symmetric-CMP design-space sweep
-// into one engine job per grid point. The engine-backed sweep returns
-// exactly what the serial SweepSymmetric reference returns — points in
-// grid order — while fanning the evaluations across the worker pool and
-// caching repeated design points.
-func ExampleSweepSymmetricEngine() {
+// ExampleSweepSymmetric sweeps a symmetric-CMP design space: one Eq. 4
+// evaluation per core size r, returned in grid order.
+func ExampleSweepSymmetric() {
 	app := core.AppParams{Name: "class", F: 0.99, FCon: 0.60, FOred: 0.80, Growth: core.GrowthLinear}
-	eng := engine.New(engine.Config{Workers: 4})
-	pts, err := core.SweepSymmetricEngine(context.Background(), eng, app, core.DefaultBudget, []float64{1, 4, 16, 64})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
+	pts := core.SweepSymmetric(app, core.DefaultBudget, []float64{1, 4, 16, 64})
 	for _, p := range pts {
 		fmt.Printf("r=%-3.0f speedup=%.1f\n", p.R, p.Speedup)
 	}

@@ -8,10 +8,17 @@
 // WrittenAt, Value}. Value is an interface; every concrete type that flows
 // through the store must be gob.Register-ed by the package that produces it
 // (experiments registers *report.Document, report registers Element,
-// workload registers SimRun, core registers its sweep evaluations). Bump
-// envelopeVersion whenever the envelope layout or the meaning of cached
-// values changes: readers treat any other version as a miss and drop the
-// file, so stale caches self-heal instead of poisoning new binaries.
+// workload registers SimRun). Bump envelopeVersion whenever the envelope
+// layout or the meaning of cached values changes: readers treat any other
+// version as a miss and drop the file, so stale caches self-heal instead
+// of poisoning new binaries.
+//
+// Integrity. Put appends a trailer after the gob stream: sumMagic, then
+// the big-endian CRC-32 (IEEE) of the gob bytes. Get drops an entry whose
+// checksum does not match, so a flipped bit inside a cached string or
+// number reads as a miss instead of a wrong value. Entries without the
+// trailer (written before it existed) still decode; gob ignores the
+// trailing bytes, so older binaries read new entries too.
 //
 // Failure model. The store is strictly best-effort and must never fail a
 // job: corrupt, truncated, stale-version, or key-mismatched entries are
@@ -34,8 +41,10 @@ package diskcache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"log"
 	"os"
@@ -59,6 +68,8 @@ const (
 	tmpPrefix = "put-"
 	tmpSuffix = ".tmp"
 	tmpMaxAge = time.Hour
+	// sumMagic opens the integrity trailer; see the package comment.
+	sumMagic = "msc1"
 )
 
 // DefaultMaxBytes is the byte cap applied when Options.MaxBytes <= 0.
@@ -248,8 +259,9 @@ func (s *Store) GetE(key string) (any, bool, error) {
 			return nil, false, err
 		}
 	}
+	data, sumOK := checkSum(data)
 	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil ||
+	if !sumOK || gob.NewDecoder(bytes.NewReader(data)).Decode(&env) != nil ||
 		env.Version != envelopeVersion || env.Key != key {
 		s.drop(name, &s.stats.Dropped)
 		return nil, false, nil
@@ -269,6 +281,19 @@ func (s *Store) GetE(key string) (any, bool, error) {
 	}
 	s.mu.Unlock()
 	return env.Value, true, nil
+}
+
+// checkSum strips the integrity trailer from entry bytes and reports
+// whether the checksum matches. Bytes without a trailer pass unchanged:
+// an entry from before the trailer, or one whose trailer magic was
+// damaged, which leaves the gob bytes ahead of it intact.
+func checkSum(data []byte) ([]byte, bool) {
+	n := len(data) - len(sumMagic) - 4
+	if n < 0 || string(data[n:n+len(sumMagic)]) != sumMagic {
+		return data, true
+	}
+	body := data[:n]
+	return body, binary.BigEndian.Uint32(data[n+len(sumMagic):]) == crc32.ChecksumIEEE(body)
 }
 
 // drop unlinks a dead entry (broken or expired), forgets it, and bumps the
@@ -305,7 +330,8 @@ func (s *Store) PutE(key string, val any) error {
 		s.logEncodeOnce.Do(func() { s.logf("diskcache: put skipped (unencodable value; further skips counted silently): %v", err) })
 		return nil
 	}
-	data := buf.Bytes()
+	sum := crc32.ChecksumIEEE(buf.Bytes())
+	data := binary.BigEndian.AppendUint32(append(buf.Bytes(), sumMagic...), sum)
 	if s.hooks.WrapPut != nil {
 		var err error
 		if data, err = s.hooks.WrapPut(key, data); err != nil {

@@ -91,6 +91,46 @@ func TestCorruptedEntryIsMiss(t *testing.T) {
 	}
 }
 
+// TestBitFlipInValueIsMiss flips one bit inside a cached string. The gob
+// stream still decodes, so only the checksum trailer can catch it: the
+// read must be a dropped-entry miss, never the mangled value.
+func TestBitFlipInValueIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	s.Put("k", testVal{N: 1, S: "speedup"})
+	path := filepath.Join(dir, fileName("k"))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte("speedup"))
+	if i < 0 {
+		t.Fatal("value string not found in entry bytes")
+	}
+	data[i+3] ^= 0x01 // "speedup" -> "speddup"
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Get("k"); ok {
+		t.Fatalf("bit-flipped entry returned a hit: %v", v)
+	}
+	if st := s.Stats(); st.Dropped != 1 {
+		t.Errorf("Dropped = %d, want 1", st.Dropped)
+	}
+}
+
+// TestEntryWithoutSumHits: an entry written before the checksum trailer
+// existed (a bare gob envelope) still replays.
+func TestEntryWithoutSumHits(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	want := testVal{N: 3, S: "legacy"}
+	writeEnvelope(t, dir, fileName("k"), envelope{Version: envelopeVersion, Key: "k", WrittenAt: time.Now().UnixNano(), Value: want})
+	if v, ok := s.Get("k"); !ok || v != want {
+		t.Fatalf("Get = %v/%v, want %v", v, ok, want)
+	}
+}
+
 // TestTruncatedEntryIsMiss cuts an entry short mid-stream.
 func TestTruncatedEntryIsMiss(t *testing.T) {
 	dir := t.TempDir()

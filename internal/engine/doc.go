@@ -1,14 +1,12 @@
 // Package engine is the concurrent experiment runtime: a bounded worker
-// pool that executes heterogeneous jobs (paper artifacts, batched
-// design-space sweeps, simulator and native runs) with per-job context
-// cancellation, a two-level config-hash result cache, and deterministic
-// output ordering.
+// pool that executes heterogeneous jobs (paper artifacts, simulator and
+// native runs) with per-job context cancellation, a two-level config-hash
+// result cache, and deterministic output ordering.
 //
 // The engine is deliberately independent of the model and workload
 // packages so that any layer — cmd/mergescale submitting whole
-// experiments, internal/core running each sweep grid as one sub-job,
-// internal/workload sharding simulator runs per core count — can fan out
-// through the same pool.
+// experiments, internal/workload sharding simulator runs per core count
+// and native runs per thread count — can fan out through the same pool.
 //
 // # Concurrency model
 //
@@ -21,11 +19,11 @@
 // back the jobs after it, and at most Workers-1 helpers exist engine-wide.
 // Workers: 1 is exactly serial execution on the calling goroutine.
 //
-// Nested submission is safe: a job that submits sub-jobs (e.g. a sweep
-// sharded from inside an experiment job) never waits for a pool slot — it
-// claims its own sub-jobs — and Run waits only once every job has been
-// claimed, that is, only for jobs that are already running. Keep this
-// caller-claims invariant when extending the engine.
+// Nested submission is safe: a job that submits sub-jobs (e.g. per-core
+// simulator runs from inside an experiment job) never waits for a pool
+// slot — it claims its own sub-jobs — and Run waits only once every job
+// has been claimed, that is, only for jobs that are already running. Keep
+// this caller-claims invariant when extending the engine.
 //
 // # Caching
 //
@@ -38,10 +36,11 @@
 // Errored and cancelled computations are never cached at either level.
 //
 // Cache keys come from Key, which hashes the %#v rendering of its parts
-// with FNV-1a. Key parts must render deterministically: structs of
-// scalars, strings and slices — never pointers or maps. Anything that
-// affects a job's output must be in its key; anything that only affects
-// scheduling (like which engine runs the job) must stay out.
+// with FNV-1a; golden-key tests pin the format. Key parts must render
+// deterministically: structs of scalars, strings and slices — never
+// pointers or maps. Anything that affects a job's output must be in its
+// key; anything that only affects scheduling (like which engine runs the
+// job) must stay out.
 //
 // # Determinism contract
 //

@@ -329,13 +329,6 @@ func (e *Engine) invoke(ctx context.Context, job Job) (val any, err error) {
 	return job.Fn(ctx)
 }
 
-// InvalidateCache drops every cached result.
-func (e *Engine) InvalidateCache() {
-	e.mu.Lock()
-	e.cache = map[string]*cacheEntry{}
-	e.mu.Unlock()
-}
-
 // CacheLen returns the number of cached keys (including in-flight ones).
 func (e *Engine) CacheLen() int {
 	e.mu.Lock()

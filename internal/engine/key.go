@@ -2,222 +2,19 @@ package engine
 
 import (
 	"fmt"
-	"strconv"
-	"sync"
+	"hash/fnv"
 )
-
-// KeyAppender lets a key part append its own Go-syntax representation to a
-// key buffer without going through fmt's reflection machinery. The
-// appended bytes MUST be byte-identical to fmt.Sprintf("%#v", part) for
-// the same value: cache keys feed the persistent disk cache, so any
-// divergence silently invalidates (or worse, aliases) warm entries.
-// Implementations are verified against %#v by per-package differential
-// tests; run them after changing any implementing struct.
-type KeyAppender interface {
-	AppendKey(b []byte) []byte
-}
-
-// FNV-1a 64-bit parameters (hash/fnv), inlined so key hashing needs no
-// hash.Hash allocation or Write call per part.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// KeyWriter accumulates cache-key parts into an FNV-1a hash using an
-// append-based, type-switched encoder instead of fmt reflection. Call
-// Reset before first use. Encoding contract: every part contributes exactly
-// the bytes of its %#v rendering followed by a NUL separator — the same
-// stream the pre-KeyWriter implementation hashed — so keys (and therefore
-// warm disk caches) are stable across the rewrite.
-type KeyWriter struct {
-	h   uint64
-	buf []byte
-}
-
-// Reset clears the accumulated hash, keeping the scratch buffer.
-func (w *KeyWriter) Reset() {
-	w.h = fnvOffset64
-	w.buf = w.buf[:0]
-}
-
-// fold hashes the staged buffer into the key and accounts for the NUL
-// part separator (h ^= 0 is the identity, so only the multiply remains).
-func (w *KeyWriter) fold() {
-	h := w.h
-	for _, c := range w.buf {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	h *= fnvPrime64
-	w.h = h
-}
-
-// WritePart folds one part into the key. Scalars and strings are encoded
-// without reflection; types implementing KeyAppender encode themselves;
-// anything else falls back to fmt's %#v (correct, but slow — add a
-// KeyAppender implementation for hot types). Hot call sites that know
-// their part types statically should prefer the typed Write* methods (and
-// WriteAppender), which skip the interface boxing this signature forces.
-func (w *KeyWriter) WritePart(p any) {
-	b := w.buf[:0]
-	switch v := p.(type) {
-	case KeyAppender:
-		b = v.AppendKey(b)
-	case string:
-		b = strconv.AppendQuote(b, v)
-	case bool:
-		b = strconv.AppendBool(b, v)
-	case int:
-		b = strconv.AppendInt(b, int64(v), 10)
-	case int64:
-		b = strconv.AppendInt(b, v, 10)
-	case int32:
-		b = strconv.AppendInt(b, int64(v), 10)
-	case float64:
-		// fmt's %v (and %#v) for float64 is strconv 'g' with shortest
-		// precision; special values (NaN, ±Inf) match as well.
-		b = strconv.AppendFloat(b, v, 'g', -1, 64)
-	case uint64:
-		b = appendHex(b, v)
-	case uint:
-		b = appendHex(b, uint64(v))
-	case uint32:
-		b = appendHex(b, uint64(v))
-	case uint8:
-		b = appendHex(b, uint64(v))
-	default:
-		b = fmt.Appendf(b, "%#v", p)
-	}
-	w.buf = b
-	w.fold()
-}
-
-// Typed part writers: identical encodings to WritePart's fast paths, no
-// interface boxing at the call site. A key built from typed writes is
-// byte-identical to the same parts passed through WritePart/Key.
-
-// WriteString folds a string part (%#v: double-quoted Go string).
-func (w *KeyWriter) WriteString(s string) {
-	w.buf = strconv.AppendQuote(w.buf[:0], s)
-	w.fold()
-}
-
-// WriteBool folds a bool part.
-func (w *KeyWriter) WriteBool(v bool) {
-	w.buf = strconv.AppendBool(w.buf[:0], v)
-	w.fold()
-}
-
-// WriteInt folds an int part (%#v: decimal).
-func (w *KeyWriter) WriteInt(v int) {
-	w.buf = strconv.AppendInt(w.buf[:0], int64(v), 10)
-	w.fold()
-}
-
-// WriteUint64 folds a uint64 part (%#v: 0x-prefixed hex).
-func (w *KeyWriter) WriteUint64(v uint64) {
-	w.buf = appendHex(w.buf[:0], v)
-	w.fold()
-}
-
-// WriteFloat64 folds a float64 part (%#v: shortest 'g').
-func (w *KeyWriter) WriteFloat64(v float64) {
-	w.buf = strconv.AppendFloat(w.buf[:0], v, 'g', -1, 64)
-	w.fold()
-}
-
-// WriteAppender folds a KeyAppender part without converting it to an
-// interface: the generic instantiation calls AppendKey on the concrete
-// type directly, so the part never escapes to the heap. This is the
-// hot-path form the sweep and simulation key builders use.
-func WriteAppender[T KeyAppender](w *KeyWriter, v T) {
-	w.buf = v.AppendKey(w.buf[:0])
-	w.fold()
-}
-
-// appendHex appends the %#v rendering of an unsigned integer, which fmt
-// formats as 0x-prefixed lowercase hex.
-func appendHex(b []byte, v uint64) []byte {
-	b = append(b, '0', 'x')
-	return strconv.AppendUint(b, v, 16)
-}
-
-// keyIntern deduplicates produced key strings process-wide: the same
-// experiment/sweep/sim keys are rebuilt on every submission (cache hits
-// included), so steady state returns the one shared string instead of
-// allocating a fresh copy. Memory is bounded by the number of distinct
-// keys the process ever builds — a function of its experiment/config set,
-// not of request volume.
-var keyIntern struct {
-	sync.RWMutex
-	m map[uint64]string
-}
-
-// Sum returns the accumulated key as 16 lowercase hex digits (%016x).
-// Strings are interned by hash value, so repeated keys share one
-// allocation.
-func (w *KeyWriter) Sum() string {
-	keyIntern.RLock()
-	s, ok := keyIntern.m[w.h]
-	keyIntern.RUnlock()
-	if ok {
-		return s
-	}
-	const digits = "0123456789abcdef"
-	h := w.h
-	var out [16]byte
-	for i := 15; i >= 0; i-- {
-		out[i] = digits[h&0xf]
-		h >>= 4
-	}
-	s = string(out[:])
-	keyIntern.Lock()
-	if keyIntern.m == nil {
-		keyIntern.m = make(map[uint64]string)
-	}
-	if existing, ok := keyIntern.m[w.h]; ok {
-		s = existing
-	} else {
-		keyIntern.m[w.h] = s
-	}
-	keyIntern.Unlock()
-	return s
-}
-
-// keyWriterPool recycles KeyWriters (really: their scratch buffers) across
-// Key calls, so steady-state key construction allocates only the returned
-// string (and not even that once the key has been interned).
-var keyWriterPool = sync.Pool{New: func() any { return new(KeyWriter) }}
-
-// AcquireKeyWriter returns a Reset KeyWriter from the pool. Pair with
-// SumRelease; use this (plus the typed Write* methods) on hot key-building
-// paths instead of the variadic Key, which boxes every part.
-func AcquireKeyWriter() *KeyWriter {
-	w := keyWriterPool.Get().(*KeyWriter)
-	w.Reset()
-	return w
-}
-
-// SumRelease returns the accumulated key and puts the writer back in the
-// pool. The writer must not be used afterwards.
-func (w *KeyWriter) SumRelease() string {
-	s := w.Sum()
-	keyWriterPool.Put(w)
-	return s
-}
 
 // Key builds a deterministic cache key by hashing the %#v rendering of
-// each part with FNV-1a. Parts must have deterministic %#v output (structs
-// of scalars and slices — not maps). Scalar parts and KeyAppender
-// implementors are encoded without fmt reflection; see KeyWriter.
+// each part, followed by a NUL separator, with FNV-1a 64, and printing the
+// sum as 16 lowercase hex digits. Parts must have deterministic %#v output
+// (scalars, and structs and slices of them — no pointers or maps). The
+// keys feed the persistent disk cache, so this encoding is the on-disk key
+// format: golden-key tests pin it.
 func Key(parts ...any) string {
-	w := keyWriterPool.Get().(*KeyWriter)
-	w.Reset()
+	h := fnv.New64a()
 	for _, p := range parts {
-		w.WritePart(p)
+		fmt.Fprintf(h, "%#v\x00", p)
 	}
-	s := w.Sum()
-	keyWriterPool.Put(w)
-	return s
+	return fmt.Sprintf("%016x", h.Sum64())
 }

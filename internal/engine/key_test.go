@@ -2,26 +2,28 @@ package engine
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
-	"strconv"
 	"testing"
 	"testing/quick"
 )
 
-// keyReflect is the pre-KeyWriter implementation of Key, kept as the
-// reference: FNV-1a over the %#v rendering of each part, NUL-separated.
-// The rewritten Key must match it byte-for-byte on every supported part
-// type, or warm disk caches would silently stop replaying.
+// keyReflect spells out the key format byte by byte, independently of
+// Key: FNV-1a 64 over the %#v rendering of each part plus a NUL, printed
+// as 16 lowercase hex digits. Key must match it on every part type, or
+// warm disk caches would silently stop replaying.
 func keyReflect(parts ...any) string {
-	h := fnv.New64a()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	for _, p := range parts {
-		fmt.Fprintf(h, "%#v\x00", p)
+		for _, c := range []byte(fmt.Sprintf("%#v", p) + "\x00") {
+			h ^= uint64(c)
+			h *= prime64
+		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", h)
 }
 
-// keyTestStruct exercises the %#v fallback for types without a fast path.
+// keyTestStruct is a struct part, rendered in full Go syntax.
 type keyTestStruct struct {
 	A int
 	B string
@@ -49,9 +51,8 @@ func TestKeyMatchesReflectReference(t *testing.T) {
 	}
 }
 
-// TestKeyScalarGoldens pins Key outputs captured before the KeyWriter
-// rewrite. These literals must NEVER change: they are the disk-cache key
-// format (see docs/ARCHITECTURE.md).
+// TestKeyScalarGoldens pins Key outputs. These literals must NEVER change:
+// they are the disk-cache key format (see docs/ARCHITECTURE.md).
 func TestKeyScalarGoldens(t *testing.T) {
 	goldens := []struct {
 		parts []any
@@ -68,8 +69,8 @@ func TestKeyScalarGoldens(t *testing.T) {
 	}
 }
 
-// TestKeyQuickScalars property-checks the fast paths against the reference
-// across randomized scalar inputs.
+// TestKeyQuickScalars property-checks Key against the reference across
+// randomized scalar inputs.
 func TestKeyQuickScalars(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
 	check := func(name string, f any) {
@@ -89,49 +90,9 @@ func TestKeyQuickScalars(t *testing.T) {
 	})
 }
 
-func TestKeyWriterReuse(t *testing.T) {
-	var w KeyWriter
-	w.Reset()
-	w.WritePart("a")
-	w.WritePart(1)
-	first := w.Sum()
-	if first != Key("a", 1) {
-		t.Errorf("KeyWriter sum %q != Key %q", first, Key("a", 1))
-	}
-	w.Reset()
-	w.WritePart("b")
-	if got, want := w.Sum(), Key("b"); got != want {
-		t.Errorf("after Reset: sum %q, want %q", got, want)
-	}
-}
-
-// TestKeyAppenderUsed asserts Key prefers a part's AppendKey over fmt.
-type goodAppender struct{ N int }
-
-func (g goodAppender) AppendKey(b []byte) []byte {
-	b = append(b, "engine.goodAppender{N:"...)
-	b = strconv.AppendInt(b, int64(g.N), 10)
-	return append(b, '}')
-}
-
-func TestKeyAppenderUsed(t *testing.T) {
-	// The appender emits exactly the %#v bytes, so the key must equal the
-	// reference implementation's.
-	if got, want := Key(goodAppender{N: 3}), keyReflect(goodAppender{N: 3}); got != want {
-		t.Errorf("Key with appender = %q, reference %q", got, want)
-	}
-}
-
 func BenchmarkKeyScalars(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Key("sweep-sym", "kmeans", 0.99985, uint64(120), i&7)
-	}
-}
-
-func BenchmarkKeyReflectScalars(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		keyReflect("sweep-sym", "kmeans", 0.99985, uint64(120), i&7)
 	}
 }

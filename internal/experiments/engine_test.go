@@ -127,7 +127,8 @@ func TestRunAllCancellation(t *testing.T) {
 }
 
 // TestRunAllSubset checks single-target submission (the cmd path for
-// `run <id>`) and that sweep sub-jobs ride the same engine.
+// `run <id>`): fig4 is closed-form arithmetic, so the experiment job is
+// the only job on the engine.
 func TestRunAllSubset(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 4})
 	e, err := ByID("fig4")
@@ -138,11 +139,27 @@ func TestRunAllSubset(t *testing.T) {
 	if outcomes[0].Err != nil {
 		t.Fatal(outcomes[0].Err)
 	}
-	st := eng.Stats()
-	// fig4 alone shards 16 series × the power-of-two grid into sub-jobs:
-	// far more executions than the single experiment job.
-	if st.Executed < 10 {
-		t.Errorf("expected sweep sub-jobs on the engine, got %d executions", st.Executed)
+	if st := eng.Stats(); st.Executed != 1 {
+		t.Errorf("fig4 executed %d engine jobs, want 1", st.Executed)
+	}
+}
+
+// TestModelFiguresRunOneEngineJob pins that the model sweep figures
+// (Figs. 4, 5 and 7) call the closed-form sweeps directly: on a fresh
+// engine each executes exactly one job, its own, and shards nothing.
+func TestModelFiguresRunOneEngineJob(t *testing.T) {
+	for _, id := range []string{"fig4", "fig5", "fig7"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := engine.New(engine.Config{Workers: 2})
+		if o := RunAll(context.Background(), eng, []Experiment{e}, quick)[0]; o.Err != nil {
+			t.Fatalf("%s: %v", id, o.Err)
+		}
+		if st := eng.Stats(); st.Executed != 1 {
+			t.Errorf("%s executed %d engine jobs, want 1", id, st.Executed)
+		}
 	}
 }
 
@@ -254,7 +271,7 @@ func TestStreamCancellation(t *testing.T) {
 // envelope path and the streaming pipeline compose.
 func TestStreamWarmDiskCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	target := []Experiment{Registry()[9]} // fig4: cheap, analytical, sharded
+	target := []Experiment{Registry()[9]} // fig4: cheap, analytical
 	if target[0].ID != "fig4" {
 		t.Fatalf("registry order changed: got %s, want fig4", target[0].ID)
 	}

@@ -33,10 +33,10 @@ type Options struct {
 	// UseDuration bases the native-run experiments (Fig. 2(c)) on wall
 	// clock instead of deterministic operation counts.
 	UseDuration bool
-	// Engine is required: experiments shard internal work (design-space
-	// sweeps, per-core simulations, per-thread native runs) into sub-jobs
-	// on it. RunAll and StreamElements set it to the engine they run on.
-	// It is excluded from cache keys; see cacheKey.
+	// Engine is required: experiments shard their simulator and native
+	// runs (one per core or thread count) into sub-jobs on it. RunAll and
+	// StreamElements set it to the engine they run on. It is excluded from
+	// cache keys; see cacheKey.
 	Engine *engine.Engine
 	// Emit, when non-nil, receives the experiment's report elements live
 	// as they are produced — fine-grained (table frames, rows, chart
@@ -62,19 +62,13 @@ func cacheKey(e Experiment, opt Options) string {
 	if e.Timing && opt.UseDuration {
 		return ""
 	}
-	w := engine.AcquireKeyWriter()
-	w.WriteString("experiment")
-	w.WriteString(e.ID)
-	w.WriteBool(opt.Quick)
-	w.WriteBool(opt.UseDuration)
-	w.WriteString(configFingerprint(opt))
-	return w.SumRelease()
+	return engine.Key("experiment", e.ID, opt.Quick, opt.UseDuration, configFingerprint(opt))
 }
 
 // fingerprints memoizes configFingerprint per Quick setting (the only
 // Options field the fingerprint depends on): every experiment submission
 // recomputes its cache key, and the fingerprint — three workload
-// constructions plus a dozen key parts — dominated that cost.
+// constructions plus a dozen key parts — would dominate that cost.
 var fingerprints sync.Map // bool (Quick) -> string
 
 // configFingerprint digests the tunable constants experiment documents are
@@ -82,22 +76,17 @@ var fingerprints sync.Map // bool (Quick) -> string
 // workload's identity, parameters and data-set spec — so editing any of
 // them invalidates warm disk-cache entries instead of replaying stale
 // documents. Code changes beyond these constants still require a
-// diskcache envelopeVersion bump (see docs/ARCHITECTURE.md). The digest is
-// byte-identical to the engine.Key(parts...) form it replaced (golden-key
-// tests pin the resulting experiment keys).
+// diskcache envelopeVersion bump (see docs/ARCHITECTURE.md). Golden-key
+// tests pin the resulting experiment keys.
 func configFingerprint(opt Options) string {
 	if fp, ok := fingerprints.Load(opt.Quick); ok {
 		return fp.(string)
 	}
-	w := engine.AcquireKeyWriter()
-	engine.WriteAppender(w, sim.DefaultConfig(16))
-	engine.WriteAppender(w, core.DefaultBudget)
+	parts := []any{sim.DefaultConfig(16), core.DefaultBudget}
 	for _, wk := range workloadSet(opt) {
-		w.WriteString(wk.Name())
-		w.WritePart(wk.Params())
-		engine.WriteAppender(w, wk.DefaultSpec())
+		parts = append(parts, wk.Name(), wk.Params(), wk.DefaultSpec())
 	}
-	fp := w.SumRelease()
+	fp := engine.Key(parts...)
 	fingerprints.Store(opt.Quick, fp)
 	return fp
 }

@@ -203,11 +203,10 @@ var fig4Panels = []struct {
 }
 
 // Fig4 sweeps the symmetric design space for the Table III classes with
-// linear and logarithmic growth functions. Each of the 16 series (4
-// panels × 4 parameterizations) runs as one engine sub-job; with opt.Emit
-// set, every series row streams out the moment its sub-sweep resolves
-// instead of waiting for the whole figure.
-func Fig4(ctx context.Context, opt Options) (*report.Document, error) {
+// linear and logarithmic growth functions: 16 series (4 panels × 4
+// parameterizations), each a plain call to the closed-form model. With
+// opt.Emit set, every series row streams out as soon as it is computed.
+func Fig4(_ context.Context, opt Options) (*report.Document, error) {
 	em := report.NewEmitter("fig4", "Scalability on symmetric CMPs", opt.Emit)
 	b := core.DefaultBudget
 	rs := core.PowerOfTwoRs(b.N)
@@ -218,10 +217,7 @@ func Fig4(ctx context.Context, opt Options) (*report.Document, error) {
 		for _, f := range []float64{0.999, 0.99} {
 			for _, g := range []core.GrowthKind{core.GrowthLinear, core.GrowthLog} {
 				app := core.AppParams{Name: "class", F: f, FCon: panel.fcon, FOred: panel.ford, Growth: g}
-				pts, err := core.SweepSymmetricEngine(ctx, opt.Engine, app, b, rs)
-				if err != nil {
-					return nil, err
-				}
+				pts := core.SweepSymmetric(app, b, rs)
 				row := make([]string, 0, len(rs)+1)
 				row = append(row, "f="+f3(f)+" "+g.String())
 				xs := make([]float64, 0, len(rs))
@@ -264,7 +260,7 @@ var fig5Panels = []struct {
 
 // Fig5 sweeps the asymmetric design space: large-core size rl on the
 // x-axis, one series per small-core size r ∈ {1, 4, 16}.
-func Fig5(ctx context.Context, opt Options) (*report.Document, error) {
+func Fig5(_ context.Context, opt Options) (*report.Document, error) {
 	em := report.NewEmitter("fig5", "Scalability on asymmetric CMPs", opt.Emit)
 	b := core.DefaultBudget
 	rls := core.PowerOfTwoRs(b.N)
@@ -274,10 +270,7 @@ func Fig5(ctx context.Context, opt Options) (*report.Document, error) {
 		ch := em.Chart("Fig 5"+panel.title, "rl (BCEs of large core)", "speedup", true)
 		app := core.AppParams{Name: "class", F: panel.f, FCon: panel.fcon, FOred: panel.ford, Growth: core.GrowthLinear}
 		for _, r := range []float64{1, 4, 16} {
-			pts, err := core.SweepAsymmetricEngine(ctx, opt.Engine, app, b, rls, r)
-			if err != nil {
-				return nil, err
-			}
+			pts := core.SweepAsymmetric(app, b, rls, r)
 			row := make([]string, 0, len(rls)+1)
 			row = append(row, "r="+strconv.FormatFloat(r, 'g', -1, 64))
 			i := 0
@@ -329,7 +322,7 @@ func Fig6(_ context.Context, _ Options) (*report.Document, error) {
 // Fig7 evaluates the communication-aware model on the non-embarrassingly
 // parallel, moderate-constant class with a parallel reduction over a 2D
 // mesh.
-func Fig7(ctx context.Context, opt Options) (*report.Document, error) {
+func Fig7(_ context.Context, opt Options) (*report.Document, error) {
 	em := report.NewEmitter("fig7", "Scalability with communication-aware model", opt.Emit)
 	b := core.DefaultBudget
 	app := core.AppParams{Name: "non-emb-moderate", F: 0.99, FCon: 0.60, Growth: core.GrowthNone}
@@ -337,10 +330,7 @@ func Fig7(ctx context.Context, opt Options) (*report.Document, error) {
 
 	rs := core.PowerOfTwoRs(b.N)
 	em.Table("Fig 7(a) — symmetric CMPs", append([]string{"series"}, floatHeaders(rs)...)...)
-	pts, err := core.SweepSymmetricCommEngine(ctx, opt.Engine, m, b, rs)
-	if err != nil {
-		return nil, err
-	}
+	pts := core.SweepSymmetricComm(m, b, rs)
 	row := make([]string, 0, len(rs)+1)
 	row = append(row, "mesh/parallel-reduction")
 	ch := em.Chart("Fig 7(a) — symmetric", "r", "speedup", true)
@@ -361,10 +351,7 @@ func Fig7(ctx context.Context, opt Options) (*report.Document, error) {
 	ch2 := em.Chart("Fig 7(b) — asymmetric", "rl", "speedup", true)
 	bestAll := core.SweepPoint{}
 	for _, r := range []float64{1, 4, 16} {
-		apts, err := core.SweepAsymmetricCommEngine(ctx, opt.Engine, m, b, rs, r)
-		if err != nil {
-			return nil, err
-		}
+		apts := core.SweepAsymmetricComm(m, b, rs, r)
 		arow := make([]string, 0, len(rs)+1)
 		arow = append(arow, "r="+strconv.FormatFloat(r, 'g', -1, 64))
 		i := 0

@@ -2,12 +2,11 @@ package experiments
 
 import "testing"
 
-// TestCacheKeyGoldens pins the experiment cache keys captured before the
-// engine.Key KeyWriter rewrite, across the full option envelope every call
-// site uses. These keys address warm -cachedir disk caches: a changed
-// literal means existing caches silently re-execute, so any intentional
-// change here must be treated like a diskcache envelopeVersion bump and
-// called out in docs/ARCHITECTURE.md.
+// TestCacheKeyGoldens pins the experiment cache keys across the full
+// option envelope every call site uses. These keys address warm -cachedir
+// disk caches: a changed literal means existing caches silently
+// re-execute, so any intentional change here must be treated like a
+// diskcache envelopeVersion bump and called out in docs/ARCHITECTURE.md.
 func TestCacheKeyGoldens(t *testing.T) {
 	type optKeys struct {
 		opt  Options

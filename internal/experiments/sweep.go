@@ -33,10 +33,10 @@ import (
 // involved. A point is one closed-form model evaluation — microseconds —
 // which costs less than hashing a key for it, let alone a cache lookup,
 // and caching points would grow a long-running server's memory with every
-// new grid. (The batched internal sweeps are engine jobs; see the
-// granularity note in core/sweep_parallel.go.) The point is the streaming
-// unit: each row is emitted the moment its point is evaluated, so the
-// first row reaches the client before later points are computed.
+// new grid. (The registry's Figs. 4, 5 and 7 call the same closed-form
+// sweeps directly, inside their one experiment job.) The point is the
+// streaming unit: each row is emitted the moment its point is evaluated,
+// so the first row reaches the client before later points are computed.
 
 // Request caps: a sweep is user-supplied work, so its size is bounded
 // before any point is evaluated. The limits are generous for real design
@@ -318,30 +318,27 @@ func (p *SweepPlan) Points() int { return len(p.points) }
 // server's rendered-response cache: the second spelling of a grid is a
 // whole-body cache hit, not even a re-render.
 func (p *SweepPlan) Fingerprint() string {
-	w := engine.AcquireKeyWriter()
-	w.WriteString("sweep-plan")
-	w.WriteInt(len(p.Apps))
+	parts := []any{"sweep-plan", len(p.Apps)}
 	for _, a := range p.Apps {
-		engine.WriteAppender(w, a)
+		parts = append(parts, a)
 	}
-	w.WriteInt(len(p.Budgets))
+	parts = append(parts, len(p.Budgets))
 	for _, b := range p.Budgets {
-		engine.WriteAppender(w, b)
+		parts = append(parts, b)
 	}
-	w.WriteInt(len(p.Rs))
+	parts = append(parts, len(p.Rs))
 	for _, r := range p.Rs {
-		w.WriteFloat64(r)
+		parts = append(parts, r)
 	}
 	// The modes are folded in only when set, so a symmetric plan keeps
 	// the fingerprint it always had.
 	if p.ACMPR != 0 {
-		w.WriteString("acmp_r")
-		w.WriteFloat64(p.ACMPR)
+		parts = append(parts, "acmp_r", p.ACMPR)
 	}
 	if p.Comm {
-		w.WriteString("comm")
+		parts = append(parts, "comm")
 	}
-	return w.SumRelease()
+	return engine.Key(parts...)
 }
 
 // sweepPointStart, when non-nil, is called before every point is

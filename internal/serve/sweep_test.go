@@ -180,11 +180,11 @@ func TestSweepOverCapRejected(t *testing.T) {
 	}
 }
 
-// TestSweepLeavesNoEngineState is the bounded-memory guard: sweep points
+// TestNoEngineStateAfterSweeps is the bounded-memory guard: sweep points
 // are plain arithmetic, so a stream of distinct grids executes no engine
 // job and leaves nothing in the engine's memory cache. Only the render
 // cache (itself bounded) remembers a sweep.
-func TestSweepLeavesNoEngineState(t *testing.T) {
+func TestNoEngineStateAfterSweeps(t *testing.T) {
 	srv := &Server{Engine: engine.New(engine.Config{Workers: 2})}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

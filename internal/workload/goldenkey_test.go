@@ -13,12 +13,11 @@ import (
 	"mergescale/internal/workload/kmeans"
 )
 
-// TestSimRunKeyGoldens pins SimRunKey outputs captured before the
-// reflection-free KeyWriter rewrite, for every workload across the full
-// core-count envelope. These keys address the persistent disk cache: if
-// one changes, every warm -cachedir cache silently re-executes, so the
-// literals must never drift. (Workload iteration counts here match the
-// quick-mode registry: Iters=3 for kmeans and fuzzy.)
+// TestSimRunKeyGoldens pins SimRunKey outputs for every workload across
+// the full core-count envelope. These keys address the persistent disk
+// cache: if one changes, every warm -cachedir cache silently re-executes,
+// so the literals must never drift. (Workload iteration counts here match
+// the quick-mode registry: Iters=3 for kmeans and fuzzy.)
 func TestSimRunKeyGoldens(t *testing.T) {
 	km := kmeans.New()
 	km.Cfg.Iters = 3
@@ -158,9 +157,8 @@ func TestNativeRunKeyCoversInputs(t *testing.T) {
 	}
 }
 
-// TestSimRunKeyCoversParams ensures the key still reacts to workload
-// parameter changes after the AppendKey fast paths (a frozen key that
-// ignored Params would alias distinct runs).
+// TestSimRunKeyCoversParams ensures the key reacts to workload parameter
+// changes (a frozen key that ignored Params would alias distinct runs).
 func TestSimRunKeyCoversParams(t *testing.T) {
 	km := kmeans.New()
 	base := workload.SimRunKey(km, km.DefaultSpec(), sim.DefaultConfig(4), 1)

@@ -120,19 +120,9 @@ func RunSim(w Workload, ds *datagen.Dataset, cfg sim.Config, scale int) (SimRun,
 // everything RunSim's output depends on — workload identity and tunables
 // (Params), the data-set spec (generation is deterministic per spec), the
 // full machine config, and the scale divisor — and nothing else, per the
-// engine's no-pointers/no-maps key rule. Built through the typed KeyWriter
-// API (byte-identical to the engine.Key("sim-run", ...) form it replaced —
-// the golden-key tests pin that) so per-submission key construction does
-// not box its parts.
+// engine's no-pointers/no-maps key rule. Golden-key tests pin the keys.
 func SimRunKey(w Workload, spec datagen.Spec, cfg sim.Config, scale int) string {
-	kw := engine.AcquireKeyWriter()
-	kw.WriteString("sim-run")
-	kw.WriteString(w.Name())
-	kw.WritePart(w.Params())
-	engine.WriteAppender(kw, spec)
-	engine.WriteAppender(kw, cfg)
-	kw.WriteInt(scale)
-	return kw.SumRelease()
+	return engine.Key("sim-run", w.Name(), w.Params(), spec, cfg, scale)
 }
 
 // SimRuns fans one engine job per machine configuration, so each per-core

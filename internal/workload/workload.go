@@ -82,13 +82,7 @@ func phasesToProfile(name string, cores int, phases []sim.PhaseTime) (*trace.Pro
 // identity and tunables (Params), the data-set spec and the thread count —
 // and nothing else.
 func NativeRunKey(w Workload, spec datagen.Spec, threads int) string {
-	kw := engine.AcquireKeyWriter()
-	kw.WriteString("native-run")
-	kw.WriteString(w.Name())
-	kw.WritePart(w.Params())
-	engine.WriteAppender(kw, spec)
-	kw.WriteInt(threads)
-	return kw.SumRelease()
+	return engine.Key("native-run", w.Name(), w.Params(), spec, threads)
 }
 
 // NativeProfiles runs the workload natively across the given thread

@@ -25,17 +25,22 @@
 #   BENCH_CONTEND_PATTERN  contend benchmark regexp (default
 #                      BenchmarkContend)
 #   BENCH_CONTEND_TIME contend -benchtime (default 20x)
-#   BENCH_COUNT        -count value       (default 1)
+#   BENCH_COUNT        -count value       (default 5)
 #   BENCH_SUITES       space-separated subset of "sim contend" to run
 #                      (default: both) — regenerate one JSON file without
 #                      paying for the other
 #
-# The allocs/op columns are CPU-count independent.
+# Each benchmark runs BENCH_COUNT times and becomes one JSON row: its
+# ns_per_op is the median over the runs (mean of the middle two for an
+# even count), next to ns_per_op_min and ns_per_op_max as the spread,
+# runs, and nproc, the online CPU count of the recording machine. Compare
+# rows from different machines only with their nproc in view. The bytes
+# and allocs columns are medians too, and CPU-count independent.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-count=${BENCH_COUNT:-1}
+count=${BENCH_COUNT:-5}
 suites=${BENCH_SUITES:-sim contend}
 
 want_suite() {
@@ -59,39 +64,57 @@ run_suite() {
 
 # emit_json OUT — converts the accumulated `BenchmarkName-P  iters  ns/op
 # B/op  allocs/op` lines in $tmp into OUT as JSON, one row per benchmark
-# per protocol. (On 1-CPU machines go omits the -P suffix; fall back to
-# the CPU count.)
+# per protocol, aggregating its -count runs into median, min and max. (On
+# 1-CPU machines go omits the -P suffix; fall back to the CPU count.)
 emit_json() {
     out=$1
     ncpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
-    awk -v goversion="$(go env GOVERSION)" -v goos="$(go env GOOS)" -v goarch="$(go env GOARCH)" -v defprocs="$ncpu" '
+    awk -v goversion="$(go env GOVERSION)" -v goos="$(go env GOOS)" -v goarch="$(go env GOARCH)" -v ncpu="$ncpu" '
+# sorted fills s[0..m-1] with the m values v[k, 0..m-1] in ascending order.
+function sorted(v, k, m,    i, j, x) {
+    for (i = 0; i < m; i++) {
+        x = v[k, i] + 0
+        for (j = i; j > 0 && s[j - 1] > x; j--) s[j] = s[j - 1]
+        s[j] = x
+    }
+}
+function median(v, k, m) {
+    sorted(v, k, m)
+    return m % 2 ? s[(m - 1) / 2] : (s[m / 2 - 1] + s[m / 2]) / 2
+}
 BEGIN { n = 0; bt = "" }
 /^##benchtime=/ { bt = $0; sub(/^##benchtime=/, "", bt); next }
 /^Benchmark/ {
     name = $1
-    procs = defprocs
+    procs = ncpu
     if (name ~ /-[0-9]+$/) {
         procs = name; sub(/^.*-/, "", procs)
         sub(/-[0-9]+$/, "", name)
     }
-    iters = $2
-    ns = ""; bytes = ""; allocs = ""
-    for (i = 3; i < NF; i++) {
-        if ($(i + 1) == "ns/op") ns = $i
-        if ($(i + 1) == "B/op") bytes = $i
-        if ($(i + 1) == "allocs/op") allocs = $i
+    k = name SUBSEP bt
+    if (!(k in runs)) {
+        keys[n++] = k; kname[k] = name; kbt[k] = bt; kprocs[k] = procs; kiters[k] = $2
     }
-    rec = sprintf("    {\"name\": \"%s\", \"benchtime\": \"%s\", \"procs\": %s, \"iterations\": %s, \"ns_per_op\": %s", name, bt, procs, iters, ns)
-    if (bytes != "")  rec = rec sprintf(", \"bytes_per_op\": %s", bytes)
-    if (allocs != "") rec = rec sprintf(", \"allocs_per_op\": %s", allocs)
-    recs[n++] = rec "}"
+    r = runs[k]++
+    for (i = 3; i < NF; i++) {
+        if ($(i + 1) == "ns/op") ns[k, r] = $i
+        if ($(i + 1) == "B/op") { bytes[k, r] = $i; hasb[k] = 1 }
+        if ($(i + 1) == "allocs/op") { allocs[k, r] = $i; hasa[k] = 1 }
+    }
 }
 END {
     if (n == 0) { print "bench.sh: no benchmark lines parsed" > "/dev/stderr"; exit 1 }
     print "{"
     printf "  \"go\": \"%s\",\n  \"goos\": \"%s\",\n  \"goarch\": \"%s\",\n", goversion, goos, goarch
     print "  \"benchmarks\": ["
-    for (i = 0; i < n; i++) printf "%s%s\n", recs[i], (i < n - 1 ? "," : "")
+    for (i = 0; i < n; i++) {
+        k = keys[i]; m = runs[k]
+        med = median(ns, k, m)
+        rec = sprintf("    {\"name\": \"%s\", \"benchtime\": \"%s\", \"procs\": %s, \"nproc\": %s, \"iterations\": %s, \"runs\": %d, \"ns_per_op\": %.10g, \"ns_per_op_min\": %.10g, \"ns_per_op_max\": %.10g", kname[k], kbt[k], kprocs[k], ncpu, kiters[k], m, med, s[0], s[m - 1])
+        if (hasb[k]) rec = rec sprintf(", \"bytes_per_op\": %.10g", median(bytes, k, m))
+        if (hasa[k]) rec = rec sprintf(", \"allocs_per_op\": %.10g", median(allocs, k, m))
+        printf "%s}%s\n", rec, (i < n - 1 ? "," : "")
+    }
     print "  ]"
     print "}"
 }' "$tmp" > "$out"
