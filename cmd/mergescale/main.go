@@ -33,12 +33,12 @@
 //
 // Output always goes through the streaming report pipeline
 // (experiments.StreamElements): -format selects the backend (text,
-// markdown, json, csv — all byte-deterministic), and each table row or
-// chart series is rendered as soon as it and everything before it in
-// registry order is ready, so time-to-first-output is the first
-// artifact's, not the whole run's. A failing experiment stops the run:
-// the documents before it (and any part of its own already rendered) stay
-// on stdout, the error goes to stderr, and the exit code is 1.
+// markdown, json, csv — all byte-deterministic), and each experiment's
+// document is rendered as soon as it and everything before it in registry
+// order is ready, so time-to-first-output is the first artifact's, not
+// the whole run's. A failing experiment stops the run: the documents
+// before it stay on stdout, none of its own is written, the error goes to
+// stderr, and the exit code is 1.
 //
 // With -cachedir, results persist across processes: a second run against a
 // warm cache directory replays every artifact from disk without running a
@@ -61,9 +61,9 @@
 //
 // The sweep subcommand evaluates a parametric design-space grid (a JSON
 // description of apps × budgets × r values — the exact POST /sweep
-// request body) and streams the rendered tables element-granularly: grid
-// points are evaluated in canonical order with no engine or cache, and
-// each table row flushes the moment its point is computed. The bytes are
+// request body) and streams the rendered tables row by row: grid points
+// are evaluated in canonical order with no engine or cache, and each
+// table row flushes the moment its point is computed. The bytes are
 // identical to the POST /sweep response for the same grid and format.
 // The grid's optional "acmp_r" and "comm" fields select asymmetric
 // designs and the communication-aware model.
@@ -246,8 +246,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 	eng, chain := ef.engine(stderr)
 
-	// Table rows flush the moment their engine sub-jobs resolve, released
-	// in registry order.
+	// Each document is rendered the moment its job resolves, released in
+	// registry order.
 	code = render(out, func(r report.Renderer) error {
 		return experiments.StreamElements(ctx, eng, targets, opt, r.Element)
 	}, stderr)

@@ -85,7 +85,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	var firstRow time.Duration
 	rows := 0
 	code = render(out, func(r report.Renderer) error {
-		_, err := plan.Run(ctx, func(el report.Element) error {
+		return plan.Run(ctx, func(el report.Element) error {
 			if el.Kind == report.ElemRow {
 				if rows == 0 {
 					firstRow = time.Since(start)
@@ -94,7 +94,6 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 			}
 			return r.Element(el)
 		})
-		return err
 	}, stderr)
 	total := time.Since(start)
 	code = out.close(code, stderr)

@@ -25,8 +25,8 @@ func writeGrid(t *testing.T, grid string) string {
 	return path
 }
 
-// bufferedSweep renders grid without streaming: normalize, run to a
-// document, then Begin/Replay/End.
+// bufferedSweep renders grid into a buffer without the subcommand:
+// normalize, then Begin, the plan's elements, End.
 func bufferedSweep(t *testing.T, grid, format string) []byte {
 	t.Helper()
 	req, err := experiments.ParseSweepRequest(strings.NewReader(grid))
@@ -34,10 +34,6 @@ func bufferedSweep(t *testing.T, grid, format string) []byte {
 		t.Fatal(err)
 	}
 	plan, err := req.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := plan.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +45,7 @@ func bufferedSweep(t *testing.T, grid, format string) []byte {
 	if err := r.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := doc.Replay(r); err != nil {
+	if err := plan.Run(context.Background(), r.Element); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.End(); err != nil {

@@ -1,6 +1,7 @@
 // Package experiments contains one regenerator per table and figure of the
-// paper (plus ablation studies beyond it). Each experiment produces a
-// report.Document with the same rows/series the paper reports, alongside
+// paper (plus ablation studies beyond it). Each experiment builds and
+// returns a plain report.Document with the same rows/series the paper
+// reports, alongside
 // the paper's published values where the text states them, so
 // EXPERIMENTS.md can record paper-vs-measured for every artifact.
 //
@@ -16,11 +17,15 @@
 // engine.Config{Workers: 1, DisableCache: true} is the serial, uncached
 // reference.
 //
-// StreamElements is the one run path consumers build on (the CLI's run
-// and sweep, and one stream per HTTP client in internal/serve): report
-// elements are released to emit in target order as jobs produce them, and
-// the first error cancels the run's derived context so outstanding jobs
-// stop computing for a consumer that is gone.
+// StreamElements is the one run path registry consumers build on (the
+// CLI's run, and one stream per GET /run client in internal/serve): each
+// experiment's whole document is released to emit, as its element
+// stream, in target order as soon as it and every earlier target have
+// resolved, and the first error cancels the run's derived context so
+// outstanding jobs stop computing for a consumer that is gone.
+// SweepPlan.Run (POST /sweep and the CLI's sweep) is the one row-granular
+// producer: it builds no document and emits each grid point's row as the
+// point is evaluated.
 //
 // Caching rules. Every experiment job is keyed by cacheKey: the artifact
 // id plus each Options field that changes output. Options.Engine is

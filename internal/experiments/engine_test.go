@@ -201,8 +201,8 @@ func TestStreamSinkErrorCancelsOutstandingJobs(t *testing.T) {
 	// fast completes only once slow is running, so the emit error (and the
 	// cancellation it triggers) always races against a job that is already
 	// in flight — the scenario under test — never one the engine can skip
-	// with its pre-execution ctx check. fast ignores opt.Emit, so its one
-	// BeginDoc element is replayed (and fails) when its job resolves.
+	// with its pre-execution ctx check. fast's document is released (and
+	// its first element fails) when its job resolves.
 	fast := Experiment{ID: "fake-fast", Title: "fast", Run: func(ctx context.Context, opt Options) (*report.Document, error) {
 		<-slowStarted
 		return &report.Document{ID: "fake-fast", Title: "fast"}, nil

@@ -38,16 +38,6 @@ type Options struct {
 	// StreamElements set it to the engine they run on. It is excluded from
 	// cache keys; see cacheKey.
 	Engine *engine.Engine
-	// Emit, when non-nil, receives the experiment's report elements live
-	// as they are produced — fine-grained (table frames, rows, chart
-	// series), in exactly Document.Elements() order. Experiments built on
-	// report.Emitter forward through it; experiments that ignore it still
-	// return a complete document, and StreamElements replays
-	// doc.Elements() for them on release. Like Engine it only affects
-	// delivery, never results, and is excluded from cache keys (cacheKey
-	// hashes nothing but the id, Quick, UseDuration and the config
-	// fingerprint).
-	Emit func(report.Element) error
 }
 
 // cacheKey hashes an experiment id plus every Options field that changes

@@ -12,14 +12,12 @@ import (
 )
 
 // Fig2a reproduces the application-scalability plot: simulated speedup up
-// to 16 cores for the three workloads. Built on report.Emitter, so with
-// opt.Emit set each workload's table row streams out the moment its
-// per-core simulation sub-jobs resolve.
+// to 16 cores for the three workloads.
 func Fig2a(ctx context.Context, opt Options) (*report.Document, error) {
-	em := report.NewEmitter("fig2a", "Application scalability (simulation)", opt.Emit)
+	doc := &report.Document{ID: "fig2a", Title: "Application scalability (simulation)"}
 	cores := simCoreCounts(opt)
-	em.Table("Fig 2(a) — simulated speedup vs cores", append([]string{"Application"}, intHeaders(cores)...)...)
-	ch := em.Chart("Fig 2(a) — speedup", "cores", "speedup", true)
+	t := doc.AddTable("Fig 2(a) — simulated speedup vs cores", append([]string{"Application"}, intHeaders(cores)...)...)
+	ch := doc.AddChart("Fig 2(a) — speedup", "cores", "speedup", true)
 	for _, w := range workloadSet(opt) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -41,26 +39,26 @@ func Fig2a(ctx context.Context, opt Options) (*report.Document, error) {
 			xs = append(xs, float64(c))
 			ys = append(ys, sp[c])
 		}
-		em.Row(row...)
+		t.AddRow(row...)
 		ch.Series = append(ch.Series, report.Series{Name: w.Name(), X: xs, Y: ys})
 	}
-	em.Note("Paper: kmeans and fuzzy scale close to 16 at 16 cores; hop peaks around 13.5 (tree-construction kernel).")
-	return em.Finish()
+	doc.AddNote("Paper: kmeans and fuzzy scale close to 16 at 16 cores; hop peaks around 13.5 (tree-construction kernel).")
+	return doc, nil
 }
 
 // serialGrowthDoc is the shared implementation of Fig 2(b) (simulation) and
 // Fig 2(c) (native).
 func serialGrowthDoc(ctx context.Context, id, title string, opt Options, native bool) (*report.Document, error) {
-	em := report.NewEmitter(id, title, opt.Emit)
+	doc := &report.Document{ID: id, Title: title}
 	var grid []int
 	if native {
 		grid = nativeThreadCounts(opt)
 	} else {
 		grid = simCoreCounts(opt)
 	}
-	em.Table(title+" — serial section time normalized to 1 core",
+	t := doc.AddTable(title+" — serial section time normalized to 1 core",
 		append([]string{"Application"}, intHeaders(grid)...)...)
-	ch := em.Chart(title, "cores", "normalized serial time", true)
+	ch := doc.AddChart(title, "cores", "normalized serial time", true)
 	for _, w := range workloadSet(opt) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -91,11 +89,11 @@ func serialGrowthDoc(ctx context.Context, id, title string, opt Options, native 
 			xs = append(xs, float64(th))
 			ys = append(ys, norm[i])
 		}
-		em.Row(row...)
+		t.AddRow(row...)
 		ch.Series = append(ch.Series, report.Series{Name: w.Name(), X: xs, Y: ys})
 	}
-	em.Note("Paper finding: serial time grows significantly with cores for all three applications instead of staying constant.")
-	return em.Finish()
+	doc.AddNote("Paper finding: serial time grows significantly with cores for all three applications instead of staying constant.")
+	return doc, nil
 }
 
 // Fig2b reproduces the simulated serial-section growth.
@@ -111,9 +109,9 @@ func Fig2c(ctx context.Context, opt Options) (*report.Document, error) {
 // Fig2d reproduces the model-accuracy plot: model-predicted over measured
 // serial-section growth.
 func Fig2d(ctx context.Context, opt Options) (*report.Document, error) {
-	em := report.NewEmitter("fig2d", "Model accuracy (model / simulation)", opt.Emit)
+	doc := &report.Document{ID: "fig2d", Title: "Model accuracy (model / simulation)"}
 	grid := simCoreCounts(opt)
-	em.Table("Fig 2(d) — predicted/measured serial time",
+	t := doc.AddTable("Fig 2(d) — predicted/measured serial time",
 		append([]string{"Application"}, intHeaders(grid)...)...)
 	worst := 0.0
 	for _, w := range workloadSet(opt) {
@@ -144,14 +142,14 @@ func Fig2d(ctx context.Context, opt Options) (*report.Document, error) {
 				worst = dev
 			}
 		}
-		em.Row(row...)
+		t.AddRow(row...)
 	}
 	// The paper's bound holds for the full-size run, where
 	// TestFig2dPaperBound gates every ratio to [0.82, 1.14]; -quick data
 	// sets are too small for the linear growth fit and exceed it. The note's
 	// text is part of every rendering's bytes, so it stays as it is.
-	em.Note("Worst deviation %.1f%%; the paper reports at most 14%% over- and 18%% under-estimation, i.e. the simple linear extension tracks the growth closely.", worst*100)
-	return em.Finish()
+	doc.AddNote("Worst deviation %.1f%%; the paper reports at most 14%% over- and 18%% under-estimation, i.e. the simple linear extension tracks the growth closely.", worst*100)
+	return doc, nil
 }
 
 // Fig3 compares scalability predictions with and without reduction
@@ -204,16 +202,15 @@ var fig4Panels = []struct {
 
 // Fig4 sweeps the symmetric design space for the Table III classes with
 // linear and logarithmic growth functions: 16 series (4 panels × 4
-// parameterizations), each a plain call to the closed-form model. With
-// opt.Emit set, every series row streams out as soon as it is computed.
-func Fig4(_ context.Context, opt Options) (*report.Document, error) {
-	em := report.NewEmitter("fig4", "Scalability on symmetric CMPs", opt.Emit)
+// parameterizations), each a plain call to the closed-form model.
+func Fig4(_ context.Context, _ Options) (*report.Document, error) {
+	doc := &report.Document{ID: "fig4", Title: "Scalability on symmetric CMPs"}
 	b := core.DefaultBudget
 	rs := core.PowerOfTwoRs(b.N)
 	headers := append([]string{"series"}, floatHeaders(rs)...)
 	for _, panel := range fig4Panels {
-		em.Table("Fig 4"+panel.title, headers...)
-		ch := em.Chart("Fig 4"+panel.title, "r (BCEs per core)", "speedup", true)
+		t := doc.AddTable("Fig 4"+panel.title, headers...)
+		ch := doc.AddChart("Fig 4"+panel.title, "r (BCEs per core)", "speedup", true)
 		for _, f := range []float64{0.999, 0.99} {
 			for _, g := range []core.GrowthKind{core.GrowthLinear, core.GrowthLog} {
 				app := core.AppParams{Name: "class", F: f, FCon: panel.fcon, FOred: panel.ford, Growth: g}
@@ -227,18 +224,18 @@ func Fig4(_ context.Context, opt Options) (*report.Document, error) {
 					xs = append(xs, p.R)
 					ys = append(ys, p.Speedup)
 				}
-				em.Row(row...)
+				t.AddRow(row...)
 				ch.Series = append(ch.Series, report.Series{Name: row[0], X: xs, Y: ys})
 				if best, ok := core.Best(pts); ok {
-					em.Note("Fig 4" + panel.title[:3] + " " + row[0] + ": peak " + f1(best.Speedup) + " at r=" + f0(best.R))
+					doc.AddNote("Fig 4" + panel.title[:3] + " " + row[0] + ": peak " + f1(best.Speedup) + " at r=" + f0(best.R))
 				}
 			}
 		}
 		if panel.paperNote != "" {
-			em.Note("Fig 4" + panel.title[:3] + ": " + panel.paperNote)
+			doc.AddNote("Fig 4" + panel.title[:3] + ": " + panel.paperNote)
 		}
 	}
-	return em.Finish()
+	return doc, nil
 }
 
 // fig5Panels describes the eight asymmetric-CMP panels in paper order.
@@ -260,14 +257,14 @@ var fig5Panels = []struct {
 
 // Fig5 sweeps the asymmetric design space: large-core size rl on the
 // x-axis, one series per small-core size r ∈ {1, 4, 16}.
-func Fig5(_ context.Context, opt Options) (*report.Document, error) {
-	em := report.NewEmitter("fig5", "Scalability on asymmetric CMPs", opt.Emit)
+func Fig5(_ context.Context, _ Options) (*report.Document, error) {
+	doc := &report.Document{ID: "fig5", Title: "Scalability on asymmetric CMPs"}
 	b := core.DefaultBudget
 	rls := core.PowerOfTwoRs(b.N)
 	headers := append([]string{"series"}, floatHeaders(rls)...)
 	for _, panel := range fig5Panels {
-		em.Table("Fig 5"+panel.title, headers...)
-		ch := em.Chart("Fig 5"+panel.title, "rl (BCEs of large core)", "speedup", true)
+		t := doc.AddTable("Fig 5"+panel.title, headers...)
+		ch := doc.AddChart("Fig 5"+panel.title, "rl (BCEs of large core)", "speedup", true)
 		app := core.AppParams{Name: "class", F: panel.f, FCon: panel.fcon, FOred: panel.ford, Growth: core.GrowthLinear}
 		for _, r := range []float64{1, 4, 16} {
 			pts := core.SweepAsymmetric(app, b, rls, r)
@@ -286,17 +283,17 @@ func Fig5(_ context.Context, opt Options) (*report.Document, error) {
 				}
 				row = append(row, cell)
 			}
-			em.Row(row...)
+			t.AddRow(row...)
 			ch.Series = append(ch.Series, report.Series{Name: row[0], X: xs, Y: ys})
 			if best, ok := core.Best(pts); ok {
-				em.Note("Fig 5" + panel.title[:3] + " " + row[0] + ": peak " + f1(best.Speedup) + " at rl=" + f0(best.R))
+				doc.AddNote("Fig 5" + panel.title[:3] + " " + row[0] + ": peak " + f1(best.Speedup) + " at rl=" + f0(best.R))
 			}
 		}
 		if panel.paperNote != "" {
-			em.Note("Fig 5" + panel.title[:3] + ": " + panel.paperNote)
+			doc.AddNote("Fig 5" + panel.title[:3] + ": " + panel.paperNote)
 		}
 	}
-	return em.Finish()
+	return doc, nil
 }
 
 // Fig6 renders the reduction-fraction decomposition (a diagram in the
@@ -322,18 +319,18 @@ func Fig6(_ context.Context, _ Options) (*report.Document, error) {
 // Fig7 evaluates the communication-aware model on the non-embarrassingly
 // parallel, moderate-constant class with a parallel reduction over a 2D
 // mesh.
-func Fig7(_ context.Context, opt Options) (*report.Document, error) {
-	em := report.NewEmitter("fig7", "Scalability with communication-aware model", opt.Emit)
+func Fig7(_ context.Context, _ Options) (*report.Document, error) {
+	doc := &report.Document{ID: "fig7", Title: "Scalability with communication-aware model"}
 	b := core.DefaultBudget
 	app := core.AppParams{Name: "non-emb-moderate", F: 0.99, FCon: 0.60, Growth: core.GrowthNone}
 	m := core.NewCommModel(app)
 
 	rs := core.PowerOfTwoRs(b.N)
-	em.Table("Fig 7(a) — symmetric CMPs", append([]string{"series"}, floatHeaders(rs)...)...)
+	ta := doc.AddTable("Fig 7(a) — symmetric CMPs", append([]string{"series"}, floatHeaders(rs)...)...)
 	pts := core.SweepSymmetricComm(m, b, rs)
 	row := make([]string, 0, len(rs)+1)
 	row = append(row, "mesh/parallel-reduction")
-	ch := em.Chart("Fig 7(a) — symmetric", "r", "speedup", true)
+	ch := doc.AddChart("Fig 7(a) — symmetric", "r", "speedup", true)
 	xs := make([]float64, 0, len(rs))
 	ys := make([]float64, 0, len(rs))
 	for _, p := range pts {
@@ -341,14 +338,14 @@ func Fig7(_ context.Context, opt Options) (*report.Document, error) {
 		xs = append(xs, p.R)
 		ys = append(ys, p.Speedup)
 	}
-	em.Row(row...)
+	ta.AddRow(row...)
 	ch.Series = append(ch.Series, report.Series{Name: row[0], X: xs, Y: ys})
 	if best, ok := core.Best(pts); ok {
-		em.Note("Fig 7(a): peak " + f1(best.Speedup) + " at r=" + f0(best.R) + " (paper: 46.6 at r=8; Amdahl would give 79.7)")
+		doc.AddNote("Fig 7(a): peak " + f1(best.Speedup) + " at r=" + f0(best.R) + " (paper: 46.6 at r=8; Amdahl would give 79.7)")
 	}
 
-	em.Table("Fig 7(b) — asymmetric CMPs", append([]string{"series"}, floatHeaders(rs)...)...)
-	ch2 := em.Chart("Fig 7(b) — asymmetric", "rl", "speedup", true)
+	tb := doc.AddTable("Fig 7(b) — asymmetric CMPs", append([]string{"series"}, floatHeaders(rs)...)...)
+	ch2 := doc.AddChart("Fig 7(b) — asymmetric", "rl", "speedup", true)
 	bestAll := core.SweepPoint{}
 	for _, r := range []float64{1, 4, 16} {
 		apts := core.SweepAsymmetricComm(m, b, rs, r)
@@ -367,14 +364,14 @@ func Fig7(_ context.Context, opt Options) (*report.Document, error) {
 			}
 			arow = append(arow, cell)
 		}
-		em.Row(arow...)
+		tb.AddRow(arow...)
 		ch2.Series = append(ch2.Series, report.Series{Name: arow[0], X: axs, Y: ays})
 		if best, ok := core.Best(apts); ok && best.Speedup > bestAll.Speedup {
 			bestAll = best
 		}
 	}
-	em.Note("Fig 7(b): ACMP peak " + f1(bestAll.Speedup) + " (paper: 51.6; Amdahl's ACMP estimate was 162.3) — the ACMP advantage is diminished.")
-	return em.Finish()
+	doc.AddNote("Fig 7(b): ACMP peak " + f1(bestAll.Speedup) + " (paper: 51.6; Amdahl's ACMP estimate was 162.3) — the ACMP advantage is diminished.")
+	return doc, nil
 }
 
 func intHeaders(xs []int) []string {

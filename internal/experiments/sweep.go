@@ -383,40 +383,52 @@ func (p *SweepPlan) eval(g sweepGroup, x float64) (speedup, cores float64) {
 	return core.SpeedupCMP(g.App, d), d.Cores()
 }
 
-// Run evaluates the plan into a single document, one table per
-// (app, budget) group in canonical order. Points evaluate in plan order
-// on the calling goroutine, and each row goes out through emit (which may
-// be nil) as soon as its point is computed. The run stops at the first
-// point after ctx is done or emit has failed. The emit signature matches
-// Options.Emit, so a plan drops into the same render pipelines as the
-// registry experiments.
-func (p *SweepPlan) Run(ctx context.Context, emit func(report.Element) error) (*report.Document, error) {
-	em := report.NewEmitter("sweep", "Design-space sweep", emit)
+// Run evaluates the plan and streams it to emit as one document's
+// elements: BeginDoc, then BeginTable, one Row per point and EndTable for
+// each (app, budget) group in canonical order, then one peak note per
+// group, then EndDoc. Points evaluate in plan order on the calling
+// goroutine, and each row goes to emit as soon as its point is computed;
+// no document is built. The run stops at the first point after ctx is
+// done, or at the first emit error.
+func (p *SweepPlan) Run(ctx context.Context, emit func(report.Element) error) error {
+	if err := emit(report.Element{Kind: report.ElemBeginDoc, ID: "sweep", Title: "Design-space sweep"}); err != nil {
+		return err
+	}
 	x := p.xName()
 	res := make([]core.SweepPoint, len(p.points))
 	for i, pt := range p.points {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
-		}
-		if err := em.Err(); err != nil {
-			return nil, err
+			return fmt.Errorf("sweep: point %d: %w", i, err)
 		}
 		if hook := sweepPointStart; hook != nil {
 			hook(i)
 		}
 		g := p.groups[pt.Group]
 		if i == g.Start {
-			em.Table(g.Title, x, "cores", "speedup")
+			frame := report.Table{Title: g.Title, Columns: []string{x, "cores", "speedup"}}
+			if err := emit(report.Element{Kind: report.ElemBeginTable, Table: frame}); err != nil {
+				return err
+			}
 		}
 		speedup, cores := p.eval(g, pt.R)
 		res[i] = core.SweepPoint{R: pt.R, Speedup: speedup}
-		em.Row(fg(pt.R), fg(cores), f2(speedup))
+		if err := emit(report.Element{Kind: report.ElemRow, Row: []string{fg(pt.R), fg(cores), f2(speedup)}}); err != nil {
+			return err
+		}
+		if i == g.End-1 {
+			if err := emit(report.Element{Kind: report.ElemEndTable}); err != nil {
+				return err
+			}
+		}
 	}
 
 	for _, g := range p.groups {
 		if best, ok := core.Best(res[g.Start:g.End]); ok {
-			em.Note(g.Title + ": peak " + f2(best.Speedup) + " at " + x + "=" + fg(best.R))
+			note := g.Title + ": peak " + f2(best.Speedup) + " at " + x + "=" + fg(best.R)
+			if err := emit(report.Element{Kind: report.ElemNote, Note: note}); err != nil {
+				return err
+			}
 		}
 	}
-	return em.Finish()
+	return emit(report.Element{Kind: report.ElemEndDoc})
 }

@@ -218,10 +218,7 @@ func TestSweepPredictParity(t *testing.T) {
 		{`,"comm":true`, "r", core.SweepSymmetricComm(core.NewCommModel(app), b, grid)},
 		{`,"acmp_r":4,"comm":true`, "rl", core.SweepAsymmetricComm(core.NewCommModel(app), b, grid, 4)},
 	} {
-		doc, err := mustPlan(t, body+tc.mode+"}").Run(context.Background(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		doc := collectSweep(t, mustPlan(t, body+tc.mode+"}"))
 		if len(doc.Tables) != 1 {
 			t.Fatalf("%q: %d tables, want 1", tc.mode, len(doc.Tables))
 		}
@@ -240,10 +237,50 @@ func TestSweepPredictParity(t *testing.T) {
 	}
 }
 
-// renderPlan renders one plan through format, either buffered (run to a
-// document, then Replay) or streamed (plan emits elements straight into
-// the renderer). The two must be byte-identical — the same guarantee the
-// registry experiments carry, extended to client-supplied sweeps.
+// collectSweep runs plan and rebuilds the document its element stream
+// describes. The stream must have exactly the element kinds, in order,
+// that the rebuilt document's Elements() replays.
+func collectSweep(t *testing.T, plan *SweepPlan) *report.Document {
+	t.Helper()
+	var els []report.Element
+	if err := plan.Run(context.Background(), func(el report.Element) error {
+		els = append(els, el)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(els) == 0 || els[0].Kind != report.ElemBeginDoc {
+		t.Fatal("sweep stream does not open with ElemBeginDoc")
+	}
+	doc := &report.Document{ID: els[0].ID, Title: els[0].Title}
+	var tab *report.Table
+	for _, el := range els[1:] {
+		switch el.Kind {
+		case report.ElemBeginTable:
+			tab = doc.AddTable(el.Table.Title, el.Table.Columns...)
+		case report.ElemRow:
+			tab.AddRow(el.Row...)
+		case report.ElemNote:
+			doc.Notes = append(doc.Notes, el.Note)
+		}
+	}
+	replay := doc.Elements()
+	if len(replay) != len(els) {
+		t.Fatalf("sweep stream has %d elements, its document replays %d", len(els), len(replay))
+	}
+	for i := range els {
+		if els[i].Kind != replay[i].Kind {
+			t.Fatalf("element %d: stream kind %d, document replays kind %d", i, els[i].Kind, replay[i].Kind)
+		}
+	}
+	return doc
+}
+
+// renderPlan renders one plan through format, either streamed (the plan
+// emits elements straight into the renderer) or replayed (the document
+// collectSweep rebuilds from the stream, replayed through Document.Replay).
+// The two must be byte-identical: the sweep stream renders exactly like a
+// registry experiment's document.
 func renderPlan(t *testing.T, plan *SweepPlan, format string, streamed bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -254,18 +291,12 @@ func renderPlan(t *testing.T, plan *SweepPlan, format string, streamed bool) []b
 	if err := r.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	var emit func(report.Element) error
 	if streamed {
-		emit = r.Element
-	}
-	doc, err := plan.Run(context.Background(), emit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !streamed {
-		if err := doc.Replay(r); err != nil {
+		if err := plan.Run(context.Background(), r.Element); err != nil {
 			t.Fatal(err)
 		}
+	} else if err := collectSweep(t, plan).Replay(r); err != nil {
+		t.Fatal(err)
 	}
 	if err := r.End(); err != nil {
 		t.Fatal(err)
@@ -274,8 +305,8 @@ func renderPlan(t *testing.T, plan *SweepPlan, format string, streamed bool) []b
 }
 
 // TestSweepRunDeterministic: in all four formats, the streamed rendering
-// (rows emitted as points are evaluated) is byte-identical to the buffered
-// one (run to a document, then Replay), and a second run repeats it.
+// (rows emitted as points are evaluated) is byte-identical to the replay
+// of the document the stream describes, and a second run repeats it.
 func TestSweepRunDeterministic(t *testing.T) {
 	plan := mustPlan(t, sweepBody)
 	for _, format := range []string{"text", "markdown", "json", "csv"} {
@@ -284,10 +315,10 @@ func TestSweepRunDeterministic(t *testing.T) {
 			t.Fatalf("%s: buffered render is empty", format)
 		}
 		if got := renderPlan(t, plan, format, true); !bytes.Equal(want, got) {
-			t.Fatalf("%s: streamed render differs from buffered", format)
+			t.Fatalf("%s: streamed render differs from the document replay", format)
 		}
 		if got := renderPlan(t, plan, format, false); !bytes.Equal(want, got) {
-			t.Fatalf("%s: second buffered render differs from the first", format)
+			t.Fatalf("%s: second replay differs from the first", format)
 		}
 	}
 }
@@ -324,7 +355,7 @@ func TestSweepFirstRowBeforeLastJobCompletes(t *testing.T) {
 
 	var once sync.Once
 	rows := 0
-	_, err := plan.Run(context.Background(), func(el report.Element) error {
+	err := plan.Run(context.Background(), func(el report.Element) error {
 		if el.Kind == report.ElemRow {
 			once.Do(func() { close(firstRow) })
 			rows++
@@ -352,7 +383,7 @@ func TestSweepRunStopsEarly(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := plan.Run(ctx, nil); !errors.Is(err, context.Canceled) {
+	if err := plan.Run(ctx, func(report.Element) error { return nil }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
 	}
 	if evaluated != 0 {
@@ -360,7 +391,7 @@ func TestSweepRunStopsEarly(t *testing.T) {
 	}
 
 	errGone := errors.New("client gone")
-	_, err := plan.Run(context.Background(), func(el report.Element) error {
+	err := plan.Run(context.Background(), func(el report.Element) error {
 		if el.Kind == report.ElemRow {
 			return errGone
 		}

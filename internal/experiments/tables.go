@@ -57,11 +57,9 @@ func measureApp(ctx context.Context, w workload.Workload, opt Options) (core.App
 }
 
 // Table2 regenerates the application-parameter table from simulation.
-// With opt.Emit set, each application's row streams out as soon as its
-// per-core simulation sub-jobs resolve.
 func Table2(ctx context.Context, opt Options) (*report.Document, error) {
-	em := report.NewEmitter("table2", "Application parameters (measured on the simulator)", opt.Emit)
-	em.Table("Table II — application parameters",
+	doc := &report.Document{ID: "table2", Title: "Application parameters (measured on the simulator)"}
+	t := doc.AddTable("Table II — application parameters",
 		"Application", "serial(%)", "fored(%)", "fred(%)", "fcon(%)", "f",
 		"paper serial(%)", "paper fored(%)", "paper fred(%)", "paper fcon(%)", "paper f")
 	for _, w := range workloadSet(opt) {
@@ -73,7 +71,7 @@ func Table2(ctx context.Context, opt Options) (*report.Document, error) {
 			return nil, fmt.Errorf("%s: %w", w.Name(), err)
 		}
 		p := paperTableII[w.Name()]
-		em.Row(w.Name(),
+		t.AddRow(w.Name(),
 			report.FormatFloat(ap.SerialFraction()*100),
 			report.FormatFloat(ap.FOred*100),
 			report.FormatFloat(ap.FRed()*100),
@@ -85,9 +83,9 @@ func Table2(ctx context.Context, opt Options) (*report.Document, error) {
 			report.FormatFloat(p.fconPct),
 			f5(p.f))
 	}
-	em.Note("Critical sections are not modeled (paper measures <= 0.004%% and excludes them from the analysis).")
-	em.Note("Absolute percentages depend on the simulator's latency constants; the ordering (fuzzy > kmeans > hop in f; hop highest fcon; hop superlinear fored) matches the paper.")
-	return em.Finish()
+	doc.AddNote("Critical sections are not modeled (paper measures <= 0.004%% and excludes them from the analysis).")
+	doc.AddNote("Absolute percentages depend on the simulator's latency constants; the ordering (fuzzy > kmeans > hop in f; hop highest fcon; hop superlinear fored) matches the paper.")
+	return doc, nil
 }
 
 // Table3 renders the eight synthetic application classes.
@@ -121,11 +119,9 @@ var paperTableIV = map[string][3]float64{
 }
 
 // Table4 regenerates the data-set sensitivity study from native runs.
-// With opt.Emit set, each dataset's row streams out as its native run
-// completes.
 func Table4(ctx context.Context, opt Options) (*report.Document, error) {
-	em := report.NewEmitter("table4", "Dataset sensitivity (native runs, operation counts)", opt.Emit)
-	em.Table("Table IV — dataset sensitivity",
+	doc := &report.Document{ID: "table4", Title: "Dataset sensitivity (native runs, operation counts)"}
+	t := doc.AddTable("Table IV — dataset sensitivity",
 		"Data Label", "Attributes", "f", "fred(%)", "fcon(%)", "paper f", "paper fred(%)", "paper fcon(%)")
 
 	// Five iterations suffice: the section fractions are per-iteration
@@ -159,7 +155,7 @@ func Table4(ctx context.Context, opt Options) (*report.Document, error) {
 		}
 		attrs := "N:" + itoa(spec.N) + " D:" + itoa(spec.D) + " C:" + itoa(spec.C)
 		pv := paperTableIV[label]
-		em.Row(label, attrs,
+		t.AddRow(label, attrs,
 			f5(ap.F),
 			report.FormatFloat(ap.FRed()*100),
 			report.FormatFloat(ap.FCon*100),
@@ -198,6 +194,6 @@ func Table4(ctx context.Context, opt Options) (*report.Document, error) {
 			return nil, fmt.Errorf("%s: %w", spec.Label, err)
 		}
 	}
-	em.Note("Paper finding reproduced when present: scaling points raises f (merge work is independent of N); scaling dimensions/centers leaves f nearly unchanged.")
-	return em.Finish()
+	doc.AddNote("Paper finding reproduced when present: scaling points raises f (merge work is independent of N); scaling dimensions/centers leaves f nearly unchanged.")
+	return doc, nil
 }

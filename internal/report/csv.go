@@ -19,10 +19,9 @@ func (d *Document) CSV(w io.Writer) error {
 // titles, so consumers can locate sections without document framing. sep
 // adds the blank line that separates documents in a stream.
 //
-// CSV rows carry no alignment, so the fine-grained kinds flush truly
-// incrementally: ElemBeginTable writes the # title comment and header row,
-// every ElemRow goes straight to the writer, and ElemEndTable emits the
-// closing blank line — byte-identical to the coarse ElemTable form.
+// CSV rows carry no alignment, so tables flush row by row: ElemBeginTable
+// writes the # title comment and header row, every ElemRow goes straight
+// to the writer, and ElemEndTable emits the closing blank line.
 type csvRenderer struct {
 	w   io.Writer
 	sep bool
@@ -33,15 +32,6 @@ func (r *csvRenderer) End() error   { return nil }
 
 func (r *csvRenderer) Element(el Element) error {
 	switch el.Kind {
-	case ElemTable:
-		if _, err := fmt.Fprintf(r.w, "# %s\n", el.Table.Title); err != nil {
-			return err
-		}
-		if err := el.Table.CSV(r.w); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintln(r.w)
-		return err
 	case ElemBeginTable:
 		if _, err := fmt.Fprintf(r.w, "# %s\n", el.Table.Title); err != nil {
 			return err
@@ -58,7 +48,7 @@ func (r *csvRenderer) Element(el Element) error {
 		}
 		_, err := fmt.Fprintln(r.w)
 		return err
-	case ElemBeginDoc, ElemChart, ElemNote, ElemBeginChart, ElemSeries, ElemEndChart:
+	case ElemBeginDoc, ElemNote, ElemBeginChart, ElemSeries, ElemEndChart:
 		return nil
 	}
 	return fmt.Errorf("report: unknown element kind %d", el.Kind)
@@ -72,9 +62,7 @@ func csvEscape(s string) string {
 	return s
 }
 
-// csvWriteRow writes one comma-joined, escaped row — shared by the coarse
-// Table.CSV replay and the fine-grained streaming path so both emit
-// identical bytes.
+// csvWriteRow writes one comma-joined, escaped row.
 func csvWriteRow(w io.Writer, cells []string) error {
 	out := make([]string, len(cells))
 	for i, c := range cells {

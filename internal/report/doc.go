@@ -9,12 +9,14 @@
 // through the engine's persistent disk cache unchanged (the experiments
 // package registers *Document with encoding/gob for exactly that path).
 //
-// Rendering is a streaming pipeline: a Document is a thin recorder that
-// Replay()s as a flat Element stream (ElemBeginDoc, tables, charts, notes,
-// ElemEndDoc) into any Renderer backend — text, markdown, json, or csv via
-// NewRenderer. Backends render incrementally and own all framing bytes, so
-// documents streamed one at a time as experiments complete produce output
-// byte-identical to a fully buffered run. The legacy whole-document
-// methods (Render, Markdown, CSV, JSON) are standalone replays into the
-// same backends.
+// Rendering is a streaming pipeline: a Document Replay()s as a flat
+// Element stream (ElemBeginDoc, tables as begin/row/end, charts as
+// begin/series/end, notes, ElemEndDoc) into any Renderer backend — text,
+// markdown, json, or csv via NewRenderer. Backends render incrementally
+// and own all framing bytes, so documents released one at a time as
+// experiments complete produce output byte-identical to a fully buffered
+// run. A producer may also emit the element stream directly without
+// building a Document (the /sweep plan streams its rows that way). The
+// whole-document methods (Render, Markdown, CSV, JSON) are standalone
+// replays into the same backends.
 package report

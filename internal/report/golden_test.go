@@ -35,10 +35,10 @@ func goldenDocs() []*Document {
 
 	mixed := &Document{ID: "mixed", Title: "AddRowf formatting"}
 	mt := mixed.AddTable("floats", "kind", "value")
-	mt.AddRowf("integer float", 42.0)
-	mt.AddRowf("large", 1234.567)
-	mt.AddRowf("small", 0.00012345)
-	mt.AddRowf("string", "plain")
+	mt.AddRow("integer float", FormatFloat(42.0))
+	mt.AddRow("large", FormatFloat(1234.567))
+	mt.AddRow("small", FormatFloat(0.00012345))
+	mt.AddRow("string", "plain")
 
 	empty := &Document{ID: "empty", Title: "No tables or charts"}
 	empty.AddNote("only a note")

@@ -49,10 +49,9 @@ type jsonSeries struct {
 // — elements arrive grouped (tables, charts, notes) between BeginDoc and
 // EndDoc, and the object is flushed on EndDoc — so memory stays bounded by
 // the largest single document, not the whole run (the document schema is a
-// single object, so this format cannot flush individual rows). Fine-
-// grained table/chart elements accumulate into tbl/cht until their End
-// element. bare drops the array framing for the standalone Document.JSON
-// form.
+// single object, so this format cannot flush individual rows). Table and
+// chart elements accumulate into tbl/cht until their End element. bare
+// drops the array framing for the standalone Document.JSON form.
 type jsonRenderer struct {
 	w    io.Writer
 	bare bool
@@ -91,23 +90,10 @@ func (r *jsonRenderer) Element(el Element) error {
 	case ElemBeginDoc:
 		r.cur = &jsonDoc{ID: el.ID, Title: el.Title}
 		return nil
-	case ElemTable:
-		t := el.Table
-		r.cur.Tables = append(r.cur.Tables, jsonTable{Title: t.Title, Columns: t.Columns, Rows: t.Rows})
-		return nil
-	case ElemChart:
-		c := el.Chart
-		jc := jsonChart{Title: c.Title, XLabel: c.XLabel, YLabel: c.YLabel, LogX: c.LogX}
-		for _, s := range c.Series {
-			jc.Series = append(jc.Series, jsonSeries{Name: s.Name, X: s.X, Y: s.Y})
-		}
-		r.cur.Charts = append(r.cur.Charts, jc)
-		return nil
 	case ElemBeginTable:
 		t := el.Table
-		// Rows keeps the frame's nil-ness so a rowless table marshals
-		// exactly like the coarse form: nil -> "rows": null, empty ->
-		// "rows": [].
+		// Rows keeps the frame's nil-ness so a rowless table marshals as
+		// its Document does: nil -> "rows": null, empty -> "rows": [].
 		r.tbl = &jsonTable{Title: t.Title, Columns: t.Columns, Rows: t.Rows}
 		return nil
 	case ElemRow:

@@ -17,7 +17,7 @@ func (d *Document) Markdown(w io.Writer) error {
 }
 
 // markdownRenderer is the GFM backend. Pipe-table rows need no alignment,
-// so fine-grained tables flush truly incrementally: ElemBeginTable writes
+// so tables flush row by row: ElemBeginTable writes
 // the title, header and separator at once, every ElemRow goes straight to
 // the writer (cols holds the open table's column count for padding), and
 // ElemEndTable just closes with the blank line. Charts render as ASCII
@@ -39,12 +39,6 @@ func (r *markdownRenderer) Element(el Element) error {
 	case ElemBeginDoc:
 		r.sawNote = false
 		_, err := fmt.Fprintf(r.w, "## %s: %s\n\n", escapeMarkdown(el.ID), escapeMarkdown(el.Title))
-		return err
-	case ElemTable:
-		if err := el.Table.Markdown(r.w); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintln(r.w)
 		return err
 	case ElemBeginTable:
 		r.inTable, r.cols = true, el.Table.Columns
@@ -74,12 +68,10 @@ func (r *markdownRenderer) Element(el Element) error {
 		}
 		c := r.chart
 		r.chart = nil
-		return r.Element(Element{Kind: ElemChart, Chart: *c})
-	case ElemChart:
 		if _, err := fmt.Fprintln(r.w, "```"); err != nil {
 			return err
 		}
-		if err := el.Chart.Render(r.w); err != nil {
+		if err := c.Render(r.w); err != nil {
 			return err
 		}
 		if _, err := fmt.Fprintln(r.w, "```"); err != nil {
@@ -99,21 +91,6 @@ func (r *markdownRenderer) Element(el Element) error {
 		return err
 	}
 	return fmt.Errorf("report: unknown element kind %d", el.Kind)
-}
-
-// Markdown writes the table as a GFM pipe table preceded by its title in
-// bold. It shares markdownTableHeader/markdownTableRow with the
-// fine-grained streaming path, so both emit identical bytes.
-func (t *Table) Markdown(w io.Writer) error {
-	if err := markdownTableHeader(w, t.Title, t.Columns); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := markdownTableRow(w, t.Columns, r); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // markdownTableHeader writes the bold title (when present), the header row

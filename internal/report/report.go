@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -18,28 +17,6 @@ type Table struct {
 
 // AddRow appends a row of stringified cells.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
-
-// AddRowf appends a row, formatting each value with %v (floats with %g
-// should be pre-formatted by the caller; this is a convenience for mixed
-// rows).
-func (t *Table) AddRowf(values ...interface{}) {
-	t.Rows = append(t.Rows, formatRow(values))
-}
-
-// formatRow stringifies mixed row values — floats through FormatFloat,
-// everything else through %v — shared by AddRowf and Emitter.Rowf.
-func formatRow(values []interface{}) []string {
-	row := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			row[i] = FormatFloat(x)
-		default:
-			row[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	return row
-}
 
 // FormatFloat renders a float compactly: integers without decimals, small
 // magnitudes with enough precision to be meaningful. It formats through
@@ -126,21 +103,6 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	for _, row := range t.Rows {
 		if err := writeLine(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CSV writes the table as RFC-4180-ish CSV (quoting cells that need it).
-// It shares csvWriteRow with the fine-grained streaming path, so both emit
-// identical bytes.
-func (t *Table) CSV(w io.Writer) error {
-	if err := csvWriteRow(w, t.Columns); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := csvWriteRow(w, row); err != nil {
 			return err
 		}
 	}
@@ -333,10 +295,10 @@ func (d *Document) Render(w io.Writer) error {
 
 // textRenderer is the fixed-width terminal backend: a == heading, aligned
 // tables, ASCII charts, and note: lines. sep adds the blank line that
-// separates (and trails) documents in a stream. Fine-grained tables and
-// charts are reassembled in tbl/chart before rendering: column alignment
-// needs every row's width and the ASCII plot needs the global min/max, so
-// this format cannot flush mid-table (markdown and csv can).
+// separates (and trails) documents in a stream. Tables and charts are
+// reassembled in tbl/chart and rendered at their End element: column
+// alignment needs every row's width and the ASCII plot needs the global
+// min/max, so this format cannot flush mid-table (markdown and csv can).
 type textRenderer struct {
 	w     io.Writer
 	sep   bool
@@ -365,7 +327,7 @@ func (r *textRenderer) Element(el Element) error {
 		}
 		t := r.tbl
 		r.tbl = nil
-		return r.Element(Element{Kind: ElemTable, Table: *t})
+		return r.block(t.Render)
 	case ElemBeginChart:
 		c := el.Chart
 		r.chart = &c
@@ -382,9 +344,7 @@ func (r *textRenderer) Element(el Element) error {
 		}
 		c := r.chart
 		r.chart = nil
-		return r.Element(Element{Kind: ElemChart, Chart: *c})
-	}
-	switch el.Kind {
+		return r.block(c.Render)
 	case ElemBeginDoc:
 		// Direct writes: Fprintf would box both strings per document.
 		for _, s := range []string{"== ", el.ID, ": ", el.Title, " ==\n\n"} {
@@ -393,18 +353,6 @@ func (r *textRenderer) Element(el Element) error {
 			}
 		}
 		return nil
-	case ElemTable:
-		if err := el.Table.Render(r.w); err != nil {
-			return err
-		}
-		_, err := io.WriteString(r.w, "\n")
-		return err
-	case ElemChart:
-		if err := el.Chart.Render(r.w); err != nil {
-			return err
-		}
-		_, err := io.WriteString(r.w, "\n")
-		return err
 	case ElemNote:
 		for _, s := range []string{"note: ", el.Note, "\n"} {
 			if _, err := io.WriteString(r.w, s); err != nil {
@@ -422,13 +370,11 @@ func (r *textRenderer) Element(el Element) error {
 	return fmt.Errorf("report: unknown element kind %d", el.Kind)
 }
 
-// SortedKeys returns the sorted keys of an int-keyed map — a helper used
-// by experiments printing per-core-count columns.
-func SortedKeys(m map[int]float64) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// block renders one reassembled table or chart followed by a blank line.
+func (r *textRenderer) block(render func(io.Writer) error) error {
+	if err := render(r.w); err != nil {
+		return err
 	}
-	sort.Ints(out)
-	return out
+	_, err := io.WriteString(r.w, "\n")
+	return err
 }

@@ -31,24 +31,18 @@ func TestTableRenderAligned(t *testing.T) {
 	}
 }
 
+// TestTableCSVEscaping replays a one-table document into the csv backend:
+// cells with commas or quotes are quoted, embedded quotes doubled.
 func TestTableCSVEscaping(t *testing.T) {
-	tb := &Table{Columns: []string{"name", "note"}}
-	tb.AddRow("a,b", `say "hi"`)
+	doc := &Document{ID: "d", Title: "csv"}
+	doc.AddTable("", "name", "note").AddRow("a,b", `say "hi"`)
 	var buf bytes.Buffer
-	if err := tb.CSV(&buf); err != nil {
+	if err := doc.Replay(&csvRenderer{w: &buf}); err != nil {
 		t.Fatal(err)
 	}
-	want := "name,note\n\"a,b\",\"say \"\"hi\"\"\"\n"
+	want := "# \nname,note\n\"a,b\",\"say \"\"hi\"\"\"\n\n"
 	if buf.String() != want {
 		t.Errorf("CSV = %q, want %q", buf.String(), want)
-	}
-}
-
-func TestAddRowf(t *testing.T) {
-	tb := &Table{Columns: []string{"a", "b", "c"}}
-	tb.AddRowf("x", 3.14159, 42)
-	if tb.Rows[0][0] != "x" || tb.Rows[0][1] != "3.142" || tb.Rows[0][2] != "42" {
-		t.Errorf("AddRowf row = %v", tb.Rows[0])
 	}
 }
 
@@ -135,13 +129,5 @@ func TestDocumentRenderAndCSV(t *testing.T) {
 	}
 	if !strings.Contains(csv.String(), "# tab") {
 		t.Error("CSV missing table header comment")
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[int]float64{4: 1, 1: 2, 16: 3}
-	k := SortedKeys(m)
-	if len(k) != 3 || k[0] != 1 || k[1] != 4 || k[2] != 16 {
-		t.Errorf("SortedKeys = %v", k)
 	}
 }

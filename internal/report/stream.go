@@ -1,20 +1,9 @@
 package report
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 )
-
-func init() {
-	// Elements are the unit of the streaming pipeline and may cross process
-	// boundaries inside gob envelopes (a store that persists streams rather
-	// than whole documents); per the disk-cache rules in
-	// docs/ARCHITECTURE.md the producing package registers the concrete
-	// type. Element is a value type with exported, pointer/map-free fields
-	// for the same reason.
-	gob.Register(Element{})
-}
 
 // ElementKind discriminates the items of a document stream.
 type ElementKind int
@@ -22,21 +11,6 @@ type ElementKind int
 const (
 	// ElemBeginDoc opens a document; ID and Title are set.
 	ElemBeginDoc ElementKind = iota
-	// ElemTable carries one whole table (the coarse, pre-row-granular
-	// form; still accepted by every backend).
-	ElemTable
-	// ElemChart carries one whole chart (the coarse form; still accepted
-	// by every backend).
-	ElemChart
-	// ElemNote carries one free-form note line.
-	ElemNote
-	// ElemEndDoc closes the current document.
-	ElemEndDoc
-
-	// The row-granular kinds below are appended after the original five so
-	// the gob encoding of every pre-existing element value is unchanged
-	// (cached envelopes from older binaries decode to the same kinds).
-
 	// ElemBeginTable opens a table; Table carries Title and Columns but no
 	// rows (rows follow as ElemRow elements).
 	ElemBeginTable
@@ -51,18 +25,20 @@ const (
 	ElemSeries
 	// ElemEndChart closes the open chart.
 	ElemEndChart
+	// ElemNote carries one free-form note line.
+	ElemNote
+	// ElemEndDoc closes the current document.
+	ElemEndDoc
 )
 
 // Element is one item of a document stream. Exactly the fields named by
-// Kind are meaningful; the rest stay zero. Table, Chart, Row and Series
-// are held by value so an Element — like Document — is plain exported data
-// that survives a gob round trip unchanged.
+// Kind are meaningful; the rest stay zero.
 type Element struct {
 	Kind   ElementKind
 	ID     string   // ElemBeginDoc
 	Title  string   // ElemBeginDoc
-	Table  Table    // ElemTable; ElemBeginTable (Title+Columns only)
-	Chart  Chart    // ElemChart; ElemBeginChart (frame fields only)
+	Table  Table    // ElemBeginTable (Title+Columns only)
+	Chart  Chart    // ElemBeginChart (frame fields only)
 	Note   string   // ElemNote
 	Row    []string // ElemRow
 	Series Series   // ElemSeries
@@ -70,20 +46,19 @@ type Element struct {
 
 // Renderer consumes an element stream incrementally. The contract: one
 // Begin, then for each document its elements in replay order (ElemBeginDoc,
-// tables, charts, notes, ElemEndDoc), then one End. Tables and charts
-// arrive either coarse (one ElemTable/ElemChart) or fine-grained
-// (ElemBeginTable, ElemRow..., ElemEndTable; ElemBeginChart,
-// ElemSeries..., ElemEndChart) — both forms render byte-identically, and
-// backends flush rows as they arrive where the format permits (markdown
-// and csv rows need no alignment; text tables and every ASCII chart need
-// the full extent first and buffer until their End element). Backends own
+// tables, charts, notes, ElemEndDoc), then one End. A table arrives as
+// ElemBeginTable, ElemRow..., ElemEndTable and a chart as ElemBeginChart,
+// ElemSeries..., ElemEndChart. Backends flush rows as they arrive where
+// the format permits (markdown and csv rows need no alignment; text tables
+// and every ASCII chart need the full extent first and buffer until their
+// End element; json buffers each document until ElemEndDoc). Backends own
 // every output byte, including inter-document separation, so a caller that
 // replays documents one at a time as they complete produces output
 // byte-identical to a caller that buffered them all first.
 //
 // Renderers are single-use and not safe for concurrent use; callers
 // serialize Element calls (the experiments layer does so in its in-order
-// release buffer).
+// document releaser).
 type Renderer interface {
 	Begin() error
 	Element(Element) error
@@ -118,14 +93,11 @@ func NewRenderer(format string, w io.Writer) (Renderer, error) {
 	}
 }
 
-// Elements flattens the document into its fine-grained element stream —
-// begin, each table as ElemBeginTable/ElemRow.../ElemEndTable, each chart
-// as ElemBeginChart/ElemSeries.../ElemEndChart, notes, end — the replay
-// order every backend renders in. Rendering the fine stream is
-// byte-identical to rendering the coarse ElemTable/ElemChart form
-// (differential tests pin it), so callers holding whole documents lose
-// nothing, while producers that stream rows live (report.Emitter) share
-// the same wire shape.
+// Elements flattens the document into its element stream — begin, each
+// table as ElemBeginTable/ElemRow.../ElemEndTable, each chart as
+// ElemBeginChart/ElemSeries.../ElemEndChart, notes, end — the replay
+// order every backend renders in. A producer that streams rows without
+// building a document (the /sweep plan) emits the same shape.
 func (d *Document) Elements() []Element {
 	n := 2 + 2*len(d.Charts) + len(d.Notes)
 	for _, t := range d.Tables {
@@ -158,8 +130,8 @@ func (d *Document) Elements() []Element {
 
 // tableFrame is the rowless table carried by ElemBeginTable. Rows keeps
 // nil-ness: the json backend renders a nil-rows table as "rows": null and
-// an empty one as "rows": [] exactly like the coarse form, so the marker
-// must survive the fine-grained split.
+// an empty one as "rows": [], so the marker must survive the split into
+// elements.
 func tableFrame(t *Table) Table {
 	frame := Table{Title: t.Title, Columns: t.Columns}
 	if t.Rows != nil {

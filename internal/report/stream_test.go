@@ -2,11 +2,8 @@ package report
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -145,49 +142,5 @@ func TestJSONStreamParses(t *testing.T) {
 func TestNewRendererUnknownFormat(t *testing.T) {
 	if _, err := NewRenderer("yaml", &bytes.Buffer{}); err == nil {
 		t.Fatal("NewRenderer(yaml) succeeded, want error")
-	}
-}
-
-// TestElementGobRoundTrip: Element is registered and pointer/map-free, so
-// a stream survives gob (the disk-cache transport) and replays to the same
-// bytes.
-func TestElementGobRoundTrip(t *testing.T) {
-	for _, d := range goldenDocs() {
-		var wire bytes.Buffer
-		enc := gob.NewEncoder(&wire)
-		for _, el := range d.Elements() {
-			var boxed any = el // through an interface, as a store envelope would
-			if err := enc.Encode(&boxed); err != nil {
-				t.Fatalf("%s: encode: %v", d.ID, err)
-			}
-		}
-		dec := gob.NewDecoder(&wire)
-		var got, want bytes.Buffer
-		r, err := NewRenderer("markdown", &got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			var boxed any
-			if err := dec.Decode(&boxed); err != nil {
-				if !errors.Is(err, io.EOF) {
-					t.Fatal(err)
-				}
-				break
-			}
-			el, ok := boxed.(Element)
-			if !ok {
-				t.Fatalf("%s: decoded %T, want Element", d.ID, boxed)
-			}
-			if err := r.Element(el); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := d.Markdown(&want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("%s: gob round-tripped stream renders differently", d.ID)
-		}
 	}
 }

@@ -67,18 +67,9 @@ func newRenderCache(max int) *renderCache {
 	}
 }
 
-// get returns the cached body for key, bumping its recency. The returned
-// slice must be treated as read-only (it is shared across requests).
-func (c *renderCache) get(key renderKey) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if body, ok := c.getLocked(key); ok {
-		return body, true
-	}
-	c.misses++
-	return nil, false
-}
-
+// getLocked returns the cached body for key, bumping its recency. The
+// returned slice must be treated as read-only (it is shared across
+// requests).
 func (c *renderCache) getLocked(key renderKey) ([]byte, bool) {
 	el, ok := c.byKey[key]
 	if !ok {
@@ -130,23 +121,11 @@ func (c *renderCache) finish(key renderKey, call *renderCall, body []byte, ok bo
 	close(call.done)
 }
 
-// put stores a rendered body, evicting the least recently used entry past
-// the cap. The caller must not mutate body afterwards.
-func (c *renderCache) put(key renderKey, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(key, body)
-}
-
+// putLocked stores a rendered body, evicting the least recently used
+// entry past the cap. The key is never already cached: join leads a
+// render only on a miss, and only the leader's finish stores the key.
+// The caller must not mutate body afterwards.
 func (c *renderCache) putLocked(key renderKey, body []byte) {
-	if el, ok := c.byKey[key]; ok {
-		// Identical requests render identical bytes; just refresh recency
-		// and keep accounting exact.
-		c.bytes += int64(len(body)) - int64(len(el.Value.(*renderEntry).body))
-		el.Value.(*renderEntry).body = body
-		c.order.MoveToFront(el)
-		return
-	}
 	c.byKey[key] = c.order.PushFront(&renderEntry{key: key, body: body})
 	c.bytes += int64(len(body))
 	for c.order.Len() > c.max {

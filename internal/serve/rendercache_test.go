@@ -17,26 +17,46 @@ import (
 	"mergescale/internal/report"
 )
 
+// lookup is the join/finish form of a plain cache lookup: a miss that
+// leads a new render abandons it at once, leaving the cache unchanged.
+func lookup(c *renderCache, key renderKey) ([]byte, bool) {
+	body, call, leader := c.join(key)
+	if leader {
+		c.finish(key, call, nil, false)
+	}
+	return body, body != nil
+}
+
+// store leads a render of key and publishes body as its clean result.
+func store(t *testing.T, c *renderCache, key renderKey, body string) {
+	t.Helper()
+	_, call, leader := c.join(key)
+	if !leader {
+		t.Fatalf("join(%v) did not lead a new render", key)
+	}
+	c.finish(key, call, []byte(body), true)
+}
+
 func TestRenderCacheLRU(t *testing.T) {
 	c := newRenderCache(2)
 	kA := renderKey{target: "a", format: "text"}
 	kB := renderKey{target: "b", format: "text"}
 	kC := renderKey{target: "c", format: "text"}
 
-	if _, ok := c.get(kA); ok {
+	if _, ok := lookup(c, kA); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.put(kA, []byte("aaa"))
-	c.put(kB, []byte("bb"))
-	if body, ok := c.get(kA); !ok || string(body) != "aaa" {
-		t.Fatalf("get(a) = %q, %v", body, ok)
+	store(t, c, kA, "aaa")
+	store(t, c, kB, "bb")
+	if body, ok := lookup(c, kA); !ok || string(body) != "aaa" {
+		t.Fatalf("lookup(a) = %q, %v", body, ok)
 	}
 	// a was just used; inserting c must evict b.
-	c.put(kC, []byte("c"))
-	if _, ok := c.get(kB); ok {
+	store(t, c, kC, "c")
+	if _, ok := lookup(c, kB); ok {
 		t.Error("LRU kept the least recently used entry")
 	}
-	if _, ok := c.get(kA); !ok {
+	if _, ok := lookup(c, kA); !ok {
 		t.Error("LRU evicted the recently used entry")
 	}
 	hits, misses, _, entries, size := c.stats()
@@ -46,13 +66,14 @@ func TestRenderCacheLRU(t *testing.T) {
 	if size != int64(len("aaa")+len("c")) {
 		t.Errorf("bytes = %d, want %d", size, len("aaa")+len("c"))
 	}
-	if hits != 2 || misses != 2 {
-		t.Errorf("hits/misses = %d/%d, want 2/2", hits, misses)
+	// Misses: the empty lookup, three stores, the evicted b.
+	if hits != 2 || misses != 5 {
+		t.Errorf("hits/misses = %d/%d, want 2/5", hits, misses)
 	}
-	// Replacing an existing key keeps accounting exact.
-	c.put(kA, []byte("aaaaa"))
-	if _, _, _, entries, size := c.stats(); entries != 2 || size != int64(len("aaaaa")+len("c")) {
-		t.Errorf("after replace: entries=%d bytes=%d", entries, size)
+	// An evicted key leads a fresh render and is stored again.
+	store(t, c, kB, "bbbb")
+	if _, _, _, entries, size := c.stats(); entries != 2 || size != int64(len("bbbb")+len("aaa")) {
+		t.Errorf("after re-store: entries=%d bytes=%d", entries, size)
 	}
 }
 
@@ -311,10 +332,10 @@ func TestRenderCacheHitHasContentLength(t *testing.T) {
 	}
 }
 
-// TestRenderCacheConcurrency hammers get/put/join/finish from many
-// goroutines under -race and then checks the accounting is exact: bytes
-// equals the sum of resident bodies, entries never exceed the cap, and
-// hits+misses equals the number of lookups issued.
+// TestRenderCacheConcurrency hammers join/finish from many goroutines
+// under -race and then checks the accounting is exact: bytes equals the
+// sum of resident bodies, entries never exceed the cap, and hits+misses
+// equals the number of joins issued.
 func TestRenderCacheConcurrency(t *testing.T) {
 	const (
 		workers = 8
@@ -335,25 +356,18 @@ func TestRenderCacheConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
 				key := keys[(w*ops+i)%len(keys)]
-				switch i % 3 {
-				case 0:
-					lookups.Add(1)
-					c.get(key)
-				case 1:
-					body, call, leader := c.join(key)
-					lookups.Add(1)
-					if leader {
-						// Render alternately succeeds and fails.
-						if i%2 == 0 {
-							c.finish(key, call, []byte(key.target+key.format), true)
-						} else {
-							c.finish(key, call, nil, false)
-						}
-					} else if body == nil && call != nil {
-						<-call.done
+				body, call, leader := c.join(key)
+				lookups.Add(1)
+				switch {
+				case leader:
+					// Renders alternately succeed and fail.
+					if i%2 == 0 {
+						c.finish(key, call, []byte(key.target+key.format), true)
+					} else {
+						c.finish(key, call, nil, false)
 					}
-				case 2:
-					c.put(key, []byte(key.target))
+				case body == nil:
+					<-call.done
 				}
 			}
 		}(w)

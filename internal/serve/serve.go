@@ -1,8 +1,8 @@
 // Package serve is the HTTP serving front end over the streaming
 // experiment pipeline: one process owns a shared engine.Engine (and
-// optionally a diskcache.Store underneath it), and every HTTP client gets
-// its own experiments.StreamElements emit hook writing straight into the
-// chunked response body. Concurrent identical requests collapse into one
+// optionally a diskcache.Store underneath it), and every /run client gets
+// its own experiments.StreamElements emit hook writing each released
+// document straight into the chunked response body. Concurrent identical requests collapse into one
 // computation via the engine's singleflight cache, a warm disk cache
 // serves whole runs without executing a single job, and a client that
 // disconnects mid-stream cancels its outstanding jobs through the
@@ -48,8 +48,9 @@
 //
 // The /run body is byte-identical to the mergescale CLI's buffered output
 // for the same format: the handler drives the exact renderer pipeline the
-// CLI uses, flushing after each experiment so clients see artifacts as
-// they resolve, in registry order.
+// CLI uses. The unit of release is one experiment's document, so clients
+// see artifacts as they resolve, in registry order; /sweep is the one
+// endpoint that streams row by row, as each grid point is evaluated.
 package serve
 
 import (
@@ -374,10 +375,12 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // handleRun streams one experiment (or the whole registry) through the
-// requested renderer backend. The response is chunked: each element (a
-// table row, a chart series) is flushed the moment
-// experiments.StreamElements releases it, so the client reads artifacts
-// incrementally while later ones still compute.
+// requested renderer backend. The response is chunked:
+// experiments.StreamElements releases each experiment's whole document
+// the moment it and every earlier one have resolved, and the backend
+// flushes it (text per table, json per document, markdown and csv per
+// row), so the client reads artifacts incrementally while later ones
+// still compute.
 // Errors before the first body byte (an immediately failing experiment, a
 // renderer that errors on Begin) still get a clean 500; errors after the
 // first byte abort the connection (http.ErrAbortHandler) — a truncated
@@ -414,7 +417,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// One emit hook per client: the element release buffer inside
+	// One emit hook per client: the document releaser inside
 	// StreamElements serializes calls, and a slow client applies
 	// backpressure through its connection without stalling other requests
 	// (each request drives its own stream). The request context cancels on
@@ -433,8 +436,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // ordered or duplicated) is a whole-body hit. The points themselves are
 // plain arithmetic evaluated in plan order on the request goroutine; they
 // never reach the engine, so a sweep leaves no engine or disk-cache state
-// behind. Cold sweeps stream element-granularly: each point's table row
-// flushes the moment it is evaluated.
+// behind. Cold sweeps stream row by row: each point's table row flushes
+// the moment it is evaluated.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	format := r.URL.Query().Get("format")
 	if format == "" {
@@ -458,8 +461,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// UseDuration — so the rendered body is always cacheable.
 	s.streamRender(w, r, renderKey{target: "sweep:" + plan.Fingerprint(), format: format}, true,
 		func(emit func(report.Element) error) error {
-			_, err := plan.Run(r.Context(), emit)
-			return err
+			return plan.Run(r.Context(), emit)
 		})
 }
 
@@ -544,9 +546,9 @@ func (s *Server) streamRender(w http.ResponseWriter, r *http.Request, key render
 
 	streamErr := renderer.Begin()
 	if streamErr == nil {
-		// Flushing per element pushes each table row out the moment its
-		// engine sub-job resolves (for formats that render rows
-		// incrementally; buffered formats flush nothing early).
+		// Flushing per element pushes out whatever the backend has
+		// written: a /sweep row the moment its point is evaluated, a
+		// released /run document table by table or row by row.
 		streamErr = produce(func(el report.Element) error {
 			if err := renderer.Element(el); err != nil {
 				return err

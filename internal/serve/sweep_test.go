@@ -37,9 +37,9 @@ func postSweep(t *testing.T, ts *httptest.Server, query, body string) (int, stri
 	return resp.StatusCode, resp.Header.Get("X-Render-Cache"), b
 }
 
-// bufferedSweep renders a grid the way `mergescale sweep` does without
-// streaming: normalize, run to a document, Begin/Replay/End. HTTP bodies
-// must match this byte for byte.
+// bufferedSweep renders a grid into a buffer the way `mergescale sweep`
+// does: normalize, then Begin, the plan's elements, End. HTTP bodies must
+// match this byte for byte.
 func bufferedSweep(t *testing.T, grid, format string) []byte {
 	t.Helper()
 	req, err := experiments.ParseSweepRequest(strings.NewReader(grid))
@@ -58,11 +58,7 @@ func bufferedSweep(t *testing.T, grid, format string) []byte {
 	if err := r.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := plan.Run(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := doc.Replay(r); err != nil {
+	if err := plan.Run(context.Background(), r.Element); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.End(); err != nil {

@@ -29,6 +29,12 @@ echo "== engine scheduler stress =="
 # the tests that pin them under the race detector to shake out rare ones.
 go test -race -count=50 -run 'TestNestedSubmission|TestRunInlineJobDoesNotStallLaterJobs|TestRunNeverExceedsWorkers|TestOnDone|TestConcurrentRunCallers' ./internal/engine
 
+echo "== document releaser stress =="
+# StreamElements releases whole documents in target order from OnDone
+# callbacks on whichever goroutine resolved each job; repeat the release
+# order and emit-error cancellation tests under the race detector.
+go test -race -count=20 -run 'TestStreamElementsReleaseOrder|TestStreamSinkErrorCancelsOutstandingJobs' ./internal/experiments
+
 echo "== go test -bench (1 iteration) =="
 go test -bench=. -benchtime=1x -run '^$' .
 
@@ -49,7 +55,7 @@ echo "== allocation budget (without -race: its instrumentation allocates) =="
 go test -run 'SteadyStateZeroAllocs' -count=1 ./internal/sim
 
 echo "== sweep first-row-before-last-job gate =="
-# Element-granular streaming acceptance: on a 64-point sweep the first
+# /sweep row streaming acceptance: on a 64-point sweep the first
 # table row must be emitted before the last point is evaluated. The test
 # holds the final point until the first ElemRow is observed — a buffered
 # (end-of-run) pipeline would wait into the test's loud 30s timeout
