@@ -39,6 +39,25 @@ func benchMachineRun(b *testing.B, w workload.Workload, cores, scale int) {
 	}
 }
 
+// Program construction benchmarks: one BuildProgram per iteration, with
+// allocations reported, so bytes_per_op tracks the size of the op streams
+// a workload compiles to.
+func benchBuildProgram(b *testing.B, w workload.Workload, cores, scale int) {
+	b.Helper()
+	ds, err := datagen.Generate(datagen.Spec{Label: "bench", N: 2048, D: 4, C: 4, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := sim.DefaultConfig(cores)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.BuildProgram(ds, cfg, scale); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func newQuickKMeans() workload.Workload {
 	w := kmeans.New()
 	w.Cfg.Iters = 2
@@ -62,3 +81,7 @@ func BenchmarkSimRunFuzzy256(b *testing.B)  { benchMachineRun(b, newQuickFuzzy()
 func BenchmarkSimRunHop8(b *testing.B)      { benchMachineRun(b, hop.New(), 8, 4) }
 func BenchmarkSimRunHop64(b *testing.B)     { benchMachineRun(b, hop.New(), 64, 4) }
 func BenchmarkSimRunHop256(b *testing.B)    { benchMachineRun(b, hop.New(), 256, 1) }
+
+func BenchmarkSimBuildProgramKMeans8(b *testing.B) { benchBuildProgram(b, newQuickKMeans(), 8, 4) }
+func BenchmarkSimBuildProgramFuzzy8(b *testing.B)  { benchBuildProgram(b, newQuickFuzzy(), 8, 4) }
+func BenchmarkSimBuildProgramHop8(b *testing.B)    { benchBuildProgram(b, hop.New(), 8, 4) }

@@ -28,18 +28,41 @@ func (s mesiState) String() string {
 	}
 }
 
-// cacheLine is one way of one set.
+// cacheLine is one way of one set, two pointer-free words: ts packs the
+// tag above the two MESI state bits (tag<<stateBits | state), so a whole
+// tag store is a noscan allocation and Reset clears 16 bytes per line.
 type cacheLine struct {
-	tag     uint64
-	state   mesiState
+	ts      uint64 // tag<<stateBits | mesiState
 	lastUse uint64 // LRU timestamp
+}
+
+const (
+	stateBits = 2
+	stateMask = 1<<stateBits - 1
+)
+
+func (l *cacheLine) state() mesiState { return mesiState(l.ts & stateMask) }
+func (l *cacheLine) tag() uint64      { return l.ts >> stateBits }
+
+func (l *cacheLine) setState(st mesiState) { l.ts = l.ts&^stateMask | uint64(st) }
+
+// holds reports whether the line is valid with tag key>>stateBits. With
+// key = tag<<stateBits, ts^key is the line's state when the tags match
+// and at least 1<<stateBits when they differ. Subtracting one maps a valid
+// match (state 1..3) to 0..2 and everything else — a tag mismatch, or an
+// Invalid match wrapping to 2^64-1 — to 3 or more, so one unsigned
+// compare checks both the tag and the valid bit.
+func (l *cacheLine) holds(key uint64) bool {
+	return (l.ts^key)-1 < stateMask
 }
 
 // cache is a set-associative cache with true-LRU replacement. Addresses are
 // line addresses (byte address >> lineShift); the cache is a tag store
-// only — the simulator carries no data. All sets live in one preallocated
-// set-major slice and the lookup paths index it directly (no per-access
-// sub-slicing), so a steady-state access allocates nothing.
+// only — the simulator carries no data. Line addresses stay below 1<<62
+// (byte addresses are capped at MaxOpArg), so tag<<stateBits never loses
+// bits. All sets live in one preallocated set-major slice and the lookup
+// paths index it directly (no per-access sub-slicing), so a steady-state
+// access allocates nothing.
 type cache struct {
 	sets    int
 	ways    int
@@ -77,23 +100,17 @@ func (c *cache) base(lineAddr uint64) int {
 	return int(lineAddr&c.setMask) * c.ways
 }
 
-// set returns lineAddr's set as a sub-slice (test hook; the access paths
-// below index c.lines directly).
-func (c *cache) set(lineAddr uint64) []cacheLine {
-	idx := c.base(lineAddr)
-	return c.lines[idx : idx+c.ways]
-}
-
 // lookup returns the line holding lineAddr, or nil on miss. A hit updates
-// the LRU clock.
+// the LRU clock. It runs on every access, so keep it within the
+// compiler's inlining budget (go build -gcflags=-m).
 func (c *cache) lookup(lineAddr uint64) *cacheLine {
 	c.tick++
 	base := c.base(lineAddr)
-	tag := lineAddr / uint64(c.sets)
+	key := lineAddr / uint64(c.sets) << stateBits
 	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].state != stateInvalid && c.lines[i].tag == tag {
-			c.lines[i].lastUse = c.tick
-			return &c.lines[i]
+		if l := &c.lines[i]; l.holds(key) {
+			l.lastUse = c.tick
+			return l
 		}
 	}
 	return nil
@@ -105,10 +122,9 @@ func (c *cache) lookup(lineAddr uint64) *cacheLine {
 func (c *cache) insert(lineAddr uint64, st mesiState) (evictedAddr uint64, evictedState mesiState) {
 	c.tick++
 	base := c.base(lineAddr)
-	tag := lineAddr / uint64(c.sets)
 	victim := base
 	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].state == stateInvalid {
+		if c.lines[i].state() == stateInvalid {
 			victim = i
 			break
 		}
@@ -117,22 +133,22 @@ func (c *cache) insert(lineAddr uint64, st mesiState) (evictedAddr uint64, evict
 		}
 	}
 	ev := c.lines[victim]
-	c.lines[victim] = cacheLine{tag: tag, state: st, lastUse: c.tick}
-	if ev.state == stateInvalid {
+	c.lines[victim] = cacheLine{ts: lineAddr/uint64(c.sets)<<stateBits | uint64(st), lastUse: c.tick}
+	if ev.state() == stateInvalid {
 		return 0, stateInvalid
 	}
-	evictedLineAddr := ev.tag*uint64(c.sets) + (lineAddr & c.setMask)
-	return evictedLineAddr, ev.state
+	evictedLineAddr := ev.tag()*uint64(c.sets) + (lineAddr & c.setMask)
+	return evictedLineAddr, ev.state()
 }
 
 // invalidate drops lineAddr if present, returning its previous state.
 func (c *cache) invalidate(lineAddr uint64) mesiState {
 	base := c.base(lineAddr)
-	tag := lineAddr / uint64(c.sets)
+	key := lineAddr / uint64(c.sets) << stateBits
 	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].state != stateInvalid && c.lines[i].tag == tag {
-			st := c.lines[i].state
-			c.lines[i].state = stateInvalid
+		if l := &c.lines[i]; l.holds(key) {
+			st := l.state()
+			l.setState(stateInvalid)
 			return st
 		}
 	}
@@ -143,12 +159,12 @@ func (c *cache) invalidate(lineAddr uint64) mesiState {
 // previous state.
 func (c *cache) downgrade(lineAddr uint64) mesiState {
 	base := c.base(lineAddr)
-	tag := lineAddr / uint64(c.sets)
+	key := lineAddr / uint64(c.sets) << stateBits
 	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].state != stateInvalid && c.lines[i].tag == tag {
-			st := c.lines[i].state
+		if l := &c.lines[i]; l.holds(key) {
+			st := l.state()
 			if st == stateExclusive || st == stateModified {
-				c.lines[i].state = stateShared
+				l.setState(stateShared)
 			}
 			return st
 		}
@@ -160,7 +176,7 @@ func (c *cache) downgrade(lineAddr uint64) mesiState {
 func (c *cache) countValid() int {
 	n := 0
 	for i := range c.lines {
-		if c.lines[i].state != stateInvalid {
+		if c.lines[i].state() != stateInvalid {
 			n++
 		}
 	}

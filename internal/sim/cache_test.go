@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -12,7 +13,7 @@ func TestCacheHitAfterInsert(t *testing.T) {
 	}
 	c.insert(5, stateShared)
 	l := c.lookup(5)
-	if l == nil || l.state != stateShared {
+	if l == nil || l.state() != stateShared {
 		t.Fatal("inserted line should hit")
 	}
 }
@@ -51,7 +52,7 @@ func TestCacheInvalidateAndDowngrade(t *testing.T) {
 	if st := c.downgrade(7); st != stateModified {
 		t.Errorf("downgrade returned %v", st)
 	}
-	if l := c.lookup(7); l == nil || l.state != stateShared {
+	if l := c.lookup(7); l == nil || l.state() != stateShared {
 		t.Error("downgrade should leave line Shared")
 	}
 	if st := c.invalidate(7); st != stateShared {
@@ -108,6 +109,141 @@ func TestCachePropertyMostRecentSurvives(t *testing.T) {
 	}
 	if err := quick.Check(pred, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// refLine and refCache are a plain struct-per-line true-LRU cache: the
+// unpacked layout the packed cacheLine must behave exactly like.
+type refLine struct {
+	tag     uint64
+	state   mesiState
+	lastUse uint64
+}
+
+type refCache struct {
+	sets, ways int
+	lines      []refLine
+	tick       uint64
+}
+
+func (r *refCache) find(lineAddr uint64) int {
+	base := int(lineAddr%uint64(r.sets)) * r.ways
+	for i := base; i < base+r.ways; i++ {
+		if r.lines[i].state != stateInvalid && r.lines[i].tag == lineAddr/uint64(r.sets) {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refCache) lookup(lineAddr uint64) (mesiState, bool) {
+	r.tick++
+	i := r.find(lineAddr)
+	if i < 0 {
+		return stateInvalid, false
+	}
+	r.lines[i].lastUse = r.tick
+	return r.lines[i].state, true
+}
+
+func (r *refCache) insert(lineAddr uint64, st mesiState) (uint64, mesiState) {
+	r.tick++
+	base := int(lineAddr%uint64(r.sets)) * r.ways
+	victim := base
+	for i := base; i < base+r.ways; i++ {
+		if r.lines[i].state == stateInvalid {
+			victim = i
+			break
+		}
+		if r.lines[i].lastUse < r.lines[victim].lastUse {
+			victim = i
+		}
+	}
+	ev := r.lines[victim]
+	r.lines[victim] = refLine{tag: lineAddr / uint64(r.sets), state: st, lastUse: r.tick}
+	if ev.state == stateInvalid {
+		return 0, stateInvalid
+	}
+	return ev.tag*uint64(r.sets) + lineAddr%uint64(r.sets), ev.state
+}
+
+func (r *refCache) invalidate(lineAddr uint64) mesiState {
+	i := r.find(lineAddr)
+	if i < 0 {
+		return stateInvalid
+	}
+	st := r.lines[i].state
+	r.lines[i].state = stateInvalid
+	return st
+}
+
+func (r *refCache) downgrade(lineAddr uint64) mesiState {
+	i := r.find(lineAddr)
+	if i < 0 {
+		return stateInvalid
+	}
+	st := r.lines[i].state
+	if st == stateExclusive || st == stateModified {
+		r.lines[i].state = stateShared
+	}
+	return st
+}
+
+// TestCacheMatchesReference drives random lookup, insert, invalidate and
+// downgrade sequences through the packed cache and the reference, and
+// requires identical results and identical per-way states, tags and LRU
+// stamps after every step. Lines of every MESI state share sets and tags
+// collide across sets, so state bits leaking into the tag compare (or a
+// tag leaking into the state) shows up as a diverging hit or victim.
+func TestCacheMatchesReference(t *testing.T) {
+	const sets, ways = 8, 4
+	states := []mesiState{stateShared, stateExclusive, stateModified}
+	// The largest line address a 64-byte-line machine can issue.
+	top := uint64(MaxOpArg) >> 6
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := newCache(sets*ways*64, ways, 64)
+		r := &refCache{sets: sets, ways: ways, lines: make([]refLine, sets*ways)}
+		addr := func() uint64 {
+			a := uint64(rng.Intn(4 * sets * ways))
+			if rng.Intn(8) == 0 {
+				a = top - a // tags with the high bits set
+			}
+			return a
+		}
+		for step := 0; step < 4000; step++ {
+			a := addr()
+			switch op := rng.Intn(4); op {
+			case 0:
+				l := c.lookup(a)
+				st, ok := r.lookup(a)
+				if (l != nil) != ok || (ok && l.state() != st) {
+					t.Fatalf("seed %d step %d: lookup(%#x) hit=%v, reference hit=%v state %v", seed, step, a, l != nil, ok, st)
+				}
+			case 1:
+				st := states[rng.Intn(len(states))]
+				ea, es := c.insert(a, st)
+				ra, rs := r.insert(a, st)
+				if ea != ra || es != rs {
+					t.Fatalf("seed %d step %d: insert(%#x, %v) evicted (%#x, %v), reference (%#x, %v)", seed, step, a, st, ea, es, ra, rs)
+				}
+			case 2:
+				if got, want := c.invalidate(a), r.invalidate(a); got != want {
+					t.Fatalf("seed %d step %d: invalidate(%#x) = %v, reference %v", seed, step, a, got, want)
+				}
+			case 3:
+				if got, want := c.downgrade(a), r.downgrade(a); got != want {
+					t.Fatalf("seed %d step %d: downgrade(%#x) = %v, reference %v", seed, step, a, got, want)
+				}
+			}
+			for i := range r.lines {
+				l, rl := &c.lines[i], r.lines[i]
+				if l.state() != rl.state || l.lastUse != rl.lastUse || (rl.state != stateInvalid && l.tag() != rl.tag) {
+					t.Fatalf("seed %d step %d: way %d = (tag %#x, %v, %d), reference (tag %#x, %v, %d)",
+						seed, step, i, l.tag(), l.state(), l.lastUse, rl.tag, rl.state, rl.lastUse)
+				}
+			}
+		}
 	}
 }
 

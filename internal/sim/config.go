@@ -15,6 +15,14 @@
 // reproduces the *relative growth* of merging-phase time with core count,
 // which is the quantity the paper extracts from SESC. Simulation is fully
 // deterministic: ties between cores are broken by core id.
+//
+// Workloads compile their threads into a Program through a Builder. The
+// program's op streams and the caches' tag stores are pointer-free: an Op
+// is one packed word (kind plus a MaxOpArg-bounded argument, phase names
+// interned in Program.Phases) and a cache line is two (tag and MESI state
+// in one, the LRU stamp in the other). Both live in noscan memory, so the
+// garbage collector never scans them and building a stream runs no write
+// barriers.
 package sim
 
 import (

@@ -295,20 +295,21 @@ func (m *Machine) Run(prog *Program) (Result, error) {
 		op := prog.Streams[sel][c.pc]
 		c.pc++
 
-		switch op.Kind {
+		switch op.Kind() {
 		case OpCompute:
-			res.Counters.ComputeOps += op.N
+			n := op.Arg()
+			res.Counters.ComputeOps += n
 			w := uint64(m.cfg.IssueWidth)
-			c.time += (op.N + w - 1) / w
+			c.time += (n + w - 1) / w
 		case OpLoad:
 			res.Counters.Loads++
-			c.time += m.access(sel, op.Addr, false, &res.Counters)
+			c.time += m.access(sel, op.Arg(), false, &res.Counters)
 		case OpStore:
 			res.Counters.Stores++
-			c.time += m.access(sel, op.Addr, true, &res.Counters)
+			c.time += m.access(sel, op.Arg(), true, &res.Counters)
 		case OpPhase:
 			m.closePhase(&res, phaseName, phaseStart, c.time)
-			phaseName = op.Phase
+			phaseName = prog.Phases[op.Arg()]
 			phaseStart = c.time
 		case OpBarrier:
 			arrivals++
@@ -382,17 +383,17 @@ func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters) uint64 
 		if !write {
 			return lat // read hit in any valid state
 		}
-		switch hit.state {
+		switch hit.state() {
 		case stateModified:
 			return lat
 		case stateExclusive:
-			hit.state = stateModified
+			hit.setState(stateModified)
 			e.owner = int16(id)
 			return lat
 		case stateShared:
 			// Upgrade: invalidate all other sharers.
 			lat += m.invalidateOthers(id, line, e, ctr)
-			hit.state = stateModified
+			hit.setState(stateModified)
 			e.owner = int16(id)
 			e.sharers.only(id)
 			return lat
@@ -403,7 +404,7 @@ func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters) uint64 
 	// Remote M copy? Intervene with a cache-to-cache transfer.
 	if e.owner >= 0 && int(e.owner) != id {
 		owner := int(e.owner)
-		if st := m.l1[owner].lookup(line); st != nil && (st.state == stateModified || st.state == stateExclusive) {
+		if st := m.l1[owner].lookup(line); st != nil && (st.state() == stateModified || st.state() == stateExclusive) {
 			dist, _ := m.net.HopDistance(id, owner)
 			lat += m.cfg.XferLat + m.cfg.HopLat*uint64(dist)
 			ctr.C2CTransfers++

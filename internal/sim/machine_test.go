@@ -239,22 +239,30 @@ func TestPhaseAccounting(t *testing.T) {
 func TestProgramValidation(t *testing.T) {
 	// Mismatched barrier counts.
 	p := NewProgram(2)
-	p.Streams[0] = []Op{{Kind: OpBarrier}}
+	p.Streams[0] = []Op{makeOp(OpBarrier, 0)}
 	p.Streams[1] = nil
 	if err := p.Validate(); err == nil {
 		t.Error("mismatched barriers should fail validation")
 	}
 	// Phase marker on non-zero core.
 	p = NewProgram(2)
-	p.Streams[1] = []Op{{Kind: OpPhase, Phase: "x"}}
+	p.Phases = []string{"x"}
+	p.Streams[1] = []Op{makeOp(OpPhase, 0)}
 	if err := p.Validate(); err == nil {
 		t.Error("phase on core 1 should fail validation")
 	}
 	// Empty phase name.
 	p = NewProgram(1)
-	p.Streams[0] = []Op{{Kind: OpPhase}}
+	p.Phases = []string{""}
+	p.Streams[0] = []Op{makeOp(OpPhase, 0)}
 	if err := p.Validate(); err == nil {
 		t.Error("empty phase name should fail validation")
+	}
+	// Op kind outside the enumeration.
+	p = NewProgram(1)
+	p.Streams[0] = []Op{makeOp(OpKind(7), 0)}
+	if err := p.Validate(); err == nil {
+		t.Error("unknown op kind should fail validation")
 	}
 	// Empty program.
 	p = &Program{}
@@ -467,8 +475,8 @@ func TestDeadlockDetection(t *testing.T) {
 	// reaching a barrier the other waits on — constructed by giving core 1
 	// a barrier before its stream is exhausted while core 0 has none.
 	p := &Program{Streams: [][]Op{
-		{{Kind: OpCompute, N: 1}},
-		{{Kind: OpBarrier}},
+		{makeOp(OpCompute, 1)},
+		{makeOp(OpBarrier, 0)},
 	}}
 	m := mustMachine(t, 2)
 	if _, err := m.Run(p); err == nil {

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // OpKind enumerates the operations of the simulator's kernel IR. Workloads
@@ -10,18 +12,20 @@ import (
 type OpKind uint8
 
 const (
-	// OpCompute retires N ALU operations (N/IssueWidth cycles).
+	// OpCompute retires Arg ALU operations (Arg/IssueWidth cycles).
 	OpCompute OpKind = iota
-	// OpLoad reads the cache line containing Addr.
+	// OpLoad reads the cache line containing the byte address Arg.
 	OpLoad
-	// OpStore writes the cache line containing Addr (RFO on miss/shared).
+	// OpStore writes the cache line containing the byte address Arg (RFO
+	// on miss/shared).
 	OpStore
 	// OpBarrier synchronizes all cores; every core's stream must contain
 	// the same number of barriers in the same order.
 	OpBarrier
-	// OpPhase switches the accounting phase. Only core 0 may emit phase
-	// markers, and each should directly follow a barrier (or stream start)
-	// so that all cores agree on the boundary time.
+	// OpPhase switches the accounting phase to Program.Phases[Arg]. Only
+	// core 0 may emit phase markers, and each should directly follow a
+	// barrier (or stream start) so that all cores agree on the boundary
+	// time.
 	OpPhase
 )
 
@@ -43,17 +47,41 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is a single IR operation.
-type Op struct {
-	Kind  OpKind
-	N     uint64 // OpCompute: ALU op count
-	Addr  uint64 // OpLoad/OpStore: byte address
-	Phase string // OpPhase: phase name
+// Op is one IR operation packed into a single pointer-free word: the
+// OpKind in the top opKindBits bits and a MaxOpArg-bounded argument below
+// them. The argument is the ALU op count (OpCompute), the byte address
+// (OpLoad/OpStore), an index into Program.Phases (OpPhase), or zero
+// (OpBarrier). Streams of Ops hold no pointers, so the garbage collector
+// neither scans them nor runs write barriers while they are built.
+type Op uint64
+
+const (
+	opKindBits  = 3
+	opKindShift = 64 - opKindBits
+
+	// MaxOpArg is the largest argument an Op can carry: compute counts and
+	// byte addresses above it are rejected by Builder.Build, never
+	// truncated.
+	MaxOpArg = 1<<opKindShift - 1
+)
+
+// makeOp packs kind and arg; arg must not exceed MaxOpArg.
+func makeOp(kind OpKind, arg uint64) Op {
+	return Op(uint64(kind)<<opKindShift | arg)
 }
 
-// Program is a per-core set of operation streams.
+// Kind returns the operation kind.
+func (op Op) Kind() OpKind { return OpKind(op >> opKindShift) }
+
+// Arg returns the operation argument: the compute count, the byte
+// address, or the Program.Phases index, by Kind.
+func (op Op) Arg() uint64 { return uint64(op) & MaxOpArg }
+
+// Program is a per-core set of operation streams plus the phase-name
+// table their OpPhase ops index into.
 type Program struct {
 	Streams [][]Op
+	Phases  []string
 }
 
 // NewProgram allocates empty streams for n cores.
@@ -74,7 +102,8 @@ func (p *Program) Ops() int {
 }
 
 // Validate checks the structural invariants the machine relies on:
-// matching barrier counts across cores and phase markers only on core 0.
+// matching barrier counts across cores, and phase markers only on core 0,
+// each naming a non-empty entry of the phase table.
 func (p *Program) Validate() error {
 	if len(p.Streams) == 0 {
 		return errors.New("sim: program has no streams")
@@ -83,20 +112,24 @@ func (p *Program) Validate() error {
 	for id, s := range p.Streams {
 		b := 0
 		for _, op := range s {
-			switch op.Kind {
+			switch op.Kind() {
 			case OpBarrier:
 				b++
 			case OpPhase:
 				if id != 0 {
 					return fmt.Errorf("sim: phase marker on core %d (only core 0 may mark phases)", id)
 				}
-				if op.Phase == "" {
+				i := op.Arg()
+				if i >= uint64(len(p.Phases)) {
+					return fmt.Errorf("sim: phase index %d outside the %d-entry phase table", i, len(p.Phases))
+				}
+				if p.Phases[i] == "" {
 					return errors.New("sim: empty phase name")
 				}
 			case OpCompute, OpLoad, OpStore:
 				// ok
 			default:
-				return fmt.Errorf("sim: core %d has unknown op kind %d", id, op.Kind)
+				return fmt.Errorf("sim: core %d has unknown op kind %d", id, op.Kind())
 			}
 		}
 		if barriers == -1 {
@@ -108,31 +141,51 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// Builder constructs per-core streams with a fluent API.
+// Builder constructs per-core streams with a fluent API. An argument too
+// large for an Op is recorded, not truncated: Build reports the first one.
 type Builder struct {
 	prog *Program
+	err  error
 }
 
 // NewBuilder returns a builder for an n-core program.
 func NewBuilder(n int) *Builder { return &Builder{prog: NewProgram(n)} }
 
+// overflow records an argument above MaxOpArg; Build reports the first.
+func (b *Builder) overflow(id int, kind OpKind, arg uint64) {
+	if b.err == nil {
+		b.err = fmt.Errorf("sim: core %d %s argument %#x exceeds %d bits", id, kind, arg, opKindShift)
+	}
+}
+
 // Compute appends an ALU burst to core id's stream.
 func (b *Builder) Compute(id int, n uint64) *Builder {
-	if n > 0 {
-		b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: OpCompute, N: n})
+	switch {
+	case n > MaxOpArg:
+		b.overflow(id, OpCompute, n)
+	case n > 0:
+		b.prog.Streams[id] = append(b.prog.Streams[id], makeOp(OpCompute, n))
 	}
 	return b
 }
 
 // Load appends a load of addr to core id's stream.
 func (b *Builder) Load(id int, addr uint64) *Builder {
-	b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: OpLoad, Addr: addr})
+	if addr > MaxOpArg {
+		b.overflow(id, OpLoad, addr)
+		return b
+	}
+	b.prog.Streams[id] = append(b.prog.Streams[id], makeOp(OpLoad, addr))
 	return b
 }
 
 // Store appends a store to addr to core id's stream.
 func (b *Builder) Store(id int, addr uint64) *Builder {
-	b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: OpStore, Addr: addr})
+	if addr > MaxOpArg {
+		b.overflow(id, OpStore, addr)
+		return b
+	}
+	b.prog.Streams[id] = append(b.prog.Streams[id], makeOp(OpStore, addr))
 	return b
 }
 
@@ -157,52 +210,69 @@ func (b *Builder) grow(id int, n int) {
 	b.prog.Streams[id] = ns
 }
 
-// LoadRange appends line-granular loads covering [addr, addr+bytes).
-func (b *Builder) LoadRange(id int, addr, bytes uint64, lineSz int) *Builder {
+// appendRange appends one kind op per line covering [addr, addr+bytes).
+// The range is bounds-checked once, at its last byte.
+func (b *Builder) appendRange(id int, kind OpKind, addr, bytes uint64, lineSz int) {
 	if bytes == 0 {
-		return b
+		return
+	}
+	end := addr + bytes - 1
+	if end < addr {
+		end = math.MaxUint64 // wrapped: report the overflow below
+	}
+	if end > MaxOpArg {
+		b.overflow(id, kind, end)
+		return
 	}
 	line := uint64(lineSz)
 	first := addr &^ (line - 1)
-	last := (addr + bytes - 1) &^ (line - 1)
+	last := end &^ (line - 1)
 	b.grow(id, int((last-first)/line)+1)
+	s := b.prog.Streams[id]
 	for a := first; a <= last; a += line {
-		b.Load(id, a)
+		s = append(s, makeOp(kind, a))
 	}
+	b.prog.Streams[id] = s
+}
+
+// LoadRange appends line-granular loads covering [addr, addr+bytes).
+func (b *Builder) LoadRange(id int, addr, bytes uint64, lineSz int) *Builder {
+	b.appendRange(id, OpLoad, addr, bytes, lineSz)
 	return b
 }
 
 // StoreRange appends line-granular stores covering [addr, addr+bytes).
 func (b *Builder) StoreRange(id int, addr, bytes uint64, lineSz int) *Builder {
-	if bytes == 0 {
-		return b
-	}
-	line := uint64(lineSz)
-	first := addr &^ (line - 1)
-	last := (addr + bytes - 1) &^ (line - 1)
-	b.grow(id, int((last-first)/line)+1)
-	for a := first; a <= last; a += line {
-		b.Store(id, a)
-	}
+	b.appendRange(id, OpStore, addr, bytes, lineSz)
 	return b
 }
 
 // Barrier appends a barrier to every core's stream.
 func (b *Builder) Barrier() *Builder {
 	for id := range b.prog.Streams {
-		b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: OpBarrier})
+		b.prog.Streams[id] = append(b.prog.Streams[id], makeOp(OpBarrier, 0))
 	}
 	return b
 }
 
-// Phase appends a phase marker to core 0's stream.
+// Phase appends a phase marker to core 0's stream, interning name in the
+// program's phase table. Phase vocabularies are a handful of names, so a
+// linear scan of the table is the whole lookup.
 func (b *Builder) Phase(name string) *Builder {
-	b.prog.Streams[0] = append(b.prog.Streams[0], Op{Kind: OpPhase, Phase: name})
+	i := slices.Index(b.prog.Phases, name)
+	if i < 0 {
+		i = len(b.prog.Phases)
+		b.prog.Phases = append(b.prog.Phases, name)
+	}
+	b.prog.Streams[0] = append(b.prog.Streams[0], makeOp(OpPhase, uint64(i)))
 	return b
 }
 
 // Build validates and returns the program.
 func (b *Builder) Build() (*Program, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
 	if err := b.prog.Validate(); err != nil {
 		return nil, err
 	}

@@ -63,37 +63,17 @@ func (r SimRun) Profile() (*trace.Profile, error) {
 	return phasesToProfile(r.Workload, r.Cores, r.Phases)
 }
 
-// programs memoizes compiled simulator programs by SimRunKey: program
-// construction is deterministic for a key, a Machine only reads the
-// program, and repeated runs of the same configuration (benchmarks, serve
-// traffic with caching disabled) would otherwise recompile identical IR.
-// Memory is bounded by the distinct simulation configs the process runs.
-var programs sync.Map // key string -> *sim.Program
-
-// simProgram compiles (or recalls) the program for one simulated run.
-func simProgram(w Workload, ds *datagen.Dataset, cfg sim.Config, scale int) (*sim.Program, error) {
-	key := SimRunKey(w, ds.Spec, cfg, scale)
-	if p, ok := programs.Load(key); ok {
-		return p.(*sim.Program), nil
-	}
-	prog, err := w.BuildProgram(ds, cfg, scale)
-	if err != nil {
-		return nil, err
-	}
-	programs.Store(key, prog)
-	return prog, nil
-}
-
 // RunSim compiles the workload, draws a machine for cfg from the machine
 // pool (equivalent to a fresh single-use sim.Machine — the pool hands out
 // Reset machines and Run still refuses reuse without Reset), runs it once,
 // and strips the result down to a cacheable SimRun. The machine returns to
-// the pool on every path and the compiled program is memoized, so
-// steady-state sweeps construct no machines and compile no programs.
+// the pool on every path, so steady-state sweeps construct no machines.
+// The program is compiled afresh: each SimRunKey runs once per process as
+// a singleflighted engine job, so a program memo would only pin memory.
 // Result.Phases aliases scratch the released machine will recycle, so the
 // slice kept in the SimRun is a copy.
 func RunSim(w Workload, ds *datagen.Dataset, cfg sim.Config, scale int) (SimRun, error) {
-	prog, err := simProgram(w, ds, cfg, scale)
+	prog, err := w.BuildProgram(ds, cfg, scale)
 	if err != nil {
 		return SimRun{}, err
 	}

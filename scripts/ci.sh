@@ -74,6 +74,19 @@ cmp "$tmp/cold.out" "$tmp/warm.out"
 grep -q '0 executed' "$tmp/warm.stats"
 grep -q 'disk:' "$tmp/warm.stats"
 
+echo "== full-size digest =="
+# Every other byte-identity gate runs at -quick. This one pins the text
+# output of the full-size `run all` (about 3 s), so a simulator defect
+# that only shows at full-size data sets and core counts cannot slip
+# through. A change that alters full-size output on purpose updates
+# the digest and says so.
+full_want=d7a955308f7b1f8c16fc6117316a4015ee7521a10a4a0d89e919a9f0a01c9996
+full_got=$("$tmp/mergescale" run all | sha256sum | cut -d' ' -f1)
+if [ "$full_got" != "$full_want" ]; then
+    echo "full-size run all text digest $full_got, want $full_want" >&2
+    exit 1
+fi
+
 echo "== contended-workload determinism =="
 # The contend experiments simulate zipf-skewed MESI traffic whose
 # hot-line statistics feed the rendered tables; a fresh cache dir proves
