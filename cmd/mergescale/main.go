@@ -18,10 +18,6 @@
 //	           [-maxstreams N] [-reqtimeout D] [-draintimeout D]
 //	mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing]
 //	           [-nocache]
-//	mergescale load -url URL [-profile P] [-targets IDS] [-formats F]
-//	           [-concurrency N] [-requests N | -for D] [-rate R] [-seed N]
-//	           [-alpha A] [-burstsize N] [-burstgap D] [-sweepgrid FILE]
-//	           [-retries N] [-retrybase D] [-slo-warm-p99 D] [-out FILE]
 //
 // Experiment ids follow the paper's artifact numbering (table1..table4,
 // fig2a..fig7) plus the abl-* ablations; see DESIGN.md for the index.
@@ -48,7 +44,8 @@
 // The serve subcommand boots the HTTP front end (internal/serve) over the
 // same engine and cache: GET /run/{id|all}?format=F streams each
 // experiment's rendering over chunked transfer as it resolves, with every
-// concurrent client sharing one engine's singleflight and disk cache.
+// concurrent client sharing one engine's singleflight and disk cache:
+// identical requests compute once, and each renders its own body.
 // -ratelimit/-rateburst/-maxstreams (all off by default) arm per-client
 // admission control; GET /metrics exposes Prometheus text-format
 // counters. See docs/ARCHITECTURE.md "Serving" and "Serving under load".
@@ -67,12 +64,6 @@
 // identical to the POST /sweep response for the same grid and format.
 // The grid's optional "acmp_r" and "comm" fields select asymmetric
 // designs and the communication-aware model.
-//
-// The load subcommand is the trace-driven load harness (internal/load):
-// it replays a deterministic request trace (uniform, power-law, or burst)
-// against a running server and reports req/s plus p50/p95/p99 latency
-// split by render-cache temperature as JSON. -retries arms exponential-backoff retry of
-// retryable failures (429/503/5xx/transport), honoring Retry-After.
 //
 // -faults SPEC (run, simulate, serve; requires -cachedir) arms the
 // deterministic fault injector over the disk store — see internal/faults
@@ -131,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stats     = fs.Bool("stats", false, "print engine cache/worker statistics to stderr")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-out FILE] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-format F] [-out FILE] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] simulate [-workload kmeans|fuzzy|hop] [-cores N] [-scale S] [-iters I]\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing] [-nocache]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-burstsize N] [-burstgap D] [-sweepgrid FILE] [-retries N] [-retrybase D] [-slo-warm-p99 D] [-out FILE]\n       mergescale -list\n")
+		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-out FILE] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-format F] [-out FILE] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] simulate [-workload kmeans|fuzzy|hop] [-cores N] [-scale S] [-iters I]\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing] [-nocache]\n       mergescale -list\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -177,15 +168,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sub = rest[0]
 	}
 	switch sub {
-	case "load", "sweep":
-		// Both own their whole flag surface (sweep re-declares the
-		// rendering flags it honors, and load takes its configuration
-		// through its own flags), so any global flag is a mistake.
-		if rejectGlobals(fs, stderr, sub, "see mergescale "+sub+" -h") {
+	case "sweep":
+		// Sweep owns its whole flag surface (it re-declares the rendering
+		// flags it honors), so any global flag is a mistake.
+		if rejectGlobals(fs, stderr, sub, "see mergescale sweep -h") {
 			return 2
-		}
-		if sub == "load" {
-			return runLoad(rest[1:], stdout, stderr)
 		}
 		return runSweep(rest[1:], stdout, stderr)
 	case "serve":

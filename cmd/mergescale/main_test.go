@@ -265,6 +265,49 @@ func TestServeUsageErrors(t *testing.T) {
 	}
 }
 
+// TestServeLimitFlagValidation: negative admission-control flags are
+// usage errors, not silently-disabled limits.
+func TestServeLimitFlagValidation(t *testing.T) {
+	for _, args := range [][]string{
+		{"serve", "-ratelimit", "-1"},
+		{"serve", "-rateburst", "-1"},
+		{"serve", "-maxstreams", "-1"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Fatalf("%v exit code = %d, want 2 (stderr: %s)", args, code, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), "must be >= 0") {
+			t.Fatalf("%v: expected validation error, got: %s", args, errOut.String())
+		}
+	}
+}
+
+// TestUnknownSubcommandUsage: a missing or unknown subcommand, load among
+// them, prints the generic usage and exits 2 without rendering anything.
+func TestUnknownSubcommandUsage(t *testing.T) {
+	for _, args := range [][]string{
+		{},
+		{"bogus"},
+		{"load"},
+		{"load", "-url", "http://127.0.0.1:1", "-requests", "1"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), "usage: mergescale") {
+			t.Errorf("%v: usage text missing from stderr: %s", args, errOut.String())
+		}
+		if strings.Contains(errOut.String(), "mergescale load") {
+			t.Errorf("%v: usage still lists the load subcommand", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote %d bytes to stdout", args, out.Len())
+		}
+	}
+}
+
 // TestUnknownFormat: a bad -format is a usage error before any work runs.
 func TestUnknownFormat(t *testing.T) {
 	var out, errOut bytes.Buffer

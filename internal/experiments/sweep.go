@@ -11,7 +11,6 @@ import (
 	"strconv"
 
 	"mergescale/internal/core"
-	"mergescale/internal/engine"
 	"mergescale/internal/report"
 )
 
@@ -22,12 +21,11 @@ import (
 // validate, evaluate and render identically — byte-identical output for
 // the same grid, however it arrives.
 //
-// Normalization is the caching contract: apps, budgets and the r-grid are
-// sorted and deduplicated, and app names are derived from the parameters
-// (client-chosen labels never reach the output). Two requests describing
-// the same design space in different order therefore share one plan
-// fingerprint, so the server's render cache serves the second request's
-// bytes whole.
+// Normalization is the equivalence contract: apps, budgets and the r-grid
+// are sorted and deduplicated, and app names are derived from the
+// parameters (client-chosen labels never reach the output). Two requests
+// describing the same design space in different order therefore normalize
+// to one plan and render the same bytes.
 //
 // Points evaluate in plan order on the calling goroutine, with no engine
 // involved. A point is one closed-form model evaluation — microseconds —
@@ -55,7 +53,7 @@ const (
 // defaults to "linear" (the paper's extended model); any name accepted by
 // core.ParseGrowth works. Apps carry no client-visible label on purpose:
 // canonical labels are derived from the parameters so that equivalent
-// requests share cache entries.
+// requests render the same bytes.
 type SweepApp struct {
 	F      float64 `json:"f"`
 	FCon   float64 `json:"fcon"`
@@ -312,34 +310,6 @@ func dedupe[T any](s []T, eq func(a, b T) bool) []T {
 
 // Points returns the number of design points the plan evaluates.
 func (p *SweepPlan) Points() int { return len(p.points) }
-
-// Fingerprint digests the normalized grid. Equivalent requests — same
-// design space, any ordering or duplication — share it, so it keys the
-// server's rendered-response cache: the second spelling of a grid is a
-// whole-body cache hit, not even a re-render.
-func (p *SweepPlan) Fingerprint() string {
-	parts := []any{"sweep-plan", len(p.Apps)}
-	for _, a := range p.Apps {
-		parts = append(parts, a)
-	}
-	parts = append(parts, len(p.Budgets))
-	for _, b := range p.Budgets {
-		parts = append(parts, b)
-	}
-	parts = append(parts, len(p.Rs))
-	for _, r := range p.Rs {
-		parts = append(parts, r)
-	}
-	// The modes are folded in only when set, so a symmetric plan keeps
-	// the fingerprint it always had.
-	if p.ACMPR != 0 {
-		parts = append(parts, "acmp_r", p.ACMPR)
-	}
-	if p.Comm {
-		parts = append(parts, "comm")
-	}
-	return engine.Key(parts...)
-}
 
 // sweepPointStart, when non-nil, is called before every point is
 // evaluated, with the point's plan index. Test-only: the first-byte

@@ -165,39 +165,44 @@ func TestSweepNormalizeHugeProductRejectedCheaply(t *testing.T) {
 
 // TestSweepNormalizeCanonical: two spellings of the same design space —
 // reordered axes, duplicated values, growth default spelled out — must
-// normalize to the same plan: same fingerprint and byte-identical renders
-// in every format. This is the whole caching contract of POST /sweep.
+// normalize to the same plan and render byte-identical bodies in every
+// format, while a different grid or model mode renders different bytes.
+// This is the whole equivalence contract of POST /sweep.
 func TestSweepNormalizeCanonical(t *testing.T) {
-	a := mustPlan(t, sweepBody)
-	b := mustPlan(t, `{"apps":[{"f":0.9,"growth":"linear"},{"f":0.975,"fcon":0.1,"fored":0.2}],"budgets":[256,64,256],"rs":[16,8,4,2,1,16]}`)
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("equivalent grids fingerprint differently: %s vs %s", a.Fingerprint(), b.Fingerprint())
+	formats := []string{"text", "markdown", "json", "csv"}
+	renderAll := func(p *SweepPlan) map[string][]byte {
+		out := make(map[string][]byte, len(formats))
+		for _, format := range formats {
+			out[format] = renderPlan(t, p, format, true)
+		}
+		return out
 	}
-	for _, format := range []string{"text", "markdown", "json", "csv"} {
-		if !bytes.Equal(renderPlan(t, a, format, true), renderPlan(t, b, format, true)) {
-			t.Fatalf("%s: equivalent grids render different bytes", format)
+	sym := renderAll(mustPlan(t, sweepBody))
+	same := func(name string, p *SweepPlan) {
+		t.Helper()
+		for format, body := range renderAll(p) {
+			if !bytes.Equal(body, sym[format]) {
+				t.Fatalf("%s: %s renders different bytes from the symmetric plan", format, name)
+			}
 		}
 	}
-	// A genuinely different space must not collide.
-	c := mustPlan(t, `{"apps":[{"f":0.9}],"budgets":[64],"rs":[1,2]}`)
-	if c.Fingerprint() == a.Fingerprint() {
-		t.Fatal("different grids share a fingerprint")
+	differs := func(name string, p *SweepPlan) {
+		t.Helper()
+		for format, body := range renderAll(p) {
+			if bytes.Equal(body, sym[format]) {
+				t.Fatalf("%s: %s renders the symmetric plan's bytes", format, name)
+			}
+		}
 	}
-	// The same grid in another model or design family is another plan:
-	// sharing a fingerprint would make the render cache serve the
-	// symmetric body for it.
-	seen := map[string]string{a.Fingerprint(): "symmetric"}
+	same("reordered grid", mustPlan(t, `{"apps":[{"f":0.9,"growth":"linear"},{"f":0.975,"fcon":0.1,"fored":0.2}],"budgets":[256,64,256],"rs":[16,8,4,2,1,16]}`))
+	// A genuinely different space must not render the same body.
+	differs("different grid", mustPlan(t, `{"apps":[{"f":0.9}],"budgets":[64],"rs":[1,2]}`))
+	// The same grid in another model or design family is another plan.
 	for _, mode := range []string{`"comm":true`, `"acmp_r":4`, `"acmp_r":4,"comm":true`, `"acmp_r":8`} {
-		p := mustPlan(t, sweepBody[:len(sweepBody)-1]+","+mode+"}")
-		if prev, dup := seen[p.Fingerprint()]; dup {
-			t.Fatalf("%s shares a fingerprint with %s", mode, prev)
-		}
-		seen[p.Fingerprint()] = mode
+		differs(mode, mustPlan(t, sweepBody[:len(sweepBody)-1]+","+mode+"}"))
 	}
 	// Unset modes spelled out are the symmetric plan itself.
-	if d := mustPlan(t, sweepBody[:len(sweepBody)-1]+`,"acmp_r":0,"comm":false}`); d.Fingerprint() != a.Fingerprint() {
-		t.Fatal("explicit zero modes changed the fingerprint")
-	}
+	same("explicit zero modes", mustPlan(t, sweepBody[:len(sweepBody)-1]+`,"acmp_r":0,"comm":false}`))
 }
 
 // TestSweepPredictParity: a one-app, one-budget grid with the default
@@ -406,8 +411,8 @@ func TestSweepRunStopsEarly(t *testing.T) {
 }
 
 // FuzzParseSweepRequest: no body may panic the decoder or normalizer, and
-// every rejection must stay a single line. Accepted plans must produce a
-// fingerprint without panicking.
+// every rejection must stay a single line. Accepted plans must stay
+// within the point cap.
 func FuzzParseSweepRequest(f *testing.F) {
 	f.Add(sweepBody)
 	f.Add(`{"apps":[{"f":0.9}],"budgets":[64]}`)
@@ -438,9 +443,6 @@ func FuzzParseSweepRequest(f *testing.F) {
 		}
 		if plan.Points() == 0 || plan.Points() > MaxSweepPoints {
 			t.Fatalf("accepted plan has %d points", plan.Points())
-		}
-		if plan.Fingerprint() == "" {
-			t.Fatal("accepted plan has empty fingerprint")
 		}
 	})
 }

@@ -54,7 +54,7 @@ func (h *histogram) observe(seconds float64) {
 }
 
 // serveMetrics accumulates the server's own observability counters. The
-// engine, disk-cache and render-cache counters are not duplicated here —
+// engine and disk-cache counters are not duplicated here —
 // /metrics re-exports them live at scrape time from their owning
 // structures, so the two views (/stats JSON and /metrics text) can never
 // disagree.
@@ -62,7 +62,6 @@ type serveMetrics struct {
 	mu          sync.Mutex
 	requests    map[counterLabel]uint64
 	durations   map[histLabel]*histogram
-	renders     uint64 // streaming render executions (cold misses + bypasses)
 	rateLimited uint64 // requests rejected 429 by the per-client limiter
 	shed        uint64 // /run requests rejected 503 by the stream cap
 	timeouts    uint64 // requests whose -reqtimeout deadline fired
@@ -87,12 +86,6 @@ func (m *serveMetrics) observe(endpoint, format string, code int, seconds float6
 		m.durations[hl] = h
 	}
 	h.observe(seconds)
-}
-
-func (m *serveMetrics) renderStarted() {
-	m.mu.Lock()
-	m.renders++
-	m.mu.Unlock()
 }
 
 func (m *serveMetrics) rateLimitRejected() {
@@ -126,7 +119,7 @@ func writeHeaderOnce(b *strings.Builder, name, help, typ string) {
 
 // handleMetrics renders the full metric set in Prometheus text
 // exposition format (version 0.0.4): the server's own request counters
-// and latency histograms, plus the engine, disk-cache, render-cache and
+// and latency histograms, plus the engine, disk-cache and
 // admission-control counters re-exported live. Output ordering is
 // deterministic (sorted label sets) so scrapes diff cleanly.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -184,7 +177,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			l.endpoint, l.format, h.count)
 	}
 
-	renders, rateLimited, shed, timeouts := s.metrics.renders, s.metrics.rateLimited, s.metrics.shed, s.metrics.timeouts
+	rateLimited, shed, timeouts := s.metrics.rateLimited, s.metrics.shed, s.metrics.timeouts
 	s.metrics.mu.Unlock()
 
 	counter := func(name, help string, v uint64) {
@@ -196,8 +189,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "%s %d\n", name, v)
 	}
 
-	counter("mergescale_renders_total",
-		"Streaming render executions on /run (render-cache misses and bypasses; singleflighted per key).", renders)
 	counter("mergescale_http_rate_limited_total",
 		"Requests rejected with 429 by the per-client rate limiter.", rateLimited)
 	counter("mergescale_http_streams_rejected_total",
@@ -251,15 +242,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.Injector != nil {
 		counter("mergescale_faults_injected_total",
 			"Synthetic faults injected by the -faults profile.", s.Injector.InjectedTotal())
-	}
-
-	if s.renderedBodies != nil {
-		hits, misses, coalesced, entries, bytes := s.renderedBodies.stats()
-		counter("mergescale_render_cache_hits_total", "Rendered-response cache hits.", hits)
-		counter("mergescale_render_cache_misses_total", "Rendered-response cache misses.", misses)
-		counter("mergescale_render_cache_coalesced_total", "Requests served by another request's in-flight render (stampede singleflight).", coalesced)
-		gauge("mergescale_render_cache_entries", "Rendered-response cache resident entries.", int64(entries))
-		gauge("mergescale_render_cache_bytes", "Rendered-response cache resident bytes.", bytes)
 	}
 
 	body := b.String()

@@ -40,7 +40,7 @@ func hasSeries(metrics, series string) bool {
 
 // TestMetricsEndpoint drives a few requests and checks the Prometheus
 // exposition: request counters per endpoint/format/code, a consistent
-// latency histogram, and the engine + render-cache re-exports.
+// latency histogram, and the engine re-exports.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := &Server{
 		Engine:      engine.New(engine.Config{Workers: 2}),
@@ -50,7 +50,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// 2 cold+warm text runs, 1 json run, 1 404, 1 bad format, 1 stats.
+	// 2 text runs (cold, then an engine hit), 1 json run, 1 404, 1 bad
+	// format, 1 stats.
 	get(t, ts, "/run/table1")
 	get(t, ts, "/run/table1")
 	get(t, ts, "/run/table1?format=json")
@@ -70,10 +71,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mergescale_http_requests_total{endpoint="/run",format="text",code="404"}`:    1,
 		`mergescale_http_requests_total{endpoint="/run",format="invalid",code="400"}`: 1,
 		`mergescale_http_requests_total{endpoint="/stats",format="",code="200"}`:      1,
-		`mergescale_renders_total`:             2, // text cold + json cold; warm text was a cache hit
-		`mergescale_render_cache_hits_total`:   1,
-		`mergescale_render_cache_misses_total`: 2,
-		`mergescale_render_cache_entries`:      2,
+		`mergescale_engine_jobs_executed_total`:                                       1, // table1, once
+		`mergescale_engine_cache_hits_total`:                                          2, // warm text + json
 	} {
 		if got := metricValue(t, body, series); got != want {
 			t.Errorf("%s = %v, want %v", series, got, want)

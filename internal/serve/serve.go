@@ -34,17 +34,17 @@
 // it into a canonical plan — sorted, deduplicated, labels derived from
 // parameters — and streams one table row per grid point as it is
 // evaluated. Points are plain model arithmetic and never reach the
-// engine; equivalent grids, however ordered, share one whole body in the
-// render cache.
+// engine; equivalent grids, however ordered, render the same bytes.
 //
-// Under load, three more mechanisms engage (see docs/ARCHITECTURE.md
-// "Serving under load"): cold identical /run requests singleflight the
-// *render* per (target, format) key — not just the computation — so a
-// request stampede performs one render; an optional per-client rate
-// limiter answers 429 with Retry-After; and an optional
+// Every /run and /sweep request renders its own body: identical
+// concurrent requests share one computation through the engine's
+// singleflight, and each replays the shared documents through its own
+// renderer. Under load, two more mechanisms engage (see
+// docs/ARCHITECTURE.md "Serving under load"): an optional per-client
+// rate limiter answers 429 with Retry-After, and an optional
 // max-concurrent-streams cap answers 503 with Retry-After. /metrics
 // exposes request counts and latency histograms per endpoint/format plus
-// the engine, disk-cache and render-cache counters.
+// the engine and disk-cache counters.
 //
 // The /run body is byte-identical to the mergescale CLI's buffered output
 // for the same format: the handler drives the exact renderer pipeline the
@@ -54,7 +54,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -63,7 +62,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"strconv"
 	"time"
 
 	"mergescale/internal/engine"
@@ -123,11 +121,6 @@ type Server struct {
 	// excess requests get 503 with Retry-After (CLI: serve -maxstreams).
 	MaxStreams int
 
-	// renderedBodies caches fully rendered /run responses keyed by
-	// (target, format); initialized once by Handler. See renderCache for
-	// the caching rules (UseDuration runs bypass it) and the per-key
-	// singleflight that prevents render stampedes.
-	renderedBodies *renderCache
 	// metrics backs /metrics; initialized once by Handler.
 	metrics *serveMetrics
 	// limiter / streams implement RateLimit / MaxStreams; nil when off.
@@ -156,9 +149,6 @@ func (s *Server) logf(format string, args ...any) {
 // /healthz and /metrics stay unconditioned so probes and scrapes answer
 // even when the server is shedding load.
 func (s *Server) Handler() http.Handler {
-	if s.renderedBodies == nil {
-		s.renderedBodies = newRenderCache(renderCacheEntries)
-	}
 	if s.metrics == nil {
 		s.metrics = newServeMetrics()
 	}
@@ -293,24 +283,12 @@ type diskStats struct {
 	Bytes     int64  `json:"bytes"`
 }
 
-// renderStats reports the rendered-response cache counters. Coalesced
-// counts requests served by another request's in-flight render (the
-// stampede singleflight).
-type renderStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Coalesced uint64 `json:"coalesced"`
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-}
-
 // statsPayload is the /stats response body.
 type statsPayload struct {
 	Engine  engineStats         `json:"engine"`
 	Disk    *diskStats          `json:"disk,omitempty"`
 	Breaker *breakerInfo        `json:"breaker,omitempty"`
 	Faults  []faults.RuleCounts `json:"faults,omitempty"`
-	Render  *renderStats        `json:"render,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -344,10 +322,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.Injector != nil {
 		payload.Faults = s.Injector.Counts()
-	}
-	if s.renderedBodies != nil {
-		hits, misses, coalesced, entries, bytes := s.renderedBodies.stats()
-		payload.Render = &renderStats{Hits: hits, Misses: misses, Coalesced: coalesced, Entries: entries, Bytes: bytes}
 	}
 	s.writeJSON(w, payload)
 }
@@ -423,7 +397,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// (each request drives its own stream). The request context cancels on
 	// disconnect, and a mid-stream write error additionally cancels
 	// outstanding jobs via the stream's emit-error cancellation.
-	s.streamRender(w, r, renderKey{target: target, format: format}, !s.Opt.UseDuration,
+	s.streamRender(w, r, target, format,
 		func(emit func(report.Element) error) error {
 			return experiments.StreamElements(r.Context(), s.Engine, targets, s.Opt, emit)
 		})
@@ -431,13 +405,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // handleSweep streams one parametric design-space sweep. The JSON grid is
 // decoded, validated and normalized before any point is evaluated —
-// malformed bodies get a one-line 400 for free. The rendered body caches
-// under the plan fingerprint, so a repeated equivalent grid (however
-// ordered or duplicated) is a whole-body hit. The points themselves are
-// plain arithmetic evaluated in plan order on the request goroutine; they
-// never reach the engine, so a sweep leaves no engine or disk-cache state
-// behind. Cold sweeps stream row by row: each point's table row flushes
-// the moment it is evaluated.
+// malformed bodies get a one-line 400 for free. Equivalent grids (however
+// ordered or duplicated) normalize to one plan and so render the same
+// bytes. The points are plain arithmetic evaluated in plan order on the
+// request goroutine; they never reach the engine, so a sweep leaves no
+// engine or disk-cache state behind. Sweeps stream row by row: each
+// point's table row flushes the moment it is evaluated.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	format := r.URL.Query().Get("format")
 	if format == "" {
@@ -457,86 +430,27 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Sweeps are pure model arithmetic — deterministic regardless of
-	// UseDuration — so the rendered body is always cacheable.
-	s.streamRender(w, r, renderKey{target: "sweep:" + plan.Fingerprint(), format: format}, true,
+	s.streamRender(w, r, "sweep", format,
 		func(emit func(report.Element) error) error {
 			return plan.Run(r.Context(), emit)
 		})
 }
 
 // streamRender is the chunked streaming pipeline shared by /run and
-// /sweep: it consults the rendered-response cache under key, then either
-// serves a cached body, follows an in-flight leader, or leads a real
-// render — driving produce's elements through the format renderer with a
-// flush per element, teeing the bytes into the cache on success.
-//
-// The cache rules: entries only exist for runs that completed cleanly, so
-// a hit can never replay a partial document; uncacheable runs (wall-clock
-// /run) bypass the cache entirely. Cold misses singleflight per key: the
-// first request leads and streams its render, concurrent identical
-// requests wait and serve the leader's body, so a stampede of N cold
-// clients performs exactly one render. A leader that fails — client
-// disconnect, experiment error — wakes its followers with ok=false and
-// the next one takes over, so a dead leader never wedges the key.
+// /sweep: it drives produce's elements through the format renderer
+// straight into the response, flushing per element. target names the
+// request in error logs.
 //
 // Errors before the first body byte get a clean 500; errors after it
 // abort the connection (http.ErrAbortHandler) — a truncated chunked body
 // is the HTTP-visible form of a failed stream, and is preferable to a
 // silently incomplete document with a clean terminator.
-func (s *Server) streamRender(w http.ResponseWriter, r *http.Request, key renderKey, cacheable bool,
+func (s *Server) streamRender(w http.ResponseWriter, r *http.Request, target, format string,
 	produce func(emit func(report.Element) error) error) {
-	var call *renderCall
-	if cacheable {
-		for {
-			cached, c, leader := s.renderedBodies.join(key)
-			if cached != nil {
-				s.writeCached(w, key.format, key.target, cached)
-				return
-			}
-			if leader {
-				call = c
-				break
-			}
-			select {
-			case <-c.done:
-				if c.ok {
-					s.writeCached(w, key.format, key.target, c.body)
-					return
-				}
-				// Leader failed; loop — re-join, possibly as the new
-				// leader.
-			case <-r.Context().Done():
-				// Client gone while waiting; nothing was written.
-				http.Error(w, r.Context().Err().Error(), http.StatusServiceUnavailable)
-				return
-			}
-		}
-	}
-
-	// Leader (or uncacheable) path: this request performs a real render.
-	// The deferred finish publishes the outcome to any followers on every
-	// exit, including the mid-stream abort panic.
-	s.metrics.renderStarted()
-	renderedOK := false
-	var renderedBody []byte
-	if call != nil {
-		defer func() { s.renderedBodies.finish(key, call, renderedBody, renderedOK) }()
-	}
-
-	w.Header().Set("Content-Type", contentTypes[key.format])
+	w.Header().Set("Content-Type", contentTypes[format])
 	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.Header().Set("X-Render-Cache", renderCacheState(cacheable))
 	body := &countingWriter{w: w}
-	// Tee the streamed bytes into a capture buffer so a clean run can be
-	// stored for future cache hits without a second render pass.
-	var capture *bytes.Buffer
-	var out io.Writer = body
-	if cacheable {
-		capture = &bytes.Buffer{}
-		out = io.MultiWriter(body, capture)
-	}
-	renderer, err := report.NewRenderer(key.format, out)
+	renderer, err := report.NewRenderer(format, body)
 	if err != nil {
 		// Unreachable: every caller validates the format first.
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -563,7 +477,7 @@ func (s *Server) streamRender(w http.ResponseWriter, r *http.Request, key render
 		streamErr = renderer.End()
 	}
 	if streamErr != nil {
-		s.logf("serve: %s format=%s: %v", key.target, key.format, streamErr)
+		s.logf("serve: %s format=%s: %v", target, format, streamErr)
 		if !body.wrote {
 			// The status line hasn't been forced out by body bytes yet, so
 			// the client can still get a proper error response. A blown
@@ -577,40 +491,6 @@ func (s *Server) streamRender(w http.ResponseWriter, r *http.Request, key render
 			return
 		}
 		panic(http.ErrAbortHandler)
-	}
-	if capture != nil {
-		// Only clean, fully rendered runs are cached; errored or aborted
-		// streams returned above. The deferred finish stores the body and
-		// wakes followers.
-		renderedBody = capture.Bytes()
-		renderedOK = true
-	}
-}
-
-// renderCacheState names the X-Render-Cache value for a streaming render:
-// "miss" populates the cache, "bypass" (wall-clock runs) never will. The
-// hit path writes "hit". Load tooling splits cold/warm latency on this
-// header.
-func renderCacheState(cacheable bool) string {
-	if cacheable {
-		return "miss"
-	}
-	return "bypass"
-}
-
-// writeCached writes a fully rendered body in one call. Unlike the
-// streaming path the length is known up front, so the response carries
-// Content-Length and goes out unchunked — previously a warm hit still
-// used chunked transfer for a known-length body. Bytes are identical to
-// the streamed rendering; only framing differs.
-func (s *Server) writeCached(w http.ResponseWriter, format, target string, body []byte) {
-	h := w.Header()
-	h.Set("Content-Type", contentTypes[format])
-	h.Set("X-Content-Type-Options", "nosniff")
-	h.Set("X-Render-Cache", "hit")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	if _, err := w.Write(body); err != nil {
-		s.logf("serve: run %s format=%s: cached write: %v", target, format, err)
 	}
 }
 

@@ -162,6 +162,15 @@ func fakeExperiment(id string, fn func(context.Context) (*report.Document, error
 	}
 }
 
+func mustByID(t *testing.T, id string) experiments.Experiment {
+	t.Helper()
+	e, err := experiments.ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestRunErrorBeforeFirstByteIs500: an experiment that fails immediately
 // must produce a clean 500 (no body byte has been sent yet), not a
 // dropped connection; a failure after output has started must abort the
@@ -209,7 +218,8 @@ func TestRunErrorBeforeFirstByteIs500(t *testing.T) {
 // TestConcurrentIdenticalRequestsSingleflight: several clients asking for
 // the same experiment at once must trigger exactly one computation — the
 // engine's singleflight collapses them — observable both in the run count
-// and through /stats.
+// and through /stats: one execution, and every other client an engine
+// hit (a memory-cache hit or a share of the in-flight job).
 func TestConcurrentIdenticalRequestsSingleflight(t *testing.T) {
 	var runs atomic.Int32
 	slow := fakeExperiment("slow", func(ctx context.Context) (*report.Document, error) {
@@ -267,10 +277,6 @@ func TestConcurrentIdenticalRequestsSingleflight(t *testing.T) {
 			Executed uint64 `json:"executed"`
 			Hits     uint64 `json:"hits"`
 		} `json:"engine"`
-		Render struct {
-			Hits      uint64 `json:"hits"`
-			Coalesced uint64 `json:"coalesced"`
-		} `json:"render"`
 	}
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatalf("/stats does not parse: %v\n%s", err, body)
@@ -278,12 +284,8 @@ func TestConcurrentIdenticalRequestsSingleflight(t *testing.T) {
 	if stats.Engine.Executed != 1 {
 		t.Errorf("/stats executed = %d, want 1", stats.Engine.Executed)
 	}
-	// The sharing happens at the render layer now: followers either join
-	// the leader's in-flight render (coalesced) or, if they arrive after
-	// it finished, hit the rendered-body cache. Either way no client past
-	// the first reaches the engine.
-	if shared := stats.Render.Hits + stats.Render.Coalesced + stats.Engine.Hits; shared < clients-1 {
-		t.Errorf("render hits+coalesced+engine hits = %d, want >= %d (singleflight shares)", shared, clients-1)
+	if stats.Engine.Hits != clients-1 {
+		t.Errorf("/stats hits = %d, want %d (singleflight shares)", stats.Engine.Hits, clients-1)
 	}
 }
 

@@ -21,9 +21,8 @@ const sweepGrid = `{"apps":[{"f":0.975,"fcon":0.1,"fored":0.2},{"f":0.9}],"budge
 // every axis shuffled and duplicated — the canonicalization test vector.
 const sweepGridReordered = `{"apps":[{"f":0.9,"growth":"linear"},{"f":0.975,"fcon":0.1,"fored":0.2}],"budgets":[256,64,256],"rs":[16,8,4,2,1,16]}`
 
-// postSweep issues one POST /sweep and returns status, X-Render-Cache
-// and body.
-func postSweep(t *testing.T, ts *httptest.Server, query, body string) (int, string, []byte) {
+// postSweep issues one POST /sweep and returns status and body.
+func postSweep(t *testing.T, ts *httptest.Server, query, body string) (int, []byte) {
 	t.Helper()
 	resp, err := ts.Client().Post(ts.URL+"/sweep"+query, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -34,7 +33,7 @@ func postSweep(t *testing.T, ts *httptest.Server, query, body string) (int, stri
 	if err != nil {
 		t.Fatalf("POST /sweep: read body: %v", err)
 	}
-	return resp.StatusCode, resp.Header.Get("X-Render-Cache"), b
+	return resp.StatusCode, b
 }
 
 // bufferedSweep renders a grid into a buffer the way `mergescale sweep`
@@ -76,7 +75,7 @@ func TestSweepEndpointMatchesBufferedRender(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	for _, format := range []string{"text", "markdown", "json", "csv"} {
-		status, _, body := postSweep(t, ts, "?format="+format, sweepGrid)
+		status, body := postSweep(t, ts, "?format="+format, sweepGrid)
 		if status != http.StatusOK {
 			t.Fatalf("format=%s: status %d: %s", format, status, body)
 		}
@@ -86,33 +85,27 @@ func TestSweepEndpointMatchesBufferedRender(t *testing.T) {
 	}
 }
 
-// TestSweepReorderedGridIsWholeBodyHit is the acceptance gate: two
-// differently-ordered spellings of one design space resolve to one plan
-// fingerprint, so the second request is a rendered-body cache hit —
-// zero engine jobs, byte-identical bytes.
-func TestSweepReorderedGridIsWholeBodyHit(t *testing.T) {
+// TestSweepReorderedGridSameBytes: two differently-ordered spellings of
+// one design space normalize to one plan, so they stream byte-identical
+// bodies, and neither request runs an engine job.
+func TestSweepReorderedGridSameBytes(t *testing.T) {
 	srv := &Server{Engine: engine.New(engine.Config{Workers: 4})}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	status, cache, first := postSweep(t, ts, "", sweepGrid)
-	if status != http.StatusOK || cache != "miss" {
-		t.Fatalf("cold sweep: status %d cache %q", status, cache)
-	}
-	executed := srv.Engine.Stats().Executed
-
-	status, cache, second := postSweep(t, ts, "", sweepGridReordered)
+	status, first := postSweep(t, ts, "", sweepGrid)
 	if status != http.StatusOK {
-		t.Fatalf("warm sweep: status %d", status)
+		t.Fatalf("first sweep: status %d", status)
 	}
-	if cache != "hit" {
-		t.Fatalf("reordered equivalent grid got X-Render-Cache %q, want hit", cache)
+	status, second := postSweep(t, ts, "", sweepGridReordered)
+	if status != http.StatusOK {
+		t.Fatalf("reordered sweep: status %d", status)
 	}
 	if !bytes.Equal(first, second) {
 		t.Fatal("reordered equivalent grid returned different bytes")
 	}
-	if again := srv.Engine.Stats().Executed; again != executed {
-		t.Fatalf("reordered equivalent grid executed %d new jobs, want 0", again-executed)
+	if executed := srv.Engine.Stats().Executed; executed != 0 {
+		t.Fatalf("two sweeps executed %d engine jobs, want 0", executed)
 	}
 }
 
@@ -138,7 +131,7 @@ func TestSweepBadRequests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, _, body := postSweep(t, ts, tc.query, tc.body)
+			status, body := postSweep(t, ts, tc.query, tc.body)
 			if status != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400 (body %q)", status, body)
 			}
@@ -167,7 +160,7 @@ func TestSweepOverCapRejected(t *testing.T) {
 		sb.WriteString(strconv.Itoa(i + 1))
 	}
 	sb.WriteString(`]}`)
-	status, _, body := postSweep(t, ts, "", sb.String())
+	status, body := postSweep(t, ts, "", sb.String())
 	if status != http.StatusBadRequest || !bytes.Contains(body, []byte("exceeds cap")) {
 		t.Fatalf("over-cap grid: status %d body %q", status, body)
 	}
@@ -178,8 +171,8 @@ func TestSweepOverCapRejected(t *testing.T) {
 
 // TestNoEngineStateAfterSweeps is the bounded-memory guard: sweep points
 // are plain arithmetic, so a stream of distinct grids executes no engine
-// job and leaves nothing in the engine's memory cache. Only the render
-// cache (itself bounded) remembers a sweep.
+// job and leaves nothing in the engine's memory cache: nothing in the
+// process remembers a sweep.
 func TestNoEngineStateAfterSweeps(t *testing.T) {
 	srv := &Server{Engine: engine.New(engine.Config{Workers: 2})}
 	ts := httptest.NewServer(srv.Handler())
@@ -189,9 +182,9 @@ func TestNoEngineStateAfterSweeps(t *testing.T) {
 		`{"apps":[{"f":0.8,"fcon":0.3}],"budgets":[16],"rs":[1,2,4]}`,
 		`{"apps":[{"f":0.99,"fored":0.5,"growth":"amdahl"}],"budgets":[128]}`,
 	} {
-		status, cache, body := postSweep(t, ts, "", grid)
-		if status != http.StatusOK || cache != "miss" {
-			t.Fatalf("sweep %s: status %d cache %q: %s", grid, status, cache, body)
+		status, body := postSweep(t, ts, "", grid)
+		if status != http.StatusOK {
+			t.Fatalf("sweep %s: status %d: %s", grid, status, body)
 		}
 	}
 	if n := srv.Engine.CacheLen(); n != 0 {

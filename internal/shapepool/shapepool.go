@@ -1,8 +1,8 @@
 // Package shapepool provides a tiny registry mapping a comparable "shape"
-// key (a machine config, a buffer geometry, a scratch-array signature) to
-// its sync.Pool of reusable objects. Three subsystems pool shape-keyed
-// objects — simulator machines, privatized reduction buffers, hop's run
-// scratch — and all need the same double-checked RWMutex map rather than a
+// key (a machine config, a buffer geometry) to its sync.Pool of reusable
+// objects. Two subsystems pool shape-keyed objects — simulator machines
+// and privatized reduction buffers — and both need the same
+// double-checked RWMutex map rather than a
 // sync.Map, because sync.Map would box the (often large, struct-typed) key
 // into an interface on every Load: an allocation per acquire/release on
 // exactly the paths pooling exists to keep allocation-free.

@@ -19,8 +19,6 @@ import (
 	"math"
 	"math/bits"
 
-	"mergescale/internal/shapepool"
-
 	"mergescale/internal/parallel"
 	"mergescale/internal/sim"
 	"mergescale/internal/trace"
@@ -113,11 +111,8 @@ func window(cfg Config) int {
 // bits: a window has 2w candidates besides the point itself.
 func maskWords(w int) int { return (2*w + 63) / 64 }
 
-// runScratch holds Run's per-run working arrays, pooled by shape
-// ([n, cells, threads, d, mask words]) so the dozens of native runs an
-// experiment suite performs reuse their buffers instead of reallocating
-// megabytes of scratch per run. Everything is zeroed on acquire; only
-// Result.Group (returned to the caller) is freshly allocated per run.
+// runScratch holds Run's per-run working arrays, freshly allocated (and
+// so zeroed) per run; only Result.Group outlives the run.
 type runScratch struct {
 	partial          [][]int32
 	cellIdx, counts  []int32
@@ -130,14 +125,7 @@ type runScratch struct {
 	min, scale, maxv []float64
 }
 
-var scratchPools shapepool.Registry[[5]int]
-
-func acquireScratch(n, cells, threads, d, words int) *runScratch {
-	sp := scratchPools.For([5]int{n, cells, threads, d, words})
-	if s, _ := sp.Get().(*runScratch); s != nil {
-		s.clear()
-		return s
-	}
+func newScratch(n, cells, threads, d, words int) *runScratch {
 	s := &runScratch{
 		partial: make([][]int32, threads),
 		cellIdx: make([]int32, n),
@@ -159,33 +147,6 @@ func acquireScratch(n, cells, threads, d, words int) *runScratch {
 		s.partial[t] = make([]int32, cells)
 	}
 	return s
-}
-
-func (s *runScratch) release(n, cells, threads, d, words int) {
-	scratchPools.For([5]int{n, cells, threads, d, words}).Put(s)
-}
-
-// clear zeroes every buffer (memclr — no allocations); the accumulating
-// arrays (partial counts, counts, the in-radius masks) rely on it, the
-// rest is cleared for uniformity.
-func (s *runScratch) clear() {
-	for t := range s.partial {
-		clear(s.partial[t])
-	}
-	clear(s.cellIdx)
-	clear(s.counts)
-	clear(s.order)
-	clear(s.cursor)
-	clear(s.parent)
-	clear(s.posOf)
-	clear(s.root)
-	clear(s.pts)
-	clear(s.density)
-	clear(s.mask)
-	clear(s.pairs)
-	clear(s.min)
-	clear(s.scale)
-	clear(s.maxv)
 }
 
 // Run executes hop natively with instrumented phases.
@@ -223,8 +184,7 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		gr.cells *= gr.g
 	}
 	words := maskWords(window(cfg))
-	scr := acquireScratch(n, gr.cells, threads, d, words)
-	defer scr.release(n, gr.cells, threads, d, words)
+	scr := newScratch(n, gr.cells, threads, d, words)
 	gr.min = scr.min
 	gr.scale = scr.scale
 	maxv := scr.maxv

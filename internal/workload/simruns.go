@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 
 	"mergescale/internal/engine"
 	"mergescale/internal/sim"
@@ -143,12 +142,6 @@ func defaultConfigs(coreCounts []int) []sim.Config {
 	return cfgs
 }
 
-// profiles memoizes the trace.Profile derived from each cached SimRun,
-// keyed by the run's SimRunKey. Several experiments derive profiles from
-// the same runs; the consumers (trace.Extract, GrowthSeries,
-// ModelAccuracy) are read-only, so sharing the derived profile is safe.
-var profiles sync.Map // key string -> *trace.Profile
-
 // SimProfiles runs the workload on the simulator across core counts and
 // converts each run's per-phase cycles into a trace.Profile (Work =
 // cycles): one engine job per core count, each independently cached.
@@ -160,17 +153,9 @@ func SimProfiles(ctx context.Context, eng *engine.Engine, w Workload, ds *datage
 	}
 	out := make([]*trace.Profile, len(runs))
 	for i, r := range runs {
-		key := SimRunKey(w, ds.Spec, cfgs[i], scale)
-		if p, ok := profiles.Load(key); ok {
-			out[i] = p.(*trace.Profile)
-			continue
-		}
-		p, err := r.Profile()
-		if err != nil {
+		if out[i], err = r.Profile(); err != nil {
 			return nil, err
 		}
-		profiles.Store(key, p)
-		out[i] = p
 	}
 	return out, nil
 }
