@@ -58,9 +58,11 @@
 //
 // The sweep subcommand evaluates a parametric design-space grid (a JSON
 // description of apps × budgets × r values — the exact POST /sweep
-// request body) and streams the rendered tables row by row: grid points
-// are evaluated in canonical order with no engine or cache, and each
-// table row flushes the moment its point is computed. The bytes are
+// request body) and renders the tables row by row: grid points are
+// evaluated in canonical order with no engine or cache, and each table
+// row goes to the renderer the moment its point is computed (csv and
+// markdown write it then, text at its table's end, json at the
+// document's end). The bytes are
 // identical to the POST /sweep response for the same grid and format.
 // The grid's optional "acmp_r" and "comm" fields select asymmetric
 // designs and the communication-aware model.

@@ -18,14 +18,16 @@ import (
 // runSweep implements the sweep subcommand: evaluate a parametric
 // design-space grid read as JSON (the exact POST /sweep request format —
 // the same experiments.SweepRequest struct decodes both, so the CLI and
-// the endpoint can never drift) and stream the rendered table to stdout.
+// the endpoint can never drift) and render the tables to stdout.
 // The output is byte-identical to the POST /sweep body for the same grid
 // and format. Points are plain model arithmetic evaluated in plan order,
 // so there is no engine, worker pool or cache to configure; -nocache is
 // still accepted, and has no effect, so scripts that pass it keep working.
 //
-// -timing prints time-to-first-row and total wall time to stderr (never
-// stdout, so it cannot perturb the rendered bytes).
+// -timing prints, to stderr (never stdout, so it cannot perturb the
+// rendered bytes), when the first row reached the renderer and the total
+// wall time. The csv and markdown backends write that row at once; text
+// holds it until its table ends, and json until the document ends.
 func runSweep(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mergescale sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -33,7 +35,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		gridPath = fs.String("grid", "-", "JSON grid file (apps × budgets × rs); - reads stdin")
 		format   = fs.String("format", "text", "output format: text | markdown | json | csv")
 		outPath  = fs.String("out", "", "write rendered output to this file instead of stdout")
-		timing   = fs.Bool("timing", false, "print time-to-first-row and total wall time to stderr")
+		timing   = fs.Bool("timing", false, "print when the first row reached the renderer, and total wall time, to stderr")
 	)
 	fs.Bool("nocache", false, "no effect: sweep points are never cached (accepted for older scripts)")
 	fs.Usage = func() {

@@ -66,8 +66,9 @@ func outcomeOf(e Experiment, r engine.Result) Outcome {
 // a document goes out the moment it and every earlier target have
 // resolved, while later targets keep computing. The unit of release is
 // the document — an experiment builds its whole document before any of it
-// reaches emit — and the backends decide how much of it to flush at once
-// (text per table, json per document, markdown and csv per row). It is the
+// reaches emit — and the backends decide how much of it to write at once
+// (text per table, json per document, markdown and csv per row), and
+// the server flushes when the document ends. It is the
 // one run path behind the CLI's run, every GET /run stream in
 // internal/serve, and the benchmark harness; eng is required (a serial,
 // uncached engine is engine.New(engine.Config{Workers: 1, DisableCache:

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 
 	"mergescale/internal/core"
@@ -397,8 +398,37 @@ func f0(v float64) string { return strconv.FormatFloat(v, 'f', 0, 64) }
 func f5(v float64) string { return strconv.FormatFloat(v, 'f', 5, 64) }
 func itoa(v int) string   { return strconv.Itoa(v) }
 func f1(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }
-func f2(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
+func f2(v float64) string {
+	var b [24]byte
+	return string(appendF2(b[:0], v))
+}
 func f3(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
+
+// appendF2 appends v as strconv's 'f' format at precision 2, byte for
+// byte. strconv sends every fixed-precision 'f' through its big-decimal
+// path; below 1e4 this rounds v·100 to an integer instead. The error in
+// x = |v|·100 is then at most about 1e-10, so unless x sits within 1e-6
+// of a rounding tie, x and the exact |v|·100 round to the same integer.
+// Near a tie, at 1e4 and above, and for NaN and ±Inf, strconv decides.
+func appendF2(dst []byte, v float64) []byte {
+	if a := math.Abs(v); a < 1e4 {
+		x := a * 100
+		fl := math.Floor(x)
+		if d := x - fl - 0.5; d >= 1e-6 || d <= -1e-6 {
+			n := int64(fl)
+			if d > 0 {
+				n++
+			}
+			if math.Signbit(v) {
+				dst = append(dst, '-')
+			}
+			dst = strconv.AppendInt(dst, n/100, 10)
+			c := n % 100
+			return append(dst, '.', byte('0'+c/10), byte('0'+c%10))
+		}
+	}
+	return strconv.AppendFloat(dst, v, 'f', 2, 64)
+}
 
 func abs(v float64) float64 {
 	if v < 0 {

@@ -33,8 +33,15 @@ import (
 // and caching points would grow a long-running server's memory with every
 // new grid. (The registry's Figs. 4, 5 and 7 call the same closed-form
 // sweeps directly, inside their one experiment job.) The point is the
-// streaming unit: each row is emitted the moment its point is evaluated,
-// so the first row reaches the client before later points are computed.
+// emit unit: each row goes to the renderer the moment its point is
+// evaluated, so no document is built. Rows never wait on one another,
+// so POST /sweep does not flush per row: its body leaves as net/http's
+// response buffer fills, and the rest at the document's end. The CLI's
+// renderer writes straight to its output (csv and markdown per row).
+//
+// A row's three cells are appended into one buffer and share one string;
+// the speedup cell goes through appendF2, which matches strconv's 'f' at
+// precision 2 byte for byte without its big-decimal path.
 
 // Request caps: a sweep is user-supplied work, so its size is bounded
 // before any point is evaluated. The limits are generous for real design
@@ -366,6 +373,7 @@ func (p *SweepPlan) Run(ctx context.Context, emit func(report.Element) error) er
 	}
 	x := p.xName()
 	res := make([]core.SweepPoint, len(p.points))
+	var buf [96]byte
 	for i, pt := range p.points {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("sweep: point %d: %w", i, err)
@@ -382,7 +390,14 @@ func (p *SweepPlan) Run(ctx context.Context, emit func(report.Element) error) er
 		}
 		speedup, cores := p.eval(g, pt.R)
 		res[i] = core.SweepPoint{R: pt.R, Speedup: speedup}
-		if err := emit(report.Element{Kind: report.ElemRow, Row: []string{fg(pt.R), fg(cores), f2(speedup)}}); err != nil {
+		// One string holds the row's three cells; each cell slices it.
+		b := strconv.AppendFloat(buf[:0], pt.R, 'g', -1, 64)
+		i1 := len(b)
+		b = strconv.AppendFloat(b, cores, 'g', -1, 64)
+		i2 := len(b)
+		b = appendF2(b, speedup)
+		s := string(b)
+		if err := emit(report.Element{Kind: report.ElemRow, Row: []string{s[:i1], s[i1:i2], s[i2:]}}); err != nil {
 			return err
 		}
 		if i == g.End-1 {

@@ -19,12 +19,14 @@ func (d *Document) CSV(w io.Writer) error {
 // titles, so consumers can locate sections without document framing. sep
 // adds the blank line that separates documents in a stream.
 //
-// CSV rows carry no alignment, so tables flush row by row: ElemBeginTable
-// writes the # title comment and header row, every ElemRow goes straight
-// to the writer, and ElemEndTable emits the closing blank line.
+// CSV rows carry no alignment, so tables are written row by row:
+// ElemBeginTable writes the # title comment and header row, every ElemRow
+// is built in one reused buffer and goes to the writer in one Write, and
+// ElemEndTable emits the closing blank line.
 type csvRenderer struct {
 	w   io.Writer
 	sep bool
+	row []byte // the row being written, reused across rows
 }
 
 func (r *csvRenderer) Begin() error { return nil }
@@ -36,9 +38,9 @@ func (r *csvRenderer) Element(el Element) error {
 		if _, err := fmt.Fprintf(r.w, "# %s\n", el.Table.Title); err != nil {
 			return err
 		}
-		return csvWriteRow(r.w, el.Table.Columns)
+		return r.writeRow(el.Table.Columns)
 	case ElemRow:
-		return csvWriteRow(r.w, el.Row)
+		return r.writeRow(el.Row)
 	case ElemEndTable:
 		_, err := fmt.Fprintln(r.w)
 		return err
@@ -54,20 +56,33 @@ func (r *csvRenderer) Element(el Element) error {
 	return fmt.Errorf("report: unknown element kind %d", el.Kind)
 }
 
-// csvEscape quotes a cell when its content would break the row structure.
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+// appendCSVCell appends one cell, quoted when its content would break
+// the row structure.
+func appendCSVCell(dst []byte, s string) []byte {
+	if !strings.ContainsAny(s, ",\"\n") {
+		return append(dst, s...)
 	}
-	return s
+	dst = append(dst, '"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' {
+			dst = append(dst, '"')
+		}
+		dst = append(dst, s[i])
+	}
+	return append(dst, '"')
 }
 
-// csvWriteRow writes one comma-joined, escaped row.
-func csvWriteRow(w io.Writer, cells []string) error {
-	out := make([]string, len(cells))
+// writeRow writes one comma-joined, escaped row in a single Write.
+func (r *csvRenderer) writeRow(cells []string) error {
+	b := r.row[:0]
 	for i, c := range cells {
-		out[i] = csvEscape(c)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendCSVCell(b, c)
 	}
-	_, err := fmt.Fprintln(w, strings.Join(out, ","))
+	b = append(b, '\n')
+	r.row = b
+	_, err := r.w.Write(b)
 	return err
 }

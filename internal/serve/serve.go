@@ -32,7 +32,7 @@
 //
 // POST /sweep accepts a JSON grid (apps × budgets × r values), normalizes
 // it into a canonical plan — sorted, deduplicated, labels derived from
-// parameters — and streams one table row per grid point as it is
+// parameters — and renders one table row per grid point as it is
 // evaluated. Points are plain model arithmetic and never reach the
 // engine; equivalent grids, however ordered, render the same bytes.
 //
@@ -48,9 +48,10 @@
 //
 // The /run body is byte-identical to the mergescale CLI's buffered output
 // for the same format: the handler drives the exact renderer pipeline the
-// CLI uses. The unit of release is one experiment's document, so clients
-// see artifacts as they resolve, in registry order; /sweep is the one
-// endpoint that streams row by row, as each grid point is evaluated.
+// CLI uses. The unit of release and of flushing is one experiment's
+// document, so clients see artifacts as they resolve, in registry order;
+// /sweep renders row by row, as each grid point is evaluated, and its
+// body leaves as net/http's response buffer fills.
 package serve
 
 import (
@@ -101,7 +102,7 @@ type Server struct {
 	// (CLI: serve -reqtimeout). The deadline propagates through the
 	// request context into the engine jobs and /sweep's per-point check;
 	// expiry before the first body byte is a clean 503, after it a
-	// chunked-transfer abort.
+	// connection abort (see streamRender).
 	ReqTimeout time.Duration
 	// DrainTimeout bounds graceful shutdown: how long ListenAndServe
 	// waits for in-flight responses to flush after its context is
@@ -351,15 +352,14 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // handleRun streams one experiment (or the whole registry) through the
 // requested renderer backend. The response is chunked:
 // experiments.StreamElements releases each experiment's whole document
-// the moment it and every earlier one have resolved, and the backend
-// flushes it (text per table, json per document, markdown and csv per
-// row), so the client reads artifacts incrementally while later ones
-// still compute.
-// Errors before the first body byte (an immediately failing experiment, a
-// renderer that errors on Begin) still get a clean 500; errors after the
-// first byte abort the connection (http.ErrAbortHandler) — a truncated
-// chunked body is the HTTP-visible form of a failed stream, and is
-// preferable to a silently incomplete document with a clean terminator.
+// the moment it and every earlier one have resolved, and streamRender
+// flushes the response when the document ends, so the client reads
+// artifacts incrementally while later ones still compute. The wait
+// between documents is the only place the producer blocks, and no
+// document waits in the buffer through it.
+// Errors before any body byte (an immediately failing experiment, a
+// renderer that errors on Begin) still get a clean 500; other errors
+// abort the connection (http.ErrAbortHandler) — see streamRender.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	target := r.PathValue("target")
 	format := r.URL.Query().Get("format")
@@ -409,8 +409,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // ordered or duplicated) normalize to one plan and so render the same
 // bytes. The points are plain arithmetic evaluated in plan order on the
 // request goroutine; they never reach the engine, so a sweep leaves no
-// engine or disk-cache state behind. Sweeps stream row by row: each
-// point's table row flushes the moment it is evaluated.
+// engine or disk-cache state behind. The rows are emitted as their points
+// are evaluated but never wait between one another, so the body leaves in
+// chunks of net/http's response buffer as it fills, and the rest when the
+// document ends.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	format := r.URL.Query().Get("format")
 	if format == "" {
@@ -437,14 +439,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamRender is the chunked streaming pipeline shared by /run and
-// /sweep: it drives produce's elements through the format renderer
-// straight into the response, flushing per element. target names the
-// request in error logs.
+// /sweep: it drives produce's elements through the format renderer into
+// the response, and flushes only when a document ends (ElemEndDoc).
+// Between flushes the bytes collect in net/http's response buffer, which
+// sends a chunk each time it fills. target names the request in error
+// logs.
 //
 // Errors before the first body byte get a clean 500; errors after it
 // abort the connection (http.ErrAbortHandler) — a truncated chunked body
 // is the HTTP-visible form of a failed stream, and is preferable to a
-// silently incomplete document with a clean terminator.
+// silently incomplete document with a clean terminator. Body bytes
+// written before the first flush are usually still in the response
+// buffer, so a failure there closes the connection before any status
+// line is sent.
 func (s *Server) streamRender(w http.ResponseWriter, r *http.Request, target, format string,
 	produce func(emit func(report.Element) error) error) {
 	w.Header().Set("Content-Type", contentTypes[format])
@@ -460,14 +467,14 @@ func (s *Server) streamRender(w http.ResponseWriter, r *http.Request, target, fo
 
 	streamErr := renderer.Begin()
 	if streamErr == nil {
-		// Flushing per element pushes out whatever the backend has
-		// written: a /sweep row the moment its point is evaluated, a
-		// released /run document table by table or row by row.
+		// A released document is written whole before the producer can
+		// block on the next one, so flushing at its end is what lets a
+		// client read it while later documents still compute.
 		streamErr = produce(func(el report.Element) error {
 			if err := renderer.Element(el); err != nil {
 				return err
 			}
-			if flusher != nil {
+			if el.Kind == report.ElemEndDoc && flusher != nil {
 				flusher.Flush()
 			}
 			return nil

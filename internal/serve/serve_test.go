@@ -215,6 +215,79 @@ func TestRunErrorBeforeFirstByteIs500(t *testing.T) {
 	}
 }
 
+// TestRunFlushesEachDocument gates the flush rule at the HTTP level: a
+// released document reaches the client while later experiments still
+// compute. The second experiment blocks until the client has read every
+// byte of the first document from the /run/all body; if the server only
+// flushed at the end, it would wait out its loud 30 s timeout instead.
+func TestRunFlushesEachDocument(t *testing.T) {
+	firstDoc := &report.Document{ID: "first", Title: "released first"}
+	firstDoc.AddNote("first document, flushed on its own")
+	first := fakeExperiment("first", func(ctx context.Context) (*report.Document, error) {
+		return firstDoc, nil
+	})
+	read := make(chan struct{})
+	var timedOut atomic.Bool
+	second := fakeExperiment("second", func(ctx context.Context) (*report.Document, error) {
+		select {
+		case <-read:
+		case <-time.After(30 * time.Second):
+			timedOut.Store(true)
+			return nil, errors.New("the client never received the first document")
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		d := &report.Document{ID: "second", Title: "released second"}
+		d.AddNote("second document")
+		return d, nil
+	})
+	srv := &Server{
+		Engine:      engine.New(engine.Config{Workers: 2}),
+		Opt:         quick,
+		Experiments: []experiments.Experiment{first, second},
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// The first document's bytes, as the text backend writes them.
+	var prefix bytes.Buffer
+	r, err := report.NewRenderer("text", &prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := firstDoc.Replay(r); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/run/all")
+	if err != nil {
+		t.Fatalf("GET /run/all: %v (second experiment timed out: %v)", err, timedOut.Load())
+	}
+	defer resp.Body.Close()
+	got := make([]byte, prefix.Len())
+	if _, err := io.ReadFull(resp.Body, got); err != nil {
+		t.Fatalf("reading the first document: %v (second experiment timed out: %v)", err, timedOut.Load())
+	}
+	close(read)
+	if timedOut.Load() {
+		t.Fatal("the first document reached the client only after the second experiment gave up")
+	}
+	if !bytes.Equal(got, prefix.Bytes()) {
+		t.Fatalf("body starts %q, want the first document %q", got, prefix.Bytes())
+	}
+	rest, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading the rest of the body: %v", err)
+	}
+	want := bufferedCLI(t, engine.New(engine.Config{Workers: 1}), srv.Experiments, quick, "text")
+	if body := append(got, rest...); !bytes.Equal(body, want) {
+		t.Errorf("/run/all body differs from the buffered rendering:\n%s\nwant:\n%s", body, want)
+	}
+}
+
 // TestConcurrentIdenticalRequestsSingleflight: several clients asking for
 // the same experiment at once must trigger exactly one computation — the
 // engine's singleflight collapses them — observable both in the run count

@@ -194,3 +194,43 @@ func TestNoEngineStateAfterSweeps(t *testing.T) {
 		t.Fatalf("three sweeps executed %d engine jobs, want 0", executed)
 	}
 }
+
+// cancelOnWrite cancels the request's context the first time body bytes
+// reach the response, and passes flushes through.
+type cancelOnWrite struct {
+	http.ResponseWriter
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnWrite) Write(p []byte) (int, error) {
+	c.cancel()
+	return c.ResponseWriter.Write(p)
+}
+
+func (c *cancelOnWrite) Flush() { c.ResponseWriter.(http.Flusher).Flush() }
+
+// TestSweepFailureBeforeFirstFlushDropsConnection pins the failure shape
+// of the once-per-document flush: a sweep cancelled after its first body
+// bytes, with far less than net/http's response buffer rendered, fails
+// before anything is flushed, so the client sees the connection close
+// before any status line, neither a clean 200 nor an error status.
+func TestSweepFailureBeforeFirstFlushDropsConnection(t *testing.T) {
+	srv := &Server{Engine: engine.New(engine.Config{Workers: 1})}
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithCancel(r.Context())
+		defer cancel()
+		h.ServeHTTP(&cancelOnWrite{ResponseWriter: w, cancel: cancel}, r.WithContext(ctx))
+	}))
+	defer ts.Close()
+	if n := len(bufferedSweep(t, sweepGrid, "csv")); n >= 2048 {
+		t.Fatalf("grid renders %d bytes; the test needs a body smaller than the response buffer", n)
+	}
+
+	resp, err := ts.Client().Post(ts.URL+"/sweep?format=csv", "application/json", strings.NewReader(sweepGrid))
+	if err == nil {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("cancelled sweep answered status %d with %d body bytes, want the connection closed before a status line", resp.StatusCode, len(body))
+	}
+}

@@ -53,13 +53,17 @@ echo "== allocation budget (without -race: its instrumentation allocates) =="
 # The pattern covers the per-access gate, the directory gate and the
 # whole-run gate (zero allocations per warm Machine.Run).
 go test -run 'SteadyStateZeroAllocs' -count=1 ./internal/sim
+# The sweep row budget: SweepPlan.Run into the csv backend makes at most
+# two allocations per point (the row's cell string and its Row slice).
+go test -run 'AllocBudget' -count=1 ./internal/experiments
 
 echo "== sweep first-row-before-last-job gate =="
-# /sweep row streaming acceptance: on a 64-point sweep the first
-# table row must be emitted before the last point is evaluated. The test
-# holds the final point until the first ElemRow is observed — a buffered
-# (end-of-run) pipeline would wait into the test's loud 30s timeout
-# instead of passing.
+# Sweep row emission: on a 64-point sweep SweepPlan.Run must emit the
+# first table row before the last point is evaluated (rows reach the
+# renderer one by one; POST /sweep flushes only at the document's end).
+# The test holds the final point until the first ElemRow is observed — a
+# buffered (end-of-run) pipeline would wait into the test's loud 30s
+# timeout instead of passing.
 go test -run 'TestSweepFirstRowBeforeLastJobCompletes' -count=1 ./internal/experiments
 
 echo "== cold/warm disk-cache determinism =="
@@ -206,6 +210,14 @@ cat > "$tmp/grid.json" <<'EOF'
  "rs":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]}
 EOF
 "$tmp/mergescale" sweep -grid "$tmp/grid.json" > "$tmp/sweep.cli"
+# Both fronts share the formatters, so the CLI bytes are also pinned to
+# a fixed digest: a formatting defect common to both cannot pass.
+sweep_want=41217afe67f923a6cb3235bb23c3fac5eff585cc61e692031a3c71bbbeca99be
+sweep_got=$(sha256sum < "$tmp/sweep.cli" | cut -d' ' -f1)
+if [ "$sweep_got" != "$sweep_want" ]; then
+    echo "grid.json sweep text digest $sweep_got, want $sweep_want" >&2
+    exit 1
+fi
 executed_before=$(curl -sfS "http://$addr/stats" | grep -o '"executed":[0-9]*')
 curl -sfS -X POST --data-binary @"$tmp/grid.json" "http://$addr/sweep" > "$tmp/sweep.http"
 cmp "$tmp/sweep.cli" "$tmp/sweep.http"
@@ -219,6 +231,12 @@ cat > "$tmp/gridmodes.json" <<'EOF'
  "acmp_r":4,"comm":true}
 EOF
 "$tmp/mergescale" sweep -grid "$tmp/gridmodes.json" > "$tmp/sweepmodes.cli"
+sweep_want=a673d5b405ae478e5b827061e2b7c77b3f112e375276ea863949356463326164
+sweep_got=$(sha256sum < "$tmp/sweepmodes.cli" | cut -d' ' -f1)
+if [ "$sweep_got" != "$sweep_want" ]; then
+    echo "gridmodes.json sweep text digest $sweep_got, want $sweep_want" >&2
+    exit 1
+fi
 curl -sfS -X POST --data-binary @"$tmp/gridmodes.json" "http://$addr/sweep" > "$tmp/sweepmodes.http"
 cmp "$tmp/sweepmodes.cli" "$tmp/sweepmodes.http"
 if cmp -s "$tmp/sweep.cli" "$tmp/sweepmodes.cli"; then
