@@ -79,6 +79,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -270,11 +271,17 @@ type renderFlags struct {
 	stats   bool
 }
 
-// output is a render destination: stdout, or the -out file.
+// output is a render destination: stdout, or the -out file, behind a
+// buffer that reaches the destination once per document. The renderers
+// write line by line; unbuffered, every line would be its own write call.
 type output struct {
 	report.Renderer
+	buf  *bufio.Writer
 	file *os.File
 }
+
+// outputBufSize holds a whole document, so each one leaves in one write.
+const outputBufSize = 64 << 10
 
 // openOutput returns a renderer for format over stdout, or over path when
 // set. The format is checked before path is created, so a typo never
@@ -295,16 +302,33 @@ func openOutput(format, path string, stdout, stderr io.Writer) (*output, int) {
 		}
 		o.file, w = f, f
 	}
-	o.Renderer, _ = report.NewRenderer(format, w)
+	o.buf = bufio.NewWriterSize(w, outputBufSize)
+	o.Renderer, _ = report.NewRenderer(format, o.buf)
 	return o, 0
 }
 
-// close closes the -out file, if any, and folds a close error into code.
-func (o *output) close(code int, stderr io.Writer) int {
-	if o.file == nil {
-		return code
+// Element renders el and flushes after each document's last element, so
+// every document reaches the reader as soon as it is released.
+func (o *output) Element(el report.Element) error {
+	if err := o.Renderer.Element(el); err != nil {
+		return err
 	}
-	if err := o.file.Close(); err != nil && code == 0 {
+	if el.Kind == report.ElemEndDoc {
+		return o.buf.Flush()
+	}
+	return nil
+}
+
+// close flushes what is left, closes the -out file, if any, and folds a
+// flush or close error into code.
+func (o *output) close(code int, stderr io.Writer) int {
+	err := o.buf.Flush()
+	if o.file != nil {
+		if cerr := o.file.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil && code == 0 {
 		fmt.Fprintf(stderr, "mergescale: %v\n", err)
 		return 1
 	}

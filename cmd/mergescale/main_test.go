@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"mergescale/internal/engine"
+	"mergescale/internal/experiments"
+	"mergescale/internal/report"
 	"mergescale/internal/sim"
 )
 
@@ -385,5 +390,89 @@ func TestBadFormatPreservesOutFile(t *testing.T) {
 	}
 	if string(data) != "precious" {
 		t.Errorf("-out file was clobbered by a rejected run: %q", data)
+	}
+}
+
+// countingWriter counts the Write calls that reach it.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestRunWritesOncePerDocument: `-quick run all` reaches stdout in at
+// most one write per document, with the same bytes a renderer writing
+// straight into a buffer produces.
+func TestRunWritesOncePerDocument(t *testing.T) {
+	var out countingWriter
+	var errOut bytes.Buffer
+	if code := run([]string{"-quick", "run", "all"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	docs := len(experiments.Registry())
+	if out.writes > docs {
+		t.Errorf("%d documents took %d writes, want at most one each", docs, out.writes)
+	}
+	var direct bytes.Buffer
+	r, err := report.NewRenderer("text", &direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := experiments.Options{Quick: true, Engine: engine.New(engine.Config{Workers: 1, DisableCache: true})}
+	err = r.Begin()
+	if err == nil {
+		err = experiments.StreamElements(context.Background(), opt.Engine, experiments.Registry(), opt, r.Element)
+	}
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), direct.Bytes()) {
+		t.Error("buffered stdout differs from the unbuffered render")
+	}
+}
+
+// failWriter accepts its first ok writes, then fails every one after, as
+// a full disk or closed pipe does.
+type failWriter struct{ ok int }
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if w.ok == 0 {
+		return 0, errors.New("disk full")
+	}
+	w.ok--
+	return len(p), nil
+}
+
+// TestFailedFlushExitsOne: when stdout rejects the buffered bytes, run,
+// simulate and sweep each report the error and exit 1 — whether the
+// flush at a document's end fails, or only the final flush on close
+// (json's trailing bytes, written after the last document).
+func TestFailedFlushExitsOne(t *testing.T) {
+	grid := writeGrid(t, testSweepGrid)
+	for name, tc := range map[string]struct {
+		args []string
+		ok   int
+	}{
+		"run":            {[]string{"-quick", "run", "table3"}, 0},
+		"run json close": {[]string{"-quick", "-format", "json", "run", "table3"}, 1},
+		"simulate":       {simArgs, 0},
+		"simulate close": {withGlobals("-format", "json"), 1},
+		"sweep":          {[]string{"sweep", "-grid", grid}, 0},
+		"sweep close":    {[]string{"sweep", "-grid", grid, "-format", "json"}, 1},
+	} {
+		var errOut bytes.Buffer
+		if code := run(tc.args, &failWriter{ok: tc.ok}, &errOut); code != 1 {
+			t.Errorf("%s: exit %d, want 1 (stderr: %s)", name, code, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), "disk full") {
+			t.Errorf("%s: stderr lacks the write error: %s", name, errOut.String())
+		}
 	}
 }

@@ -177,9 +177,16 @@ func workloadSet(opt Options) []workload.Workload {
 // (fig2a/2b/2d, table2) regenerate the same three default sets per run.
 // Generation is deterministic per spec and Datasets are read-only after
 // Generate (workloads copy what they mutate), so sharing is safe; memory
-// is bounded by the distinct specs the process uses. Concurrent misses may
-// generate twice — both results are identical, either may win the store.
-var datasets sync.Map // datagen.Spec -> *datagen.Dataset
+// is bounded by the distinct specs the process uses. Each spec's entry
+// generates once: concurrent misses wait for the first caller's result.
+var datasets sync.Map // datagen.Spec -> *datasetEntry
+
+// datasetEntry is one spec's generation, run exactly once.
+type datasetEntry struct {
+	once sync.Once
+	ds   *datagen.Dataset
+	err  error
+}
 
 // datasetFor generates (or recalls) the default data set of a workload,
 // shrunk in quick mode.
@@ -197,15 +204,13 @@ func datasetFor(w workload.Workload, opt Options) (*datagen.Dataset, error) {
 // genDataset is the memoizing front of datagen.Generate shared by every
 // experiment (see datasets).
 func genDataset(spec datagen.Spec) (*datagen.Dataset, error) {
-	if ds, ok := datasets.Load(spec); ok {
-		return ds.(*datagen.Dataset), nil
+	v, ok := datasets.Load(spec)
+	if !ok {
+		v, _ = datasets.LoadOrStore(spec, new(datasetEntry))
 	}
-	ds, err := datagen.Generate(spec)
-	if err != nil {
-		return nil, err
-	}
-	datasets.Store(spec, ds)
-	return ds, nil
+	e := v.(*datasetEntry)
+	e.once.Do(func() { e.ds, e.err = datagen.Generate(spec) })
+	return e.ds, e.err
 }
 
 // nativeThreadCounts returns the thread grid for native runs (the paper's

@@ -7,9 +7,14 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"mergescale/internal/engine"
+	"mergescale/internal/report"
+	"mergescale/internal/sim"
+	"mergescale/internal/workload/contend"
+	"mergescale/internal/workload/datagen"
 )
 
 var quick = Options{Quick: true}
@@ -248,3 +253,53 @@ func scanNote(n string, name *string, peak *int, speedup, amdahl *float64) (int,
 }
 
 var errNoMatch = errors.New("note does not match")
+
+// TestContendBuildsOneTracePerAlpha: the quick ext-contend and
+// ext-contend-split sweeps simulate 3 alphas × 2 modes × 4 core counts,
+// 24 programs over only 3 distinct zipf traces, and must generate each
+// trace once. An earlier test may already have built some of them, so
+// the first pass builds at most 3; a second pass builds none.
+func TestContendBuildsOneTracePerAlpha(t *testing.T) {
+	ctx := context.Background()
+	for pass, limit := range []uint64{uint64(len(contendAlphas)), 0} {
+		runs, built := sim.Runs(), contend.TracesBuilt()
+		opt := quickSerial()
+		for _, run := range []func(context.Context, Options) (*report.Document, error){ExtContend, ExtContendSplit} {
+			if _, err := run(ctx, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := sim.Runs()-runs, uint64(2*len(contendAlphas)*len(simCoreCounts(opt))); got != want {
+			t.Fatalf("pass %d: %d simulator runs, want %d", pass, got, want)
+		}
+		if got := contend.TracesBuilt() - built; got > limit {
+			t.Errorf("pass %d: built %d zipf traces, want at most %d", pass, got, limit)
+		}
+	}
+}
+
+// TestGenDatasetConcurrentMissesShareOne: concurrent first calls for one
+// spec generate it once and all return the same *Dataset.
+func TestGenDatasetConcurrentMissesShareOne(t *testing.T) {
+	spec := datagen.Spec{Label: "gen-once", N: 4096, D: 3, C: 4, Spread: 1, Seed: 9173}
+	const callers = 8
+	got := make([]*datagen.Dataset, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ds, err := genDataset(spec)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = ds
+		}()
+	}
+	wg.Wait()
+	for i, ds := range got {
+		if ds == nil || ds != got[0] {
+			t.Fatalf("caller %d got data set %p, caller 0 got %p", i, ds, got[0])
+		}
+	}
+}

@@ -85,3 +85,24 @@ func TestDirectorySteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("steady-state directory gets allocate %.1f times per %d ops, budget is 0", allocs, n)
 	}
 }
+
+// TestResetSteadyStateZeroAllocs pins Machine.Reset itself: clearing the
+// sets a run wrote, the dirty-set bitmaps and the directory reuses every
+// table, so recycling a pooled machine allocates nothing. Named to match
+// ci.sh's no-race 'SteadyStateZeroAllocs' pass.
+func TestResetSteadyStateZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run the allocation budget without -race (ci.sh does)")
+	}
+	prog := poolProgram(t)
+	m, err := NewMachine(DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, m.Reset); allocs != 0 {
+		t.Errorf("Machine.Reset allocates %.1f times, budget is 0", allocs)
+	}
+}

@@ -68,6 +68,7 @@ type cache struct {
 	ways    int
 	setMask uint64
 	lines   []cacheLine // sets*ways, set-major
+	dirty   []uint64    // one bit per set that insert has written since reset
 	tick    uint64      // LRU clock
 }
 
@@ -80,12 +81,24 @@ func (c *cache) init(sizeBytes, ways, lineSz int) {
 	c.ways = ways
 	c.setMask = uint64(c.sets - 1)
 	c.lines = make([]cacheLine, linesTotal)
+	c.dirty = make([]uint64, (c.sets+63)/64)
 	c.tick = 0
 }
 
-// reset invalidates every line without releasing storage.
+// reset invalidates every line without releasing storage. Only insert
+// makes a line valid, and every other write (an LRU stamp on a hit, a
+// state change) lands on a valid line, so a set insert never marked is
+// still all zero: clearing just the marked sets costs O(sets written),
+// not a pass over the whole tag store.
 func (c *cache) reset() {
-	clear(c.lines)
+	for w, bitsLeft := range c.dirty {
+		for bitsLeft != 0 {
+			set := w*64 + bits.TrailingZeros64(bitsLeft)
+			clear(c.lines[set*c.ways : (set+1)*c.ways])
+			bitsLeft &= bitsLeft - 1
+		}
+	}
+	clear(c.dirty)
 	c.tick = 0
 }
 
@@ -121,6 +134,8 @@ func (c *cache) lookup(lineAddr uint64) *cacheLine {
 // (stateInvalid when no valid line was evicted).
 func (c *cache) insert(lineAddr uint64, st mesiState) (evictedAddr uint64, evictedState mesiState) {
 	c.tick++
+	set := lineAddr & c.setMask
+	c.dirty[set>>6] |= 1 << (set & 63)
 	base := c.base(lineAddr)
 	victim := base
 	for i := base; i < base+c.ways; i++ {

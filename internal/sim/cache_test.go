@@ -195,6 +195,9 @@ func (r *refCache) downgrade(lineAddr uint64) mesiState {
 // stamps after every step. Lines of every MESI state share sets and tags
 // collide across sets, so state bits leaking into the tag compare (or a
 // tag leaking into the state) shows up as a diverging hit or victim.
+// Resets are interleaved too: after each one the cache must equal a
+// freshly initialized one way for way, so a set the dirty-set reset
+// skipped while it still held a tag, state or LRU stamp fails here.
 func TestCacheMatchesReference(t *testing.T) {
 	const sets, ways = 8, 4
 	states := []mesiState{stateShared, stateExclusive, stateModified}
@@ -213,6 +216,20 @@ func TestCacheMatchesReference(t *testing.T) {
 		}
 		for step := 0; step < 4000; step++ {
 			a := addr()
+			if rng.Intn(200) == 0 {
+				c.reset()
+				r = &refCache{sets: sets, ways: ways, lines: make([]refLine, sets*ways)}
+				fresh := newCache(sets*ways*64, ways, 64)
+				for i := range fresh.lines {
+					if c.lines[i] != fresh.lines[i] {
+						t.Fatalf("seed %d step %d: after reset way %d = %+v, fresh cache %+v", seed, step, i, c.lines[i], fresh.lines[i])
+					}
+				}
+				if c.tick != fresh.tick {
+					t.Fatalf("seed %d step %d: after reset tick = %d, fresh cache %d", seed, step, c.tick, fresh.tick)
+				}
+				continue
+			}
 			switch op := rng.Intn(4); op {
 			case 0:
 				l := c.lookup(a)

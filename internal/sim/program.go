@@ -189,11 +189,11 @@ func (b *Builder) Store(id int, addr uint64) *Builder {
 	return b
 }
 
-// grow reserves room for n more ops on core id's stream with geometric
-// slack, so a line-granular range burst (the dominant append pattern —
-// hundreds of ops per call) costs at most one growth instead of one per
-// doubling.
-func (b *Builder) grow(id int, n int) {
+// Grow reserves room for n more ops on core id's stream with geometric
+// slack, so a burst of appends whose size the caller knows — a
+// line-granular range, or a round of per-transaction ops — costs at most
+// one growth instead of one per doubling.
+func (b *Builder) Grow(id int, n int) {
 	s := b.prog.Streams[id]
 	if cap(s)-len(s) >= n {
 		return
@@ -227,7 +227,7 @@ func (b *Builder) appendRange(id int, kind OpKind, addr, bytes uint64, lineSz in
 	line := uint64(lineSz)
 	first := addr &^ (line - 1)
 	last := end &^ (line - 1)
-	b.grow(id, int((last-first)/line)+1)
+	b.Grow(id, int((last-first)/line)+1)
 	s := b.prog.Streams[id]
 	for a := first; a <= last; a += line {
 		s = append(s, makeOp(kind, a))

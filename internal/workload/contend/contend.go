@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"mergescale/internal/parallel"
@@ -133,10 +134,10 @@ func (w *Contend) DefaultSpec() datagen.Spec {
 	return datagen.Spec{Label: "contend-base", N: 65536, D: 1, C: 1, Spread: 1, Seed: 401}
 }
 
-// zipfTrace generates the deterministic transaction key sequence: the same
+// genZipf generates the deterministic transaction key sequence: the same
 // seed, length, and config always yield the same trace, so native runs and
 // simulator programs at every thread/core count replay identical accesses.
-func zipfTrace(seed uint64, n int, c Config) []uint32 {
+func genZipf(seed uint64, n int, c Config) []uint32 {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	z := rand.NewZipf(rng, c.Alpha, 1, uint64(c.Keys-1))
 	out := make([]uint32, n)
@@ -144,6 +145,54 @@ func zipfTrace(seed uint64, n int, c Config) []uint32 {
 		out[i] = uint32(z.Uint64())
 	}
 	return out
+}
+
+// zipfKey is everything a trace depends on: Mode, OpsPerTx and Rounds
+// only shape how a program replays it.
+type zipfKey struct {
+	seed  uint64
+	n     int
+	alpha float64
+	keys  int
+}
+
+// zipfEntry builds one trace exactly once, however many programs ask.
+type zipfEntry struct {
+	once sync.Once
+	keys []uint32
+}
+
+// zipfTraces memoizes program traces per zipfKey. Both modes at every
+// core count replay the same trace, so the quick ext-contend and
+// ext-contend-split sweeps (3 alphas × 2 modes × 4 core counts) generate
+// 3 traces instead of 24. The key set is bounded: only registry
+// experiments build contend programs, and no CLI or HTTP input reaches
+// Alpha or Keys. Native runs call genZipf directly, so their timed init
+// phase keeps measuring the generation it reports as work.
+var zipfTraces sync.Map // zipfKey -> *zipfEntry
+
+// tracesBuilt counts genZipf calls made through zipfTrace; see TracesBuilt.
+var tracesBuilt atomic.Uint64
+
+// TracesBuilt reports how many distinct zipf traces this process has
+// generated for simulator programs — a hook for tests asserting that
+// programs sharing a trace share its generation.
+func TracesBuilt() uint64 { return tracesBuilt.Load() }
+
+// zipfTrace returns the memoized trace for (seed, n, c). The slice is
+// shared by every caller and must be treated as read-only.
+func zipfTrace(seed uint64, n int, c Config) []uint32 {
+	k := zipfKey{seed: seed, n: n, alpha: c.Alpha, keys: c.Keys}
+	v, ok := zipfTraces.Load(k)
+	if !ok {
+		v, _ = zipfTraces.LoadOrStore(k, new(zipfEntry))
+	}
+	e := v.(*zipfEntry)
+	e.once.Do(func() {
+		e.keys = genZipf(seed, n, c)
+		tracesBuilt.Add(1)
+	})
+	return e.keys
 }
 
 // roundBounds returns round r's half-open slice of an n-transaction trace
@@ -175,7 +224,7 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	if timing {
 		tInit = prof.StartTimer(trace.SecInit)
 	}
-	keys := zipfTrace(ds.Spec.Seed, n, cfg)
+	keys := genZipf(ds.Spec.Seed, n, cfg)
 	if timing {
 		tInit.Stop()
 	}
@@ -319,6 +368,7 @@ func (w *Contend) BuildProgram(ds *datagen.Dataset, cfg sim.Config, scale int) (
 			if c.Mode == Split {
 				base = workload.PartialBase(id)
 			}
+			b.Grow(id, 3*(ranges[id].Hi-ranges[id].Lo))
 			for i := lo + ranges[id].Lo; i < lo+ranges[id].Hi; i++ {
 				addr := base + uint64(keys[i])*kb
 				b.Load(id, addr)

@@ -118,21 +118,19 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	defer memb.Release()
 
 	// The parallel-phase body reads only iteration-stable state (centers is
-	// updated in place), so one closure serves every iteration.
+	// updated in place), so one closure serves every iteration. Distances
+	// come from workload.SqDists, and the membership scratch is re-sliced
+	// to k and the partial rows to len(pt), so the inner loops carry no
+	// bounds checks; the arithmetic and its order are unchanged.
 	parBody := func(id, lo, hi int) {
 		buf := pv.Buf(id)
-		inv := memb.Buf(id)
+		inv := memb.Buf(id)[:k]
 		for i := lo; i < hi; i++ {
 			pt := ds.Points[i*d : (i+1)*d]
-			// Inverse squared distances.
+			// Inverse squared distances, computed in place.
+			workload.SqDists(inv, pt, centers)
 			sumInv := 0.0
-			for c := 0; c < k; c++ {
-				ctr := centers[c*d : (c+1)*d]
-				dist := 0.0
-				for j := 0; j < d; j++ {
-					diff := pt[j] - ctr[j]
-					dist += diff * diff
-				}
+			for c, dist := range inv {
 				if dist < epsilon {
 					dist = epsilon
 				}
@@ -141,15 +139,16 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 			}
 			// Memberships u_c = inv_c / sumInv; accumulate u² weights.
 			best, bestU := 0, -1.0
-			for c := 0; c < k; c++ {
-				u := inv[c] / sumInv
+			for c, ic := range inv {
+				u := ic / sumInv
 				if u > bestU {
 					best, bestU = c, u
 				}
 				w2 := u * u
 				base := c * (d + 1)
-				for j := 0; j < d; j++ {
-					buf[base+j] += w2 * pt[j]
+				sum := buf[base:][:len(pt)]
+				for j, v := range pt {
+					sum[j] += w2 * v
 				}
 				buf[base+d] += w2
 			}

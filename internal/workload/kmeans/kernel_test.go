@@ -1,0 +1,113 @@
+package kmeans
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"mergescale/internal/parallel"
+	"mergescale/internal/reduction"
+	"mergescale/internal/workload/datagen"
+)
+
+// refRun is Run's body as it was with one indexed distance loop per
+// center, minus the profile: the reference the SqDists kernel must match
+// bit for bit.
+func refRun(t *testing.T, ds *datagen.Dataset, cfg Config, threads int) ([]float64, []int) {
+	t.Helper()
+	n, d, k := ds.N(), ds.D(), cfg.K
+	pool, err := parallel.AcquirePool(threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Release()
+	centers := make([]float64, k*d)
+	copy(centers, ds.Points[:k*d])
+	assign := make([]int, n)
+	width := k * (d + 1)
+	pv := parallel.AcquirePrivatized(threads, width)
+	defer pv.Release()
+	sums := make([]float64, width)
+	newCenters := make([]float64, k*d)
+	assignBody := func(id, lo, hi int) {
+		buf := pv.Buf(id)
+		for i := lo; i < hi; i++ {
+			pt := ds.Points[i*d : (i+1)*d]
+			best, bestDist := 0, math.MaxFloat64
+			for c := 0; c < k; c++ {
+				ctr := centers[c*d : (c+1)*d]
+				dist := 0.0
+				for j := 0; j < d; j++ {
+					diff := pt[j] - ctr[j]
+					dist += diff * diff
+				}
+				if dist < bestDist {
+					best, bestDist = c, dist
+				}
+			}
+			assign[i] = best
+			base := best * (d + 1)
+			for j := 0; j < d; j++ {
+				buf[base+j] += pt[j]
+			}
+			buf[base+d]++
+		}
+	}
+	for iter := 0; iter < cfg.Iters; iter++ {
+		pv.Reset()
+		pool.For(n, assignBody)
+		for i := range sums {
+			sums[i] = 0
+		}
+		if _, err := reduction.Reduce(cfg.Strategy, pv, sums, nil); err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < k; c++ {
+			cnt := sums[c*(d+1)+d]
+			for j := 0; j < d; j++ {
+				if cnt > 0 {
+					newCenters[c*d+j] = sums[c*(d+1)+j] / cnt
+				} else {
+					newCenters[c*d+j] = centers[c*d+j]
+				}
+			}
+		}
+		copy(centers, newCenters)
+	}
+	return centers, assign
+}
+
+// TestKernelMatchesIndexedReference: on seeded data sets across
+// dimensions, cluster counts (5 leaves a SqDists tail) and thread counts,
+// every center and every assignment equals the indexed reference bit for
+// bit.
+func TestKernelMatchesIndexedReference(t *testing.T) {
+	for _, d := range []int{1, 3, 9, 18} {
+		ds, err := datagen.Generate(datagen.Spec{Label: "bce", N: 640, D: d, C: 6, Spread: 0.8, Seed: uint64(100 + d)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 5, 8, 32} {
+			for _, threads := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("d%d_k%d_t%d", d, k, threads), func(t *testing.T) {
+					cfg := Config{K: k, Iters: 4, Strategy: reduction.Linear}
+					res, _, err := Run(ds, cfg, threads, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					centers, assign := refRun(t, ds, cfg, threads)
+					for i, c := range centers {
+						if got := res.Centers[i]; math.Float64bits(got) != math.Float64bits(c) {
+							t.Fatalf("center[%d] = %v, reference %v", i, got, c)
+						}
+					}
+					for i, a := range assign {
+						if res.Assign[i] != a {
+							t.Fatalf("assign[%d] = %d, reference %d", i, res.Assign[i], a)
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -106,6 +106,9 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	defer pv.Release()
 	sums := make([]float64, width)
 	newCenters := make([]float64, k*d)
+	// Per-thread scratch for one point's K center distances.
+	dists := parallel.AcquirePrivatized(threads, k)
+	defer dists.Release()
 	if timing {
 		tInit.Stop()
 	}
@@ -116,18 +119,14 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	// updated in place), so one closure serves every iteration.
 	assignBody := func(id, lo, hi int) {
 		buf := pv.Buf(id)
+		dist := dists.Buf(id)[:k]
 		for i := lo; i < hi; i++ {
 			pt := ds.Points[i*d : (i+1)*d]
+			workload.SqDists(dist, pt, centers)
 			best, bestDist := 0, math.MaxFloat64
-			for c := 0; c < k; c++ {
-				ctr := centers[c*d : (c+1)*d]
-				dist := 0.0
-				for j := 0; j < d; j++ {
-					diff := pt[j] - ctr[j]
-					dist += diff * diff
-				}
-				if dist < bestDist {
-					best, bestDist = c, dist
+			for c, dc := range dist {
+				if dc < bestDist {
+					best, bestDist = c, dc
 				}
 			}
 			assign[i] = best
