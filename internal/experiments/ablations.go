@@ -84,7 +84,7 @@ func AblStrategy(_ context.Context, opt Options) (*report.Document, error) {
 	for _, s := range []reduction.Strategy{reduction.Linear, reduction.Tree, reduction.Parallel} {
 		row := []string{s.String()}
 		for _, th := range threadGrid {
-			pv := parallel.AcquirePrivatized(th, x)
+			pv := parallel.NewPrivatized(th, x)
 			for id := 0; id < th; id++ {
 				buf := pv.Buf(id)
 				for i := range buf {
@@ -93,7 +93,6 @@ func AblStrategy(_ context.Context, opt Options) (*report.Document, error) {
 			}
 			dst := make([]float64, x)
 			cost, err := reduction.Reduce(s, pv, dst, nil)
-			pv.Release()
 			if err != nil {
 				return nil, err
 			}

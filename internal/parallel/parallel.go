@@ -6,8 +6,9 @@
 // The MineBench applications the paper studies are pthreads programs with a
 // fork-join structure per iteration: a parallel phase over the data points,
 // a barrier, and a merging phase that combines per-thread partial results.
-// This package reproduces that structure with goroutines. Workers are
-// created once and reused across phases so that per-iteration timing
+// This package reproduces that structure with goroutines. Each native run
+// starts its own team and Closes it on return; the workers are reused
+// across every phase and iteration of that run, so per-iteration timing
 // measures the algorithm, not goroutine creation.
 package parallel
 
@@ -15,22 +16,18 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"mergescale/internal/shapepool"
 )
 
 // Pool is a fixed-size team of worker goroutines identified by ids
-// 0..Threads-1. The zero value is not usable; call NewPool (one-shot,
-// Close when done) or AcquirePool (recycled through the per-size free
-// list, Release when done).
+// 0..Threads-1. The zero value is not usable; call NewPool and Close the
+// team when done.
 type Pool struct {
-	threads  int
-	work     []chan func(id int)
-	done     chan int
-	wg       sync.WaitGroup
-	closed   bool
-	released bool
-	mu       sync.Mutex
+	threads int
+	work    []chan func(id int)
+	done    chan int
+	wg      sync.WaitGroup
+	closed  bool
+	mu      sync.Mutex
 
 	// For-scratch, reused across For calls so a parallel-for costs no
 	// allocations: forFn is the one adapter closure (built in NewPool)
@@ -41,71 +38,6 @@ type Pool struct {
 	forBody   func(id, lo, hi int)
 	forRanges []Range
 	forFn     func(id int)
-}
-
-// teamPools maps thread count to the free list of released (but still
-// running) pools for that size. Workload native runs start a team per run;
-// recycling keeps the workers and their channels instead of respawning
-// them hundreds of times per experiment suite.
-//
-// This is an explicit bounded list, NOT a sync.Pool: a parked team owns
-// live goroutines, and a sync.Pool silently drops entries under GC
-// pressure — dropping a parked team would strand its workers blocked on
-// their work channels forever (the one pooled object here that a GC drop
-// cannot reclaim). Overflow beyond the cap is Closed instead of parked.
-var teamPools struct {
-	sync.Mutex
-	m map[int][]*Pool
-}
-
-// maxParkedTeams bounds the free list per team size. The experiment suite
-// cycles through a handful of thread counts with no concurrent acquirers
-// per size in the common case; a small cap keeps worst-case idle
-// goroutines bounded at maxParkedTeams × Σsizes.
-const maxParkedTeams = 4
-
-// AcquirePool returns a running worker team of size n, reusing a released
-// one when available. Pair with Release; Close also remains valid (it
-// simply makes the team non-recyclable).
-func AcquirePool(n int) (*Pool, error) {
-	if n < 1 {
-		return nil, errors.New("parallel: pool size must be >= 1")
-	}
-	teamPools.Lock()
-	if list := teamPools.m[n]; len(list) > 0 {
-		p := list[len(list)-1]
-		teamPools.m[n] = list[:len(list)-1]
-		teamPools.Unlock()
-		p.released = false
-		return p, nil
-	}
-	teamPools.Unlock()
-	return NewPool(n)
-}
-
-// Release parks the team (workers stay alive, blocked on their work
-// channels) in the free list for its size, or shuts it down when the list
-// is full. The pool must not be used afterwards; releasing twice or
-// releasing a closed pool is a checked no-op.
-func (p *Pool) Release() {
-	p.mu.Lock()
-	if p.closed || p.released {
-		p.mu.Unlock()
-		return
-	}
-	p.released = true
-	p.mu.Unlock()
-	teamPools.Lock()
-	if teamPools.m == nil {
-		teamPools.m = make(map[int][]*Pool)
-	}
-	if len(teamPools.m[p.threads]) < maxParkedTeams {
-		teamPools.m[p.threads] = append(teamPools.m[p.threads], p)
-		teamPools.Unlock()
-		return
-	}
-	teamPools.Unlock()
-	p.Close()
 }
 
 // NewPool starts a team of n workers. It returns an error when n < 1.
@@ -145,12 +77,9 @@ func (p *Pool) worker(id int) {
 func (p *Pool) Threads() int { return p.threads }
 
 // Run executes fn(id) on every worker and blocks until all complete.
-// It panics if the pool has been closed or released (programming error,
-// like using a closed channel).
+// It panics if the pool has been closed (programming error, like using a
+// closed channel).
 func (p *Pool) Run(fn func(id int)) {
-	if p.released {
-		panic("parallel: Run on a released Pool")
-	}
 	for i := 0; i < p.threads; i++ {
 		p.work[i] <- fn
 	}
@@ -264,9 +193,8 @@ func (b *Barrier) Parties() int { return b.parties }
 // Privatized holds per-thread partial-result buffers for a reduction over
 // `width` float64 elements: the "partial_centers" arrays of Algorithm 1.
 type Privatized struct {
-	width    int
-	bufs     [][]float64
-	released bool
+	width int
+	bufs  [][]float64
 }
 
 // NewPrivatized allocates t buffers of the given width.
@@ -276,36 +204,6 @@ func NewPrivatized(t, width int) *Privatized {
 		bufs[i] = make([]float64, width)
 	}
 	return &Privatized{width: width, bufs: bufs}
-}
-
-// privatizedPools maps (threads, width) to the free list of released
-// buffer sets. Native workload runs allocate one set per run; recycling
-// keeps the float buffers across the hundreds of runs an experiment suite
-// performs.
-var privatizedPools shapepool.Registry[[2]int]
-
-// AcquirePrivatized returns a zeroed buffer set, reusing a released one of
-// the same shape when available. Pair with Release.
-func AcquirePrivatized(t, width int) *Privatized {
-	if pv, _ := privatizedPools.For([2]int{t, width}).Get().(*Privatized); pv != nil {
-		pv.Reset()
-		pv.released = false
-		return pv
-	}
-	return NewPrivatized(t, width)
-}
-
-// Release parks the buffer set for reuse. The caller must not touch any
-// buffer afterwards (results must be copied out first — the reduction
-// writes into a caller-owned destination, so the usual pattern is safe).
-// Releasing twice is a checked no-op, matching Pool and sim.Machine — a
-// double put would hand one buffer set to two concurrent owners.
-func (pv *Privatized) Release() {
-	if pv.released {
-		return
-	}
-	pv.released = true
-	privatizedPools.For([2]int{pv.Threads(), pv.width}).Put(pv)
 }
 
 // Buf returns thread id's private buffer.

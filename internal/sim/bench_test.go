@@ -77,20 +77,8 @@ func BenchmarkSimAccessMix(b *testing.B) {
 	}
 }
 
-// BenchmarkSimMachineReset measures the pool's per-reuse cost.
-func BenchmarkSimMachineReset(b *testing.B) {
-	m, err := NewMachine(DefaultConfig(16))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Reset()
-	}
-}
-
-// BenchmarkSimNewMachine is the construction cost Reset avoids.
+// BenchmarkSimNewMachine is the construction cost Reset avoids
+// (BenchmarkSimMachineReset, in bench_workload_test.go, is the other side).
 func BenchmarkSimNewMachine(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -39,6 +39,36 @@ func benchMachineRun(b *testing.B, w workload.Workload, cores, scale int) {
 	}
 }
 
+// BenchmarkSimMachineReset measures the machine pool's per-reuse cost:
+// Reset after a real 16-core kmeans run, which clears every set the run
+// wrote. Each run is outside the timer; BenchmarkSimNewMachine is the
+// construction cost the pool saves instead.
+func BenchmarkSimMachineReset(b *testing.B) {
+	ds, err := datagen.Generate(datagen.Spec{Label: "bench", N: 2048, D: 4, C: 4, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := sim.DefaultConfig(16)
+	prog, err := newQuickKMeans().BuildProgram(ds, cfg, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := sim.NewMachine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := m.Run(prog); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		m.Reset()
+	}
+}
+
 // Program construction benchmarks: one BuildProgram per iteration, with
 // allocations reported, so bytes_per_op tracks the size of the op streams
 // a workload compiles to.

@@ -1,6 +1,6 @@
 package sim
 
-import "mergescale/internal/shapepool"
+import "sync"
 
 // Machine pooling. A Machine's tables (cache tag stores, the directory
 // slot array, scheduler scratch) dominate its construction cost, and every
@@ -15,15 +15,39 @@ import "mergescale/internal/shapepool"
 // holding a stale handle across Release/Acquire can detect the reuse.
 
 // machinePools maps Config (comparable: all scalar fields) to the
-// *sync.Pool of consumed machines for that exact configuration (see
-// shapepool for why it is not a sync.Map).
-var machinePools shapepool.Registry[Config]
+// *sync.Pool of consumed machines for that exact configuration. It is a
+// read-locked map rather than a sync.Map, because a sync.Map would box the
+// Config key into an interface on every Load: an allocation per
+// Acquire/Release on the path pooling exists to keep allocation-free.
+var machinePools = struct {
+	sync.RWMutex
+	m map[Config]*sync.Pool
+}{m: make(map[Config]*sync.Pool)}
+
+// machinePool returns the pool for cfg, creating it on first use. The fast
+// path is a read-locked map lookup with no allocations.
+func machinePool(cfg Config) *sync.Pool {
+	machinePools.RLock()
+	p := machinePools.m[cfg]
+	machinePools.RUnlock()
+	if p != nil {
+		return p
+	}
+	machinePools.Lock()
+	defer machinePools.Unlock()
+	if p = machinePools.m[cfg]; p != nil {
+		return p
+	}
+	p = new(sync.Pool)
+	machinePools.m[cfg] = p
+	return p
+}
 
 // AcquireMachine returns a ready-to-Run machine for cfg, reusing a pooled
 // one when available and constructing a fresh one otherwise. Pair with
 // Release; an unreleased machine is simply garbage collected.
 func AcquireMachine(cfg Config) (*Machine, error) {
-	if m, _ := machinePools.For(cfg).Get().(*Machine); m != nil {
+	if m, _ := machinePool(cfg).Get().(*Machine); m != nil {
 		m.Reset()
 		m.released = false
 		return m, nil
@@ -39,5 +63,5 @@ func (m *Machine) Release() {
 		return
 	}
 	m.released = true
-	machinePools.For(m.cfg).Put(m)
+	machinePool(m.cfg).Put(m)
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // poolProgram builds a small two-core program exercising sharing,
 // upgrades and barriers.
@@ -146,5 +149,52 @@ func TestResetReusesTables(t *testing.T) {
 	}
 	if m.l2.countValid() != 0 {
 		t.Errorf("L2 still holds %d lines after Reset", m.l2.countValid())
+	}
+}
+
+// TestMachinePoolStable: one configuration maps to one free list, and
+// distinct configurations never share one.
+func TestMachinePoolStable(t *testing.T) {
+	a := machinePool(DefaultConfig(3))
+	if b := machinePool(DefaultConfig(3)); a != b {
+		t.Error("same config returned different pools")
+	}
+	if c := machinePool(DefaultConfig(5)); a == c {
+		t.Error("different configs share a pool")
+	}
+}
+
+// TestMachinePoolConcurrentFirstUse: racing first lookups of one config
+// all get the pool the map ends up holding.
+func TestMachinePoolConcurrentFirstUse(t *testing.T) {
+	cfgs := []Config{DefaultConfig(6), DefaultConfig(7), DefaultConfig(9), DefaultConfig(10)}
+	var wg sync.WaitGroup
+	pools := make([]*sync.Pool, 64)
+	for i := range pools {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			pools[i] = machinePool(cfgs[i%len(cfgs)])
+		}(i)
+	}
+	wg.Wait()
+	for i := range pools {
+		if pools[i] != machinePool(cfgs[i%len(cfgs)]) {
+			t.Fatalf("pool %d not stable under concurrent first use", i)
+		}
+	}
+}
+
+// TestMachinePoolSteadyStateZeroAllocs: once a config's pool exists, the
+// lookup every Acquire and Release makes allocates nothing. Named to match
+// ci.sh's no-race 'SteadyStateZeroAllocs' pass.
+func TestMachinePoolSteadyStateZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run the allocation budget without -race (ci.sh does)")
+	}
+	cfg := DefaultConfig(11)
+	machinePool(cfg)
+	if allocs := testing.AllocsPerRun(100, func() { machinePool(cfg) }); allocs != 0 {
+		t.Errorf("steady-state machinePool lookup allocates %.1f times, want 0", allocs)
 	}
 }

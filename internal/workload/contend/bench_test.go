@@ -44,8 +44,9 @@ func benchContendRun(b *testing.B, mode contend.Mode, cores int) {
 func BenchmarkContendJoined8(b *testing.B) { benchContendRun(b, contend.Joined, 8) }
 func BenchmarkContendSplit8(b *testing.B)  { benchContendRun(b, contend.Split, 8) }
 
-// Native-path benchmarks: the goroutine pool executing the same trace on
-// the host, atomics vs privatized buffers.
+// Native-path benchmarks: one native run of the same trace on the host,
+// atomics vs privatized buffers. Each op starts and closes its own worker
+// team.
 func benchContendNative(b *testing.B, mode contend.Mode, threads int) {
 	b.Helper()
 	cfg := contend.DefaultConfig()

@@ -213,11 +213,11 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	}
 	n := ds.N()
 	prof := trace.NewProfile("contend", threads)
-	pool, err := parallel.AcquirePool(threads)
+	pool, err := parallel.NewPool(threads)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer pool.Release()
+	defer pool.Close()
 
 	// ---- init: generate the transaction trace.
 	var tInit *trace.Timer
@@ -234,8 +234,7 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	var pv *parallel.Privatized
 	var merged []float64
 	if cfg.Mode == Split {
-		pv = parallel.AcquirePrivatized(threads, cfg.Keys)
-		defer pv.Release()
+		pv = parallel.NewPrivatized(threads, cfg.Keys)
 		merged = make([]float64, cfg.Keys)
 	}
 	// txWork burns OpsPerTx deterministic mix steps per transaction so

@@ -90,11 +90,11 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		return nil, nil, fmt.Errorf("fuzzy: K=%d exceeds N=%d", k, n)
 	}
 	prof := trace.NewProfile("fuzzy", threads)
-	pool, err := parallel.AcquirePool(threads)
+	pool, err := parallel.NewPool(threads)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer pool.Release()
+	defer pool.Close()
 
 	var tInit *trace.Timer
 	if timing {
@@ -104,8 +104,7 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	copy(centers, ds.Points[:k*d])
 	assign := make([]int, n)
 	width := k * (d + 1) // weighted coordinate sums + weight sums
-	pv := parallel.AcquirePrivatized(threads, width)
-	defer pv.Release()
+	pv := parallel.NewPrivatized(threads, width)
 	sums := make([]float64, width)
 	if timing {
 		tInit.Stop()
@@ -113,9 +112,8 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	prof.AddWork(trace.SecInit, float64(k*d))
 
 	// Scratch membership buffers, one per thread (avoids allocation in the
-	// hot loop); drawn from the privatized-buffer pool like the partials.
-	memb := parallel.AcquirePrivatized(threads, k)
-	defer memb.Release()
+	// hot loop).
+	memb := parallel.NewPrivatized(threads, k)
 
 	// The parallel-phase body reads only iteration-stable state (centers is
 	// updated in place), so one closure serves every iteration. Distances

@@ -16,20 +16,18 @@ import (
 func refRun(t *testing.T, ds *datagen.Dataset, cfg Config, threads int) ([]float64, []int) {
 	t.Helper()
 	n, d, k := ds.N(), ds.D(), cfg.K
-	pool, err := parallel.AcquirePool(threads)
+	pool, err := parallel.NewPool(threads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Release()
+	defer pool.Close()
 	centers := make([]float64, k*d)
 	copy(centers, ds.Points[:k*d])
 	assign := make([]int, n)
 	width := k * (d + 1)
-	pv := parallel.AcquirePrivatized(threads, width)
-	defer pv.Release()
+	pv := parallel.NewPrivatized(threads, width)
 	sums := make([]float64, width)
-	memb := parallel.AcquirePrivatized(threads, k)
-	defer memb.Release()
+	memb := parallel.NewPrivatized(threads, k)
 	parBody := func(id, lo, hi int) {
 		buf := pv.Buf(id)
 		inv := memb.Buf(id)

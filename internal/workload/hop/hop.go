@@ -159,11 +159,11 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		return nil, nil, fmt.Errorf("hop: dimensionality %d too high for grid neighbors", d)
 	}
 	prof := trace.NewProfile("hop", threads)
-	pool, err := parallel.AcquirePool(threads)
+	pool, err := parallel.NewPool(threads)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer pool.Release()
+	defer pool.Close()
 
 	// ---- init: bounding box and grid geometry (excluded from serial
 	// fraction, as the paper subtracts initialization).

@@ -87,11 +87,11 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	}
 
 	prof := trace.NewProfile("kmeans", threads)
-	pool, err := parallel.AcquirePool(threads)
+	pool, err := parallel.NewPool(threads)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer pool.Release()
+	defer pool.Close()
 
 	// --- init: centers start at the first K points (MineBench behaviour).
 	var tInit *trace.Timer
@@ -102,13 +102,11 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	copy(centers, ds.Points[:k*d])
 	assign := make([]int, n)
 	width := k * (d + 1) // per-cluster: D coordinate sums + 1 count
-	pv := parallel.AcquirePrivatized(threads, width)
-	defer pv.Release()
+	pv := parallel.NewPrivatized(threads, width)
 	sums := make([]float64, width)
 	newCenters := make([]float64, k*d)
 	// Per-thread scratch for one point's K center distances.
-	dists := parallel.AcquirePrivatized(threads, k)
-	defer dists.Release()
+	dists := parallel.NewPrivatized(threads, k)
 	if timing {
 		tInit.Stop()
 	}

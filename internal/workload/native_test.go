@@ -2,8 +2,10 @@ package workload_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"mergescale/internal/engine"
 	"mergescale/internal/trace"
@@ -23,6 +25,34 @@ func (s *countingStore) Put(string, any) {
 	s.mu.Lock()
 	s.puts++
 	s.mu.Unlock()
+}
+
+// TestNativeRunsLeaveNoGoroutines: every native run owns its worker team
+// and shuts it down before returning, so no worker outlives the run. Not
+// parallel: a concurrent test's goroutines would move the count.
+func TestNativeRunsLeaveNoGoroutines(t *testing.T) {
+	ds := testData(t, 49)
+	split := contend.New()
+	split.Cfg.Mode = contend.Split
+	for _, w := range append(allWorkloads(), contend.New(), split) {
+		for _, th := range []int{1, 2, 4} {
+			before := runtime.NumGoroutine()
+			if _, err := w.RunNative(ds, th, false); err != nil {
+				t.Fatalf("%s threads=%d: %v", w.Name(), th, err)
+			}
+			// Close has waited for every worker's Done, but an exiting
+			// goroutine can stay counted for a moment after it.
+			after := runtime.NumGoroutine()
+			for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				after = runtime.NumGoroutine()
+			}
+			if after > before {
+				t.Errorf("%s (%v) threads=%d: %d goroutines before the run, %d after",
+					w.Name(), w.Params(), th, before, after)
+			}
+		}
+	}
 }
 
 // TestNativeProfilesEngineMatchesSerial: routing native runs through
