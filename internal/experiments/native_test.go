@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"math"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -84,5 +86,41 @@ func TestRunAllDedupesNativeRuns(t *testing.T) {
 	}
 	if stats.Executed != uint64(len(puts)) {
 		t.Errorf("run all executed %d jobs for %d distinct keys", stats.Executed, len(puts))
+	}
+}
+
+// TestFig2cDurationRunsKernels: with UseDuration, Fig. 2(c) times the real
+// kmeans, fuzzy and hop kernels (count mode runs none of the first two), and
+// every normalized serial time it renders is positive and finite.
+func TestFig2cDurationRunsKernels(t *testing.T) {
+	opt := Options{Quick: true, UseDuration: true, Engine: serialEngine()}
+	doc, err := Fig2c(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Tables) != 1 || len(doc.Tables[0].Rows) != 3 {
+		t.Fatalf("fig2c: want one table of 3 rows, got %+v", doc.Tables)
+	}
+	grid := nativeThreadCounts(opt)
+	for _, row := range doc.Tables[0].Rows {
+		if len(row) != len(grid)+1 {
+			t.Fatalf("row %q: %d cells, want %d", row, len(row), len(grid)+1)
+		}
+		for _, cell := range row[1:] {
+			v, err := strconv.ParseFloat(cell, 64)
+			if err != nil || v <= 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+				t.Errorf("%s: cell %q is not a positive finite value", row[0], cell)
+			}
+		}
+	}
+	if len(doc.Charts) != 1 || len(doc.Charts[0].Series) != 3 {
+		t.Fatalf("fig2c: want one chart of 3 series, got %+v", doc.Charts)
+	}
+	for _, s := range doc.Charts[0].Series {
+		for i, y := range s.Y {
+			if !(y > 0) || math.IsInf(y, 0) {
+				t.Errorf("%s p=%v: normalized serial time %v", s.Name, s.X[i], y)
+			}
+		}
 	}
 }

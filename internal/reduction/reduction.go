@@ -37,6 +37,16 @@ func (s Strategy) String() string {
 	}
 }
 
+// Validate returns nil for a known strategy and, for any other value, the
+// error Reduce returns for it.
+func (s Strategy) Validate() error {
+	switch s {
+	case Linear, Tree, Parallel:
+		return nil
+	}
+	return fmt.Errorf("reduction: unknown strategy %d", int(s))
+}
+
 // ParseStrategy converts a name back to a Strategy.
 func ParseStrategy(s string) (Strategy, error) {
 	switch s {
@@ -81,7 +91,34 @@ func Reduce(s Strategy, pv *parallel.Privatized, dst []float64, pool *parallel.P
 	case Parallel:
 		return reduceParallel(pv, dst, pool)
 	default:
-		return Cost{}, fmt.Errorf("reduction: unknown strategy %d", int(s))
+		return Cost{}, s.Validate()
+	}
+}
+
+// CostOf returns the Cost that Reduce counts when it merges t partial
+// vectors of x elements with strategy s. No count depends on the values
+// being merged, so this is the whole accounting without the additions.
+// It returns the zero Cost for x < 1, t < 1 or an unknown strategy.
+func CostOf(s Strategy, t, x int) Cost {
+	if x < 1 || t < 1 {
+		return Cost{}
+	}
+	switch s {
+	case Linear:
+		return Cost{AddOps: t * x, CriticalOps: t * x, CommElems: (t - 1) * x, Rounds: 1}
+	case Tree:
+		// Each round pairs off half the live vectors, and each pair merge
+		// retires one, so t-1 vector adds and moves happen in all. A single
+		// vector needs no round.
+		rounds := 0
+		for n := t; n > 1; n = (n + 1) / 2 {
+			rounds++
+		}
+		return Cost{AddOps: (t - 1) * x, CriticalOps: rounds * x, CommElems: (t - 1) * x, Rounds: rounds}
+	case Parallel:
+		return Cost{AddOps: t * x, CriticalOps: (x + t - 1) / t * t, CommElems: 2 * (t - 1) * x, Rounds: 1}
+	default:
+		return Cost{}
 	}
 }
 
@@ -175,7 +212,10 @@ func reduceParallel(pv *parallel.Privatized, dst []float64, pool *parallel.Pool)
 // PredictedCritical returns the model's critical-path operation count for a
 // reduction over x elements on t threads, matching the growth functions
 // used by internal/core: linear -> t·x, tree -> ceil(log2(t))·x (min 1
-// round), parallel -> ceil(x/t)·t.
+// round), parallel -> ceil(x/t)·t. It differs from what Reduce counts
+// (CostOf) in one case, Tree at t=1: Reduce merges nothing there and counts
+// 0, while the model's growth function charges one round so that the tree
+// curve starts at x like the others.
 func PredictedCritical(s Strategy, t, x int) int {
 	if t < 1 {
 		t = 1

@@ -164,6 +164,10 @@ func TestCostMatchesPrediction(t *testing.T) {
 				}
 				if s == Tree && th == 1 {
 					// Predicted uses min 1 round; measured is 0 merges.
+					if cost.CriticalOps != 0 || PredictedCritical(s, th, x) != x {
+						t.Errorf("tree t=1 x=%d: critical %d, predicted %d; want 0 and %d",
+							x, cost.CriticalOps, PredictedCritical(s, th, x), x)
+					}
 					continue
 				}
 				if got, want := cost.CriticalOps, PredictedCritical(s, th, x); got != want {
@@ -174,6 +178,49 @@ func TestCostMatchesPrediction(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCostOfMatchesReduce: the closed form returns exactly the Cost that
+// Reduce counts, for every strategy, t in 1..64 and widths on both sides
+// of t, including widths t does not divide.
+func TestCostOfMatchesReduce(t *testing.T) {
+	for _, s := range []Strategy{Linear, Tree, Parallel} {
+		for th := 1; th <= 64; th++ {
+			for _, x := range []int{1, 2, 3, 7, 8, 9, 31, 63, 64, 65, 100} {
+				cost, err := Reduce(s, fill(th, x, 2), make([]float64, x), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := CostOf(s, th, x); got != cost {
+					t.Errorf("%s t=%d x=%d: CostOf %+v, Reduce counted %+v", s, th, x, got, cost)
+				}
+			}
+		}
+		// A zero-width merge counts nothing.
+		cost, err := Reduce(s, parallel.NewPrivatized(4, 0), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := CostOf(s, 4, 0); got != cost {
+			t.Errorf("%s x=0: CostOf %+v, Reduce counted %+v", s, got, cost)
+		}
+	}
+}
+
+func TestStrategyValidate(t *testing.T) {
+	for _, s := range []Strategy{Linear, Tree, Parallel} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", s, err)
+		}
+	}
+	bad := Strategy(7)
+	_, want := Reduce(bad, fill(2, 4, 0), make([]float64, 4), nil)
+	if err := bad.Validate(); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("Validate(%d) = %v, Reduce error %v", int(bad), err, want)
+	}
+	if c := CostOf(bad, 2, 4); c != (Cost{}) {
+		t.Errorf("CostOf(%d) = %+v, want zero", int(bad), c)
 	}
 }
 

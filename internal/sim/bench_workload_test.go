@@ -11,9 +11,13 @@ import (
 	"mergescale/internal/workload/kmeans"
 )
 
-// Full Machine.Run benchmarks, one per workload, drawing pooled machines
-// exactly like engine jobs do (workload.RunSim). Program construction is
-// hoisted out of the loop so the numbers isolate the simulator itself.
+// Full Machine.Run benchmarks, one per workload. Each op costs what a
+// pooled reuse in an engine job (workload.RunSim) costs: Reset, then Run.
+// The benchmark holds its one machine, built and run once before the timer
+// starts so its scratch exists as a pooled machine's does, rather than
+// drawing from the sync.Pool, which a GC may empty between runs and so
+// charge a construction to a random op. Program construction is hoisted
+// out of the loop so the numbers isolate the simulator itself.
 func benchMachineRun(b *testing.B, w workload.Workload, cores, scale int) {
 	b.Helper()
 	ds, err := datagen.Generate(datagen.Spec{Label: "bench", N: 2048, D: 4, C: 4, Seed: 7})
@@ -25,17 +29,20 @@ func benchMachineRun(b *testing.B, w workload.Workload, cores, scale int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	m, err := sim.NewMachine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Run(prog); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := sim.AcquireMachine(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		m.Reset()
 		if _, err := m.Run(prog); err != nil {
 			b.Fatal(err)
 		}
-		m.Release()
 	}
 }
 

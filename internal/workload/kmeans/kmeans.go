@@ -72,21 +72,48 @@ func (w *KMeans) DefaultSpec() datagen.Spec { return datagen.KMeansBase }
 // accumulations into the private partial sums.
 func opsPerPoint(k, d int) float64 { return float64(3*k*d + k + d + 1) }
 
-// Run executes k-means natively and returns the clustering result together
-// with the instrumented profile.
-func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *trace.Profile, error) {
+// Count returns the profile of operation counts that Run records for cfg
+// on ds with the given thread count, without clustering anything: every
+// count is a formula in N, D, K, Iters, threads and the merge strategy, so
+// no point value enters it. It fails where Run does, with the same error.
+// Each iteration's counts are added in turn, so the float totals round
+// exactly as per-iteration accounting does.
+func Count(ds *datagen.Dataset, cfg Config, threads int) (*trace.Profile, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if threads < 1 {
-		return nil, nil, errors.New("kmeans: threads must be >= 1")
+		return nil, errors.New("kmeans: threads must be >= 1")
 	}
 	n, d, k := ds.N(), ds.D(), cfg.K
 	if k > n {
-		return nil, nil, fmt.Errorf("kmeans: K=%d exceeds N=%d", k, n)
+		return nil, fmt.Errorf("kmeans: K=%d exceeds N=%d", k, n)
 	}
-
+	if err := cfg.Strategy.Validate(); err != nil {
+		return nil, err
+	}
+	// Merge: the strategy's critical path over K*(D+1) partials, plus
+	// normalizing the sums into new centers.
+	merge := float64(reduction.CostOf(cfg.Strategy, threads, k*(d+1)).CriticalOps) + float64(2*k*d)
 	prof := trace.NewProfile("kmeans", threads)
+	prof.AddWork(trace.SecInit, float64(k*d))
+	for iter := 0; iter < cfg.Iters; iter++ {
+		prof.AddWork(trace.SecParallel, float64(n)*opsPerPoint(k, d))
+		prof.AddWork(trace.SecReduction, merge)
+		prof.AddWork(trace.SecSerial, float64(3*k*d))
+	}
+	return prof, nil
+}
+
+// Run executes k-means natively and returns the clustering result together
+// with its profile: Count's operation counts, plus per-section wall time
+// when timing is set.
+func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *trace.Profile, error) {
+	prof, err := Count(ds, cfg, threads)
+	if err != nil {
+		return nil, nil, err
+	}
+	n, d, k := ds.N(), ds.D(), cfg.K
 	pool, err := parallel.NewPool(threads)
 	if err != nil {
 		return nil, nil, err
@@ -110,7 +137,6 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	if timing {
 		tInit.Stop()
 	}
-	prof.AddWork(trace.SecInit, float64(k*d))
 
 	delta := 0.0
 	// The parallel-phase body reads only iteration-stable state (centers is
@@ -146,7 +172,6 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		if timing {
 			tPar.Stop()
 		}
-		prof.AddWork(trace.SecParallel, float64(n)*opsPerPoint(k, d))
 
 		// --- merging phase (Algorithm 1): executed by the master thread.
 		var tRed *trace.Timer
@@ -156,8 +181,7 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		for i := range sums {
 			sums[i] = 0
 		}
-		cost, err := reduction.Reduce(cfg.Strategy, pv, sums, nil)
-		if err != nil {
+		if _, err := reduction.Reduce(cfg.Strategy, pv, sums, nil); err != nil {
 			return nil, nil, err
 		}
 		// Normalize into new centers (constant part of the merge).
@@ -174,7 +198,6 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		if timing {
 			tRed.Stop()
 		}
-		prof.AddWork(trace.SecReduction, float64(cost.CriticalOps)+float64(2*k*d))
 
 		// --- serial section: convergence bookkeeping.
 		var tSer *trace.Timer
@@ -190,15 +213,18 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		if timing {
 			tSer.Stop()
 		}
-		prof.AddWork(trace.SecSerial, float64(3*k*d))
 	}
 
 	return &Result{Centers: centers, Assign: assign, Iters: cfg.Iters, Delta: delta}, prof, nil
 }
 
-// RunNative implements workload.Workload.
+// RunNative implements workload.Workload. Without timing nothing reads the
+// clustering, so the profile is Count's and no kernel runs.
 func (w *KMeans) RunNative(ds *datagen.Dataset, threads int, timing bool) (*trace.Profile, error) {
-	_, prof, err := Run(ds, w.Cfg, threads, timing)
+	if !timing {
+		return Count(ds, w.Cfg, threads)
+	}
+	_, prof, err := Run(ds, w.Cfg, threads, true)
 	return prof, err
 }
 

@@ -28,8 +28,9 @@ func (s *countingStore) Put(string, any) {
 }
 
 // TestNativeRunsLeaveNoGoroutines: every native run owns its worker team
-// and shuts it down before returning, so no worker outlives the run. Not
-// parallel: a concurrent test's goroutines would move the count.
+// and shuts it down before returning, so no worker outlives the run. The
+// runs are timed: without timing, kmeans and fuzzy only count and start no
+// team. Not parallel: a concurrent test's goroutines would move the count.
 func TestNativeRunsLeaveNoGoroutines(t *testing.T) {
 	ds := testData(t, 49)
 	split := contend.New()
@@ -37,7 +38,7 @@ func TestNativeRunsLeaveNoGoroutines(t *testing.T) {
 	for _, w := range append(allWorkloads(), contend.New(), split) {
 		for _, th := range []int{1, 2, 4} {
 			before := runtime.NumGoroutine()
-			if _, err := w.RunNative(ds, th, false); err != nil {
+			if _, err := w.RunNative(ds, th, true); err != nil {
 				t.Fatalf("%s threads=%d: %v", w.Name(), th, err)
 			}
 			// Close has waited for every worker's Done, but an exiting

@@ -53,6 +53,9 @@ echo "== allocation budget (without -race: its instrumentation allocates) =="
 # The pattern covers the per-access gate, the directory gate and the
 # whole-run gate (zero allocations per warm Machine.Run).
 go test -run 'SteadyStateZeroAllocs' -count=1 ./internal/sim
+# Count-mode kmeans and fuzzy native runs allocate only their profile:
+# a run that started its clustering kernel would blow the budget.
+go test -run 'TestCountModeAllocs' -count=1 ./internal/workload/kmeans ./internal/workload/fuzzy
 # The sweep row budget: SweepPlan.Run into the csv backend makes at most
 # two allocations per point (the row's cell string and its Row slice).
 go test -run 'AllocBudget' -count=1 ./internal/experiments
@@ -88,6 +91,19 @@ full_want=d7a955308f7b1f8c16fc6117316a4015ee7521a10a4a0d89e919a9f0a01c9996
 full_got=$("$tmp/mergescale" run all | sha256sum | cut -d' ' -f1)
 if [ "$full_got" != "$full_want" ]; then
     echo "full-size run all text digest $full_got, want $full_want" >&2
+    exit 1
+fi
+
+echo "== -duration smoke =="
+# Without -duration, kmeans and fuzzy native profiles are closed-form
+# counts and no kernel runs; with it, Fig. 2(c) times the real kernels.
+# Its output is wall-clock, so only the exit status and the row count
+# (one per workload) are checked, never a digest.
+"$tmp/mergescale" -quick -duration -format csv run fig2c > "$tmp/duration.csv"
+duration_rows=$(grep -cE '^(kmeans|fuzzy|hop),' "$tmp/duration.csv")
+if [ "$duration_rows" != 3 ]; then
+    echo "-duration fig2c rendered $duration_rows data rows, want 3:" >&2
+    cat "$tmp/duration.csv" >&2
     exit 1
 fi
 
