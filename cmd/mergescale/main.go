@@ -115,7 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quickRun  = fs.Bool("quick", false, "shrink data sets and grids for a fast run")
 		format    = fs.String("format", "text", "output format: text | markdown | json | csv")
 		outPath   = fs.String("out", "", "write rendered output to this file instead of stdout")
-		csv       = fs.Bool("csv", false, "deprecated: shorthand for -format=csv")
 		duration  = fs.Bool("duration", false, "base native experiments on wall time instead of op counts")
 		workers   = fs.Int("workers", 0, "engine worker count (0 = GOMAXPROCS, 1 = serial)")
 		cachedir  = fs.String("cachedir", "", "persist engine results to this directory across runs")
@@ -180,24 +179,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runSweep(rest[1:], stdout, stderr)
 	case "serve":
 		// The rendering flags are per-request (format) or meaningless for a
-		// long-running server (out, csv, stats); silently ignoring
-		// them would be the same bug as -csv vs -format. Reject them.
-		if rejectGlobals(fs, stderr, sub, "format is per-request: /run/{id}?format=F", "format", "out", "csv", "stats") {
+		// long-running server (out, stats); silently ignoring them would
+		// render something other than what was asked for. Reject them.
+		if rejectGlobals(fs, stderr, sub, "format is per-request: /run/{id}?format=F", "format", "out", "stats") {
 			return 2
 		}
 		return runServe(rest[1:], opt, ef, stderr)
 	}
 
-	if *csv {
-		// -csv is a documented alias for -format=csv; combining it with a
-		// *different* -format is ambiguous, and silently letting one flag
-		// win would render the wrong backend. Reject the conflict.
-		if *format != "text" && *format != "csv" {
-			fmt.Fprintf(stderr, "mergescale: -csv conflicts with -format=%s (drop one; -csv means -format=csv)\n", *format)
-			return 2
-		}
-		*format = "csv"
-	}
 	rf := renderFlags{format: *format, outPath: *outPath, stats: *stats}
 	if sub == "simulate" {
 		// The experiment sizing flags mean nothing for one simulated run,

@@ -130,11 +130,20 @@ func TestNocacheDisablesDisk(t *testing.T) {
 
 func TestRunCSV(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-quick", "-csv", "run", "table3"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-quick", "-format", "csv", "run", "table3"}, &out, &errOut); code != 0 {
 		t.Fatalf("csv run failed: %s", errOut.String())
 	}
 	if !strings.Contains(out.String(), "parallelism,constant,reduction") {
 		t.Fatalf("csv header missing:\n%.200s", out.String())
+	}
+	// -csv is not a flag: -format csv is the one way to ask for csv.
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"-quick", "-csv", "run", "table3"}, &out, &errOut); code != 2 {
+		t.Fatalf("-csv exit code = %d, want 2", code)
+	}
+	if !strings.Contains(errOut.String(), "flag provided but not defined") || out.Len() != 0 {
+		t.Fatalf("-csv: stdout %d bytes, stderr %q; want a usage error only", out.Len(), errOut.String())
 	}
 }
 
@@ -168,42 +177,6 @@ func TestFormatJSON(t *testing.T) {
 	}
 	if len(docs) != 1 || docs[0].ID != "table3" {
 		t.Fatalf("json docs = %+v, want [table3]", docs)
-	}
-}
-
-// TestCSVFlagAlias: the deprecated -csv flag must stay byte-equivalent to
-// -format=csv.
-func TestCSVFlagAlias(t *testing.T) {
-	var legacy, modern, errOut bytes.Buffer
-	if code := run([]string{"-quick", "-csv", "run", "table3"}, &legacy, &errOut); code != 0 {
-		t.Fatalf("-csv run failed: %s", errOut.String())
-	}
-	if code := run([]string{"-quick", "-format", "csv", "run", "table3"}, &modern, &errOut); code != 0 {
-		t.Fatalf("-format=csv run failed: %s", errOut.String())
-	}
-	if !bytes.Equal(legacy.Bytes(), modern.Bytes()) {
-		t.Error("-csv and -format=csv outputs differ")
-	}
-}
-
-// TestCSVFormatConflict: combining the -csv alias with a different
-// -format is ambiguous and must be rejected instead of silently letting
-// one flag win; -csv alone and the redundant -csv -format=csv keep
-// working.
-func TestCSVFormatConflict(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-csv", "-format", "json", "run", "table3"}, &out, &errOut); code != 2 {
-		t.Fatalf("-csv -format=json exit code = %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "conflicts") {
-		t.Fatalf("expected conflict error, got: %s", errOut.String())
-	}
-	if out.Len() != 0 {
-		t.Errorf("conflicting flags still produced %d output bytes", out.Len())
-	}
-	errOut.Reset()
-	if code := run([]string{"-quick", "-csv", "-format", "csv", "run", "table3"}, &out, &errOut); code != 0 {
-		t.Fatalf("redundant -csv -format=csv exit code = %d, stderr: %s", code, errOut.String())
 	}
 }
 
@@ -257,7 +230,7 @@ func TestServeUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-format", "json", "serve"},
 		{"-out", "x", "serve"},
-		{"-csv", "serve"},
+		{"-format", "csv", "serve"},
 		{"-stats", "serve"},
 	} {
 		errOut.Reset()

@@ -178,7 +178,7 @@ func TestSimulateFormats(t *testing.T) {
 	}
 
 	var csv bytes.Buffer
-	if code := run(withGlobals("-csv"), &csv, &errOut); code != 0 {
+	if code := run(withGlobals("-format", "csv"), &csv, &errOut); code != 0 {
 		t.Fatalf("csv run failed: %s", errOut.String())
 	}
 	if !strings.Contains(csv.String(), "# phase cycles") {

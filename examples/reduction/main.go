@@ -58,7 +58,7 @@ func main() {
 		fmt.Printf("  %-28s peak %.1f at r=%.0f\n", g.String()+" reduction:", best.Speedup, best.R)
 	}
 	m := core.NewCommModel(app)
-	best, _ := core.Best(core.SweepSymmetricComm(m, b, core.PowerOfTwoRs(b.N)))
+	best, _ := core.Best(core.SweepSymmetric(m, b, core.PowerOfTwoRs(b.N)))
 	fmt.Printf("  %-28s peak %.1f at r=%.0f (2D-mesh communication bound)\n",
 		"parallel reduction:", best.Speedup, best.R)
 }

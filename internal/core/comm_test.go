@@ -17,7 +17,7 @@ func TestFigure7PaperNumbers(t *testing.T) {
 	app := classParams(0.99, 0.60, 0, GrowthNone) // fored unused by CommModel
 	m := NewCommModel(app)
 
-	pts := SweepSymmetricComm(m, b, PowerOfTwoRs(b.N))
+	pts := SweepSymmetric(m, b, PowerOfTwoRs(b.N))
 	best, ok := Best(pts)
 	if !ok {
 		t.Fatal("empty comm sweep")
@@ -27,7 +27,7 @@ func TestFigure7PaperNumbers(t *testing.T) {
 
 	bestACMP := SweepPoint{}
 	for _, r := range []float64{1, 4, 16} {
-		if p, ok := Best(SweepAsymmetricComm(m, b, PowerOfTwoRs(b.N), r)); ok && p.Speedup > bestACMP.Speedup {
+		if p, ok := Best(SweepAsymmetric(m, b, PowerOfTwoRs(b.N), r)); ok && p.Speedup > bestACMP.Speedup {
 			bestACMP = p
 		}
 	}
@@ -133,7 +133,7 @@ func TestCommSpeedupPositiveProperty(t *testing.T) {
 		r := rs[int(rIdx)%len(rs)]
 		s := m.SpeedupCMP(SymDesign{Budget: b, R: r})
 		// Positive, finite, and never better than the zero-comm bound.
-		noComm := SpeedupCMP(app.WithGrowth(GrowthNone), SymDesign{Budget: b, R: r})
+		noComm := app.WithGrowth(GrowthNone).SpeedupCMP(SymDesign{Budget: b, R: r})
 		return s > 0 && !math.IsInf(s, 0) && !math.IsNaN(s) && s <= noComm+1e-9
 	}
 	if err := quick.Check(pred, cfg); err != nil {

@@ -92,29 +92,3 @@ func (m CriticalModel) SpeedupACMP(d AsymDesign) float64 {
 		f*m.FCS*((1-pc)/throughput+pc/prl)
 	return 1 / (serial + parallel)
 }
-
-// SweepSymmetricCritical sweeps the combined model over core sizes.
-func SweepSymmetricCritical(m CriticalModel, b Budget, rs []float64) []SweepPoint {
-	pts := make([]SweepPoint, 0, len(rs))
-	for _, r := range rs {
-		d := SymDesign{Budget: b, R: r}
-		if d.Validate() != nil {
-			continue
-		}
-		pts = append(pts, SweepPoint{R: r, Speedup: m.SpeedupCMP(d)})
-	}
-	return pts
-}
-
-// SweepAsymmetricCritical sweeps large-core sizes for fixed r.
-func SweepAsymmetricCritical(m CriticalModel, b Budget, rls []float64, r float64) []SweepPoint {
-	pts := make([]SweepPoint, 0, len(rls))
-	for _, rl := range rls {
-		d := AsymDesign{Budget: b, RL: rl, R: r}
-		if d.Validate() != nil {
-			continue
-		}
-		pts = append(pts, SweepPoint{R: rl, Speedup: m.SpeedupACMP(d)})
-	}
-	return pts
-}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestCriticalModelReducesToExtended(t *testing.T) {
 	// With FCS = 0 the combined model must equal the extended model
@@ -13,11 +10,11 @@ func TestCriticalModelReducesToExtended(t *testing.T) {
 	b := DefaultBudget
 	for _, r := range PowerOfTwoRs(b.N) {
 		d := SymDesign{Budget: b, R: r}
-		almost(t, m.SpeedupCMP(d), SpeedupCMP(app, d), 1e-9, "fcs=0 CMP")
+		almost(t, m.SpeedupCMP(d), app.SpeedupCMP(d), 1e-9, "fcs=0 CMP")
 	}
 	for _, rl := range PowerOfTwoRs(128) {
 		d := AsymDesign{Budget: b, RL: rl, R: 1}
-		almost(t, m.SpeedupACMP(d), SpeedupACMP(app, d), 1e-9, "fcs=0 ACMP")
+		almost(t, m.SpeedupACMP(d), app.SpeedupACMP(d), 1e-9, "fcs=0 ACMP")
 	}
 }
 
@@ -25,7 +22,7 @@ func TestCriticalSectionsLowerSpeedup(t *testing.T) {
 	app := classParams(0.999, 0.60, 0.10, GrowthLinear)
 	b := DefaultBudget
 	d := SymDesign{Budget: b, R: 1}
-	prev := SpeedupCMP(app, d)
+	prev := app.SpeedupCMP(d)
 	for _, fcs := range []float64{0.01, 0.05, 0.2} {
 		m := NewCriticalModel(app, fcs)
 		s := m.SpeedupCMP(d)
@@ -94,7 +91,7 @@ func TestCriticalPlusReductionCompound(t *testing.T) {
 	base := classParams(0.99, 0.60, 0.80, GrowthLinear)
 	b := DefaultBudget
 	d := SymDesign{Budget: b, R: 4}
-	onlyRed := SpeedupCMP(base, d)
+	onlyRed := base.SpeedupCMP(d)
 	onlyCS := NewCriticalModel(base.WithGrowth(GrowthNone), 0.05).SpeedupCMP(d)
 	both := NewCriticalModel(base, 0.05).SpeedupCMP(d)
 	if both > onlyRed+1e-9 || both > onlyCS+1e-9 {
@@ -103,37 +100,13 @@ func TestCriticalPlusReductionCompound(t *testing.T) {
 	}
 }
 
-func TestCriticalSweepsProperty(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 200}
-	b := DefaultBudget
-	pred := func(fcsRaw, rIdx uint8) bool {
-		fcs := float64(fcsRaw) / 300.0 // [0, 0.85]
-		app := classParams(0.99, 0.6, 0.5, GrowthLinear)
-		m := NewCriticalModel(app, fcs)
-		pts := SweepSymmetricCritical(m, b, PowerOfTwoRs(b.N))
-		if len(pts) == 0 {
-			return false
-		}
-		for _, p := range pts {
-			if p.Speedup <= 0 || p.Speedup > float64(b.N) {
-				return false
-			}
-		}
-		apts := SweepAsymmetricCritical(m, b, PowerOfTwoRs(b.N), 1)
-		return len(apts) > 0
-	}
-	if err := quick.Check(pred, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestContentionShiftsOptimumTowardLargerCores(t *testing.T) {
 	// Like reduction overhead, critical-section contention favors more
 	// capable cores on a symmetric CMP (the serialized work runs faster).
 	app := classParams(0.999, 0.90, 0.10, GrowthLinear)
 	b := DefaultBudget
-	no, _ := Best(SweepSymmetricCritical(NewCriticalModel(app, 0), b, PowerOfTwoRs(b.N)))
-	hi, _ := Best(SweepSymmetricCritical(NewCriticalModel(app, 0.15), b, PowerOfTwoRs(b.N)))
+	no, _ := Best(SweepSymmetric(NewCriticalModel(app, 0), b, PowerOfTwoRs(b.N)))
+	hi, _ := Best(SweepSymmetric(NewCriticalModel(app, 0.15), b, PowerOfTwoRs(b.N)))
 	if hi.R < no.R {
 		t.Errorf("contention should not shrink the optimal core: %.0f -> %.0f", no.R, hi.R)
 	}

@@ -27,4 +27,6 @@
 //
 // All model entry points are pure functions of their inputs so they can be
 // swept across thousands of design points cheaply and deterministically.
+// AppParams, CommModel and CriticalModel each implement Model, which
+// SweepSymmetric and SweepAsymmetric evaluate over a design grid.
 package core

@@ -4,12 +4,12 @@ package core
 // term uses the growing serial time S(p) with p = n/r parallel cores, and
 // the parallel term is the Hill & Marty term f·r/(perf(r)·n).
 //
-// With app.Growth = GrowthNone this reduces exactly to HillMartyCMP and is
+// With Growth = GrowthNone this reduces exactly to HillMartyCMP and is
 // used as the "Amdahl's model" baseline in Figures 3 and 4.
-func SpeedupCMP(app AppParams, d SymDesign) float64 {
+func (a AppParams) SpeedupCMP(d SymDesign) float64 {
 	pr := Perf(d.R)
-	serial := app.SerialTime(d.Cores()) / pr
-	parallel := app.F * d.R / (pr * float64(d.Budget.N))
+	serial := a.SerialTime(d.Cores()) / pr
+	parallel := a.F * d.R / (pr * float64(d.Budget.N))
 	return 1 / (serial + parallel)
 }
 
@@ -18,23 +18,12 @@ func SpeedupCMP(app AppParams, d SymDesign) float64 {
 // of rl BCEs, the parallel section on (n-rl)/r small cores assisted by the
 // large core. The reduction overhead grows with the number of small cores,
 // i.e. the number of partial results that must be merged.
-func SpeedupACMP(app AppParams, d AsymDesign) float64 {
+func (a AppParams) SpeedupACMP(d AsymDesign) float64 {
 	prl := Perf(d.RL)
 	p := d.SmallCores()
-	serial := app.SerialTime(p) / prl
-	parallel := app.F / (Perf(d.R)*p + prl)
+	serial := a.SerialTime(p) / prl
+	parallel := a.F / (Perf(d.R)*p + prl)
 	return 1 / (serial + parallel)
-}
-
-// PredictedSerialGrowth returns the model-predicted serial-section times for
-// the given core counts, each normalized to the single-core serial time.
-// This is the quantity compared against simulation in Figure 2(d).
-func PredictedSerialGrowth(app AppParams, cores []int) []float64 {
-	out := make([]float64, len(cores))
-	for i, p := range cores {
-		out[i] = app.SerialGrowthFactor(float64(p))
-	}
-	return out
 }
 
 // EqualPerfCMP returns the extended speedup on p identical unit cores (r=1,

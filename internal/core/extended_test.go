@@ -71,13 +71,13 @@ func TestGrowthNoneMatchesHillMarty(t *testing.T) {
 	app := classParams(0.99, 0.60, 0.80, GrowthNone)
 	for _, r := range PowerOfTwoRs(b.N) {
 		d := SymDesign{Budget: b, R: r}
-		got := SpeedupCMP(app, d)
+		got := app.SpeedupCMP(d)
 		want := HillMartyCMP(app.F, d)
 		almost(t, got, want, 1e-9, "GrowthNone == HillMarty CMP")
 	}
 	for _, rl := range PowerOfTwoRs(128) {
 		d := AsymDesign{Budget: b, RL: rl, R: 1}
-		got := SpeedupACMP(app, d)
+		got := app.SpeedupACMP(d)
 		want := HillMartyACMP(app.F, d)
 		almost(t, got, want, 1e-9, "GrowthNone == HillMarty ACMP")
 	}
@@ -121,8 +121,8 @@ func TestExtendedBelowAmdahl(t *testing.T) {
 		rs := PowerOfTwoRs(b.N)
 		r := rs[int(rIdx)%len(rs)]
 		d := SymDesign{Budget: b, R: r}
-		ext := SpeedupCMP(app, d)
-		base := SpeedupCMP(app.WithGrowth(GrowthNone), d)
+		ext := app.SpeedupCMP(d)
+		base := app.WithGrowth(GrowthNone).SpeedupCMP(d)
 		return ext <= base+1e-9 && ext > 0
 	}
 	if err := quick.Check(pred, cfg); err != nil {
@@ -203,7 +203,10 @@ func TestEqualPerfCMPPeaks(t *testing.T) {
 func TestPredictedSerialGrowthMonotone(t *testing.T) {
 	cores := []int{1, 2, 4, 8, 16}
 	for _, app := range TableIIApps() {
-		g := PredictedSerialGrowth(app, cores)
+		g := make([]float64, len(cores))
+		for i, p := range cores {
+			g[i] = app.SerialGrowthFactor(float64(p))
+		}
 		for i := 1; i < len(g); i++ {
 			if g[i] < g[i-1] {
 				t.Errorf("%s: serial growth not monotone: %v", app.Name, g)
@@ -248,12 +251,8 @@ func TestTableIIIClasses(t *testing.T) {
 		}
 		seen[c.Label()] = true
 	}
-	c, err := ClassByLabel("emb", "high", "low")
-	if err != nil || c.Params.F != 0.999 || c.Params.FCon != 0.90 {
-		t.Errorf("ClassByLabel lookup failed: %+v err=%v", c, err)
-	}
-	if _, err := ClassByLabel("nope", "high", "low"); err == nil {
-		t.Error("ClassByLabel should fail for unknown dimensions")
+	if c := cls[0]; c.Label() != "emb/high-constant/low-reduction" || c.Params.F != 0.999 || c.Params.FCon != 0.90 {
+		t.Errorf("first Table III class = %+v", c)
 	}
 }
 
@@ -298,22 +297,6 @@ func TestOptimalSearchMatchesGrid(t *testing.T) {
 	if math.Abs(math.Log2(opt.R)-math.Log2(grid.R)) > 1.01 {
 		t.Errorf("continuous optimum r=%.2f too far from grid r=%.0f", opt.R, grid.R)
 	}
-	aopt := OptimalAsymmetricRL(app, b, 1, 1e-4)
-	agrid, _ := Best(SweepAsymmetric(app, b, PowerOfTwoRs(b.N), 1))
-	if aopt.Speedup < agrid.Speedup-1e-6 {
-		t.Errorf("continuous ACMP optimum %.2f below grid best %.2f", aopt.Speedup, agrid.Speedup)
-	}
-}
-
-func TestCrossoverR(t *testing.T) {
-	a := []SweepPoint{{1, 10}, {2, 9}, {4, 3}}
-	bb := []SweepPoint{{1, 5}, {2, 6}, {4, 7}}
-	if got := CrossoverR(a, bb); got != 4 {
-		t.Errorf("CrossoverR = %g, want 4", got)
-	}
-	if got := CrossoverR(a, []SweepPoint{{1, 1}, {2, 1}, {4, 1}}); got != -1 {
-		t.Errorf("CrossoverR with no crossover = %g, want -1", got)
-	}
 }
 
 func TestCoreCountHelpers(t *testing.T) {
@@ -326,12 +309,5 @@ func TestCoreCountHelpers(t *testing.T) {
 		if d[i] != want[i] {
 			t.Fatalf("DoublingCoreCounts(16) = %v", d)
 		}
-	}
-	l := LinearCoreCounts(2, 8, 2)
-	if len(l) != 4 || l[0] != 2 || l[3] != 8 {
-		t.Fatalf("LinearCoreCounts = %v", l)
-	}
-	if RoundPow2(5) != 4 || RoundPow2(6) != 8 || RoundPow2(0.3) != 1 {
-		t.Fatalf("RoundPow2 broken: %g %g %g", RoundPow2(5), RoundPow2(6), RoundPow2(0.3))
 	}
 }

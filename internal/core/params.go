@@ -1,9 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // AppParams captures the per-application model parameters of Table II/III.
 //
@@ -42,9 +39,6 @@ func (a AppParams) SerialFraction() float64 { return 1 - a.F }
 
 // FRed returns the reduction share of serial time, 1-FCon.
 func (a AppParams) FRed() float64 { return 1 - a.FCon }
-
-// FCred returns the constant-reduction share of the reduction part, 1-FOred.
-func (a AppParams) FCred() float64 { return 1 - a.FOred }
 
 // SerialTime returns the effective serial fraction S(p) of total single-core
 // time when p parallel cores participate in the merging phase:
@@ -131,14 +125,4 @@ func TableIIIClasses() []AppClass {
 		mk("emb", 0.999, "moderate", 0.60, "high", 0.80),
 		mk("non-emb", 0.99, "moderate", 0.60, "high", 0.80),
 	}
-}
-
-// ClassByLabel finds a Table III class by its dimension values.
-func ClassByLabel(parallelism, constant, reduction string) (AppClass, error) {
-	for _, c := range TableIIIClasses() {
-		if c.Parallelism == parallelism && c.Constant == constant && c.Reduction == reduction {
-			return c, nil
-		}
-	}
-	return AppClass{}, errors.New("core: no such application class")
 }

@@ -1,10 +1,5 @@
 package core
 
-import (
-	"math"
-	"sort"
-)
-
 // SweepPoint is one evaluated design point in a sweep.
 type SweepPoint struct {
 	R       float64 // per-core BCEs (symmetric) or large-core BCEs (asymmetric rl sweep)
@@ -25,37 +20,17 @@ func PowerOfTwoRs(n int) []float64 {
 	return rs
 }
 
-// SweepSymmetric evaluates the extended CMP model across per-core sizes rs.
-func SweepSymmetric(app AppParams, b Budget, rs []float64) []SweepPoint {
-	pts := make([]SweepPoint, 0, len(rs))
-	for _, r := range rs {
-		d := SymDesign{Budget: b, R: r}
-		if !d.Valid() {
-			continue
-		}
-		pts = append(pts, SweepPoint{R: r, Speedup: SpeedupCMP(app, d)})
-	}
-	return pts
+// Model is a speedup model evaluable on both design kinds: the extended
+// model (AppParams, Eqs. 4 and 5), the communication-aware model
+// (CommModel, Section V-E) and the critical-section model (CriticalModel).
+type Model interface {
+	SpeedupCMP(SymDesign) float64
+	SpeedupACMP(AsymDesign) float64
 }
 
-// SweepAsymmetric evaluates the extended ACMP model across large-core sizes
-// rls, holding the small-core size fixed at r. Design points that leave
-// fewer than one small core are skipped (e.g. rl = n).
-func SweepAsymmetric(app AppParams, b Budget, rls []float64, r float64) []SweepPoint {
-	pts := make([]SweepPoint, 0, len(rls))
-	for _, rl := range rls {
-		d := AsymDesign{Budget: b, RL: rl, R: r}
-		if !d.Valid() {
-			continue
-		}
-		pts = append(pts, SweepPoint{R: rl, Speedup: SpeedupACMP(app, d)})
-	}
-	return pts
-}
-
-// SweepSymmetricComm and SweepAsymmetricComm evaluate the communication-
-// aware model (Section V-E) over the same grids.
-func SweepSymmetricComm(m CommModel, b Budget, rs []float64) []SweepPoint {
+// SweepSymmetric evaluates m on symmetric designs across per-core sizes rs,
+// skipping sizes that are no design under b.
+func SweepSymmetric(m Model, b Budget, rs []float64) []SweepPoint {
 	pts := make([]SweepPoint, 0, len(rs))
 	for _, r := range rs {
 		d := SymDesign{Budget: b, R: r}
@@ -67,8 +42,10 @@ func SweepSymmetricComm(m CommModel, b Budget, rs []float64) []SweepPoint {
 	return pts
 }
 
-// SweepAsymmetricComm sweeps large-core sizes for the communication model.
-func SweepAsymmetricComm(m CommModel, b Budget, rls []float64, r float64) []SweepPoint {
+// SweepAsymmetric evaluates m on asymmetric designs across large-core sizes
+// rls, holding the small-core size fixed at r. Design points that leave
+// fewer than one small core are skipped (e.g. rl = n).
+func SweepAsymmetric(m Model, b Budget, rls []float64, r float64) []SweepPoint {
 	pts := make([]SweepPoint, 0, len(rls))
 	for _, rl := range rls {
 		d := AsymDesign{Budget: b, RL: rl, R: r}
@@ -101,25 +78,10 @@ func Best(pts []SweepPoint) (SweepPoint, bool) {
 // tests); the search refines to within tol BCEs.
 func OptimalSymmetricR(app AppParams, b Budget, tol float64) SweepPoint {
 	f := func(r float64) float64 {
-		return SpeedupCMP(app, SymDesign{Budget: b, R: r})
+		return app.SpeedupCMP(SymDesign{Budget: b, R: r})
 	}
 	r := goldenMax(f, 1, float64(b.N), tol)
 	return SweepPoint{R: r, Speedup: f(r)}
-}
-
-// OptimalAsymmetricRL finds the continuous rl maximizing the extended ACMP
-// speedup for fixed small-core size r.
-func OptimalAsymmetricRL(app AppParams, b Budget, r, tol float64) SweepPoint {
-	hi := float64(b.N) - r // keep at least one small core
-	f := func(rl float64) float64 {
-		d := AsymDesign{Budget: b, RL: rl, R: r}
-		if !d.Valid() {
-			return 0
-		}
-		return SpeedupACMP(app, d)
-	}
-	rl := goldenMax(f, 1, hi, tol)
-	return SweepPoint{R: rl, Speedup: f(rl)}
 }
 
 // goldenMax performs golden-section search for the maximum of f on [lo,hi].
@@ -160,25 +122,6 @@ func PeakCoreCount(app AppParams, maxP int) (int, float64) {
 	return bestP, bestS
 }
 
-// CrossoverR returns the smallest power-of-two r at which design A's
-// speedup falls below design B's, scanning the standard grid; -1 when no
-// crossover occurs. Exposed for the ablation experiments comparing growth
-// functions.
-func CrossoverR(a, b []SweepPoint) float64 {
-	m := map[float64]float64{}
-	for _, p := range b {
-		m[p.R] = p.Speedup
-	}
-	sorted := append([]SweepPoint(nil), a...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].R < sorted[j].R })
-	for _, p := range sorted {
-		if q, ok := m[p.R]; ok && p.Speedup < q {
-			return p.R
-		}
-	}
-	return -1
-}
-
 // SpeedupCurve evaluates the equal-core extended model at each core count,
 // producing the series plotted in Figure 3.
 func SpeedupCurve(app AppParams, cores []int) []float64 {
@@ -196,26 +139,4 @@ func DoublingCoreCounts(max int) []int {
 		out = append(out, p)
 	}
 	return out
-}
-
-// LinearCoreCounts returns {from, from+step, ..., to}.
-func LinearCoreCounts(from, to, step int) []int {
-	if step <= 0 {
-		step = 1
-	}
-	var out []int
-	for p := from; p <= to; p += step {
-		out = append(out, p)
-	}
-	return out
-}
-
-// RoundPow2 returns the nearest power of two to v (ties go up); exposed for
-// mapping continuous optima back onto the sweep grid in reports.
-func RoundPow2(v float64) float64 {
-	if v <= 1 {
-		return 1
-	}
-	e := math.Round(math.Log2(v))
-	return math.Pow(2, e)
 }

@@ -94,7 +94,7 @@ func TestCancelledJobNeverPersisted(t *testing.T) {
 	e := engine.New(engine.Config{Workers: 1, Store: s})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	res := e.RunOne(ctx, engine.Job{
+	res := e.Run(ctx, []engine.Job{{
 		ID:  "doomed",
 		Key: engine.Key("doomed"),
 		Fn: func(ctx context.Context) (any, error) {
@@ -102,7 +102,7 @@ func TestCancelledJobNeverPersisted(t *testing.T) {
 			<-ctx.Done()
 			return payload{N: 1}, ctx.Err()
 		},
-	})
+	}})[0]
 	if !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("result = %+v, want context.Canceled", res)
 	}

@@ -72,7 +72,7 @@ type Stats struct {
 	Hits        uint64 // jobs satisfied by a cached or in-flight computation (memory)
 	Misses      uint64 // cacheable jobs that missed the memory cache
 	Executed    uint64 // job functions actually invoked
-	Inline      uint64 // jobs run by the goroutine that called Run (it claims jobs alongside its helpers) or RunOne — NOT a saturation signal by itself
+	Inline      uint64 // jobs run by the goroutine that called Run (it claims jobs alongside its helpers) — NOT a saturation signal by itself
 	StoreHits   uint64 // memory misses satisfied by the persistent store
 	StoreMisses uint64 // store lookups that fell through to computation
 }
@@ -201,20 +201,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
 	}
 	wg.Wait()
 	return results
-}
-
-// RunOne is the single-job convenience form of Run. A single job offers no
-// fan-out, so it executes directly on the calling goroutine (as Run does
-// with a one-job batch, which never starts a helper) without
-// Run's slice/waitgroup bookkeeping — nested sweep and simulation jobs
-// take this path once per sweep.
-func (e *Engine) RunOne(ctx context.Context, job Job) Result {
-	r := e.exec(ctx, job)
-	e.inline.Add(1)
-	if job.OnDone != nil {
-		job.OnDone(r)
-	}
-	return r
 }
 
 // exec runs one job through the cache.

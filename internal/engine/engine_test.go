@@ -11,6 +11,9 @@ import (
 	"time"
 )
 
+// runOne runs a single job through Run.
+func runOne(e *Engine, ctx context.Context, job Job) Result { return e.Run(ctx, []Job{job})[0] }
+
 // buildJobs makes n deterministic jobs seeded by seed; each returns a
 // string derived from its index so result ordering is observable.
 func buildJobs(seed, n int, key bool) []Job {
@@ -180,13 +183,13 @@ func TestCancellationNotCached(t *testing.T) {
 	key := Key("retry")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := e.RunOne(ctx, Job{ID: "first", Key: key, Fn: func(ctx context.Context) (any, error) {
+	res := runOne(e, ctx, Job{ID: "first", Key: key, Fn: func(ctx context.Context) (any, error) {
 		return nil, ctx.Err()
 	}})
 	if !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("first run err = %v, want context.Canceled", res.Err)
 	}
-	res = e.RunOne(context.Background(), Job{ID: "second", Key: key, Fn: func(context.Context) (any, error) {
+	res = runOne(e, context.Background(), Job{ID: "second", Key: key, Fn: func(context.Context) (any, error) {
 		return "fresh", nil
 	}})
 	if res.Err != nil || res.Value != "fresh" {
@@ -428,7 +431,7 @@ func TestWaiterSurvivesComputerCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resA = e.RunOne(ctxA, Job{ID: "computer", Key: key, Fn: func(ctx context.Context) (any, error) {
+		resA = runOne(e, ctxA, Job{ID: "computer", Key: key, Fn: func(ctx context.Context) (any, error) {
 			close(started)
 			<-ctx.Done()
 			return nil, ctx.Err()
@@ -438,7 +441,7 @@ func TestWaiterSurvivesComputerCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resB = e.RunOne(context.Background(), Job{ID: "waiter", Key: key, Fn: func(context.Context) (any, error) {
+		resB = runOne(e, context.Background(), Job{ID: "waiter", Key: key, Fn: func(context.Context) (any, error) {
 			return "recomputed", nil
 		}})
 	}()

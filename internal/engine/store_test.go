@@ -39,7 +39,7 @@ func TestStoreHitSkipsExecution(t *testing.T) {
 	st := newFakeStore()
 	st.m["k"] = 42
 	e := New(Config{Workers: 1, Store: st})
-	res := e.RunOne(context.Background(), Job{
+	res := runOne(e, context.Background(), Job{
 		ID:  "job",
 		Key: "k",
 		Fn: func(context.Context) (any, error) {
@@ -64,7 +64,7 @@ func TestStoreFilledOnceAndMemoryWins(t *testing.T) {
 	e := New(Config{Workers: 1, Store: st})
 	job := Job{ID: "j", Key: "k", Fn: func(context.Context) (any, error) { return "v", nil }}
 	for i := 0; i < 2; i++ {
-		if res := e.RunOne(context.Background(), job); res.Err != nil || res.Value != "v" {
+		if res := runOne(e, context.Background(), job); res.Err != nil || res.Value != "v" {
 			t.Fatalf("run %d: %+v", i, res)
 		}
 	}
@@ -83,14 +83,14 @@ func TestStoreNeverSeesErrorsOrCancellations(t *testing.T) {
 	e := New(Config{Workers: 1, Store: st})
 
 	boom := errors.New("boom")
-	if res := e.RunOne(context.Background(), Job{ID: "err", Key: "e", Fn: func(context.Context) (any, error) {
+	if res := runOne(e, context.Background(), Job{ID: "err", Key: "e", Fn: func(context.Context) (any, error) {
 		return nil, boom
 	}}); !errors.Is(res.Err, boom) {
 		t.Fatalf("err job: %+v", res)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	if res := e.RunOne(ctx, Job{ID: "cancel", Key: "c", Fn: func(ctx context.Context) (any, error) {
+	if res := runOne(e, ctx, Job{ID: "cancel", Key: "c", Fn: func(ctx context.Context) (any, error) {
 		cancel()
 		return nil, ctx.Err()
 	}}); !errors.Is(res.Err, context.Canceled) {
@@ -107,10 +107,10 @@ func TestStoreNeverSeesErrorsOrCancellations(t *testing.T) {
 func TestStoreBypassedWhenUncacheable(t *testing.T) {
 	st := newFakeStore()
 	e := New(Config{Workers: 1, DisableCache: true, Store: st})
-	e.RunOne(context.Background(), Job{ID: "a", Key: "k", Fn: func(context.Context) (any, error) { return 1, nil }})
+	runOne(e, context.Background(), Job{ID: "a", Key: "k", Fn: func(context.Context) (any, error) { return 1, nil }})
 
 	e2 := New(Config{Workers: 1, Store: st})
-	e2.RunOne(context.Background(), Job{ID: "b", Key: "", Fn: func(context.Context) (any, error) { return 2, nil }})
+	runOne(e2, context.Background(), Job{ID: "b", Key: "", Fn: func(context.Context) (any, error) { return 2, nil }})
 
 	if st.gets != 0 || st.puts != 0 {
 		t.Errorf("store traffic gets=%d puts=%d, want 0/0", st.gets, st.puts)
@@ -124,12 +124,12 @@ func TestStoreSharedAcrossEngines(t *testing.T) {
 	job := Job{ID: "j", Key: "k", Fn: func(context.Context) (any, error) { return 7, nil }}
 
 	e1 := New(Config{Workers: 2, Store: st})
-	if res := e1.RunOne(context.Background(), job); res.Err != nil {
+	if res := runOne(e1, context.Background(), job); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 
 	e2 := New(Config{Workers: 2, Store: st})
-	res := e2.RunOne(context.Background(), Job{ID: "j", Key: "k", Fn: func(context.Context) (any, error) {
+	res := runOne(e2, context.Background(), Job{ID: "j", Key: "k", Fn: func(context.Context) (any, error) {
 		t.Error("second engine executed despite warm store")
 		return nil, nil
 	}})

@@ -48,7 +48,7 @@ func AblTopology(_ context.Context, _ Options) (*report.Document, error) {
 		if err != nil {
 			return nil, err
 		}
-		pts := core.SweepSymmetricComm(m, b, core.PowerOfTwoRs(b.N))
+		pts := core.SweepSymmetric(m, b, core.PowerOfTwoRs(b.N))
 		best, ok := core.Best(pts)
 		if !ok {
 			return nil, fmt.Errorf("empty sweep for %s", kind)

@@ -23,11 +23,11 @@ func ExtCritical(_ context.Context, _ Options) (*report.Document, error) {
 		"fcs", "best CMP r", "CMP peak", "best ACMP rl (r=4)", "ACMP peak", "ACMP gain")
 	for _, fcs := range []float64{0, 0.01, 0.05, 0.10, 0.20} {
 		m := core.NewCriticalModel(app, fcs)
-		cmp, ok := core.Best(core.SweepSymmetricCritical(m, b, rs))
+		cmp, ok := core.Best(core.SweepSymmetric(m, b, rs))
 		if !ok {
 			return nil, fmt.Errorf("empty critical CMP sweep at fcs=%g", fcs)
 		}
-		acmp, ok := core.Best(core.SweepAsymmetricCritical(m, b, rs, 4))
+		acmp, ok := core.Best(core.SweepAsymmetric(m, b, rs, 4))
 		if !ok {
 			return nil, fmt.Errorf("empty critical ACMP sweep at fcs=%g", fcs)
 		}

@@ -328,7 +328,7 @@ func Fig7(_ context.Context, _ Options) (*report.Document, error) {
 
 	rs := core.PowerOfTwoRs(b.N)
 	ta := doc.AddTable("Fig 7(a) — symmetric CMPs", append([]string{"series"}, floatHeaders(rs)...)...)
-	pts := core.SweepSymmetricComm(m, b, rs)
+	pts := core.SweepSymmetric(m, b, rs)
 	row := make([]string, 0, len(rs)+1)
 	row = append(row, "mesh/parallel-reduction")
 	ch := doc.AddChart("Fig 7(a) — symmetric", "r", "speedup", true)
@@ -349,7 +349,7 @@ func Fig7(_ context.Context, _ Options) (*report.Document, error) {
 	ch2 := doc.AddChart("Fig 7(b) — asymmetric", "rl", "speedup", true)
 	bestAll := core.SweepPoint{}
 	for _, r := range []float64{1, 4, 16} {
-		apts := core.SweepAsymmetricComm(m, b, rs, r)
+		apts := core.SweepAsymmetric(m, b, rs, r)
 		arow := make([]string, 0, len(rs)+1)
 		arow = append(arow, "r="+strconv.FormatFloat(r, 'g', -1, 64))
 		i := 0

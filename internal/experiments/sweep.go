@@ -105,9 +105,10 @@ func ParseSweepRequest(r io.Reader) (*SweepRequest, error) {
 }
 
 // sweepGroup is one (app, budget) pair: one table in the rendered
-// document, covering a contiguous range of plan points.
+// document, covering a contiguous range of plan points. Model is the
+// app under the plan's model, boxed once here rather than per point.
 type sweepGroup struct {
-	App        core.AppParams
+	Model      core.Model
 	Budget     core.Budget
 	Title      string
 	Start, End int // p.points[Start:End]
@@ -268,13 +269,17 @@ func (req *SweepRequest) Normalize() (*SweepPlan, error) {
 		mode += " — comm"
 	}
 	for _, app := range apps {
+		var m core.Model = app
+		if p.Comm {
+			m = core.NewCommModel(app)
+		}
 		for _, b := range budgets {
 			grid := rs
 			if grid == nil {
 				grid = core.PowerOfTwoRs(b.N)
 			}
 			g := sweepGroup{
-				App:    app,
+				Model:  m,
 				Budget: b,
 				Title:  app.Name + " — N=" + strconv.Itoa(b.N) + mode,
 				Start:  len(p.points),
@@ -348,16 +353,10 @@ func (p *SweepPlan) valid(b core.Budget, x float64) bool {
 func (p *SweepPlan) eval(g sweepGroup, x float64) (speedup, cores float64) {
 	if p.ACMPR != 0 {
 		d := core.AsymDesign{Budget: g.Budget, RL: x, R: p.ACMPR}
-		if p.Comm {
-			return core.NewCommModel(g.App).SpeedupACMP(d), 1 + d.SmallCores()
-		}
-		return core.SpeedupACMP(g.App, d), 1 + d.SmallCores()
+		return g.Model.SpeedupACMP(d), 1 + d.SmallCores()
 	}
 	d := core.SymDesign{Budget: g.Budget, R: x}
-	if p.Comm {
-		return core.NewCommModel(g.App).SpeedupCMP(d), d.Cores()
-	}
-	return core.SpeedupCMP(g.App, d), d.Cores()
+	return g.Model.SpeedupCMP(d), d.Cores()
 }
 
 // Run evaluates the plan and streams it to emit as one document's

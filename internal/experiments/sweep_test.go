@@ -220,8 +220,8 @@ func TestSweepPredictParity(t *testing.T) {
 	}{
 		{"", "r", core.SweepSymmetric(app, b, grid)},
 		{`,"acmp_r":4`, "rl", core.SweepAsymmetric(app, b, grid, 4)},
-		{`,"comm":true`, "r", core.SweepSymmetricComm(core.NewCommModel(app), b, grid)},
-		{`,"acmp_r":4,"comm":true`, "rl", core.SweepAsymmetricComm(core.NewCommModel(app), b, grid, 4)},
+		{`,"comm":true`, "r", core.SweepSymmetric(core.NewCommModel(app), b, grid)},
+		{`,"acmp_r":4,"comm":true`, "rl", core.SweepAsymmetric(core.NewCommModel(app), b, grid, 4)},
 	} {
 		doc := collectSweep(t, mustPlan(t, body+tc.mode+"}"))
 		if len(doc.Tables) != 1 {

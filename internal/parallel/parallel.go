@@ -1,7 +1,7 @@
 // Package parallel is the native execution runtime used by the workload
 // implementations: a fixed pool of long-lived workers (one per simulated
-// thread), static-chunk parallel-for, a reusable barrier, and privatized
-// per-thread reduction buffers.
+// thread), static-chunk parallel-for, and privatized per-thread reduction
+// buffers.
 //
 // The MineBench applications the paper studies are pthreads programs with a
 // fork-join structure per iteration: a parallel phase over the data points,
@@ -14,7 +14,6 @@ package parallel
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 )
 
@@ -144,51 +143,6 @@ func (p *Pool) For(n int, body func(id, lo, hi int)) {
 	p.Run(p.forFn)
 	p.forBody = nil
 }
-
-// Barrier is a reusable sense-reversing barrier for a fixed number of
-// parties. It mirrors the pthread barrier the original benchmarks use when
-// a parallel phase is followed by a merge executed by one thread.
-type Barrier struct {
-	parties int
-	mu      sync.Mutex
-	cond    *sync.Cond
-	count   int
-	sense   bool
-}
-
-// NewBarrier creates a barrier for n parties; n must be >= 1.
-func NewBarrier(n int) (*Barrier, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("parallel: barrier parties must be >= 1, got %d", n)
-	}
-	b := &Barrier{parties: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b, nil
-}
-
-// Wait blocks until all parties have called Wait. It returns true for
-// exactly one caller per generation (the "serial thread", analogous to
-// PTHREAD_BARRIER_SERIAL_THREAD), which the workloads use to elect the
-// merging thread.
-func (b *Barrier) Wait() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	mySense := b.sense
-	b.count++
-	if b.count == b.parties {
-		b.count = 0
-		b.sense = !b.sense
-		b.cond.Broadcast()
-		return true
-	}
-	for b.sense == mySense {
-		b.cond.Wait()
-	}
-	return false
-}
-
-// Parties returns the number of participants.
-func (b *Barrier) Parties() int { return b.parties }
 
 // Privatized holds per-thread partial-result buffers for a reduction over
 // `width` float64 elements: the "partial_centers" arrays of Algorithm 1.

@@ -128,57 +128,6 @@ func TestForSumsCorrectly(t *testing.T) {
 	}
 }
 
-func TestBarrierElectsOneSerialThread(t *testing.T) {
-	const parties = 6
-	b, err := NewBarrier(parties)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := NewPool(parties)
-	defer p.Close()
-	for gen := 0; gen < 50; gen++ {
-		var serialCount int64
-		p.Run(func(id int) {
-			if b.Wait() {
-				atomic.AddInt64(&serialCount, 1)
-			}
-		})
-		if serialCount != 1 {
-			t.Fatalf("generation %d: %d serial threads, want exactly 1", gen, serialCount)
-		}
-	}
-}
-
-func TestBarrierSynchronizes(t *testing.T) {
-	const parties = 4
-	b, _ := NewBarrier(parties)
-	p, _ := NewPool(parties)
-	defer p.Close()
-	var phase1 int64
-	failed := int64(0)
-	p.Run(func(id int) {
-		atomic.AddInt64(&phase1, 1)
-		b.Wait()
-		// After the barrier every thread must observe all phase-1 work.
-		if atomic.LoadInt64(&phase1) != parties {
-			atomic.StoreInt64(&failed, 1)
-		}
-	})
-	if failed != 0 {
-		t.Error("barrier did not order phase-1 writes before phase 2")
-	}
-}
-
-func TestBarrierValidation(t *testing.T) {
-	if _, err := NewBarrier(0); err == nil {
-		t.Error("NewBarrier(0) should fail")
-	}
-	b, _ := NewBarrier(3)
-	if b.Parties() != 3 {
-		t.Errorf("Parties = %d", b.Parties())
-	}
-}
-
 func TestPrivatizedMerge(t *testing.T) {
 	const threads, width = 5, 12
 	pv := NewPrivatized(threads, width)

@@ -47,19 +47,6 @@ func (s Strategy) Validate() error {
 	return fmt.Errorf("reduction: unknown strategy %d", int(s))
 }
 
-// ParseStrategy converts a name back to a Strategy.
-func ParseStrategy(s string) (Strategy, error) {
-	switch s {
-	case "linear":
-		return Linear, nil
-	case "tree":
-		return Tree, nil
-	case "parallel":
-		return Parallel, nil
-	}
-	return 0, fmt.Errorf("reduction: unknown strategy %q", s)
-}
-
 // Cost reports the work performed by one reduction.
 type Cost struct {
 	AddOps      int // floating-point additions executed in total
@@ -238,23 +225,6 @@ func PredictedCritical(s Strategy, t, x int) int {
 			chunk++
 		}
 		return chunk * t
-	default:
-		return 0
-	}
-}
-
-// CommCount returns the model's communicated-element count: (t-1)·x for
-// linear and tree gathers, 2·(t-1)·x for the parallel all-to-all exchange
-// with result broadcast (Section V-E).
-func CommCount(s Strategy, t, x int) int {
-	if t <= 1 {
-		return 0
-	}
-	switch s {
-	case Linear, Tree:
-		return (t - 1) * x
-	case Parallel:
-		return 2 * (t - 1) * x
 	default:
 		return 0
 	}

@@ -1,120 +1,15 @@
 package reduction
 
-import (
-	"errors"
-	"sync"
-	"sync/atomic"
-)
-
-// SharedAccumulator implements the "full locking" and "optimized locking"
-// reduction techniques of Jin, Yang & Agrawal (TKDE 2005), which the paper
-// cites as the alternative to the privatized (replicated) reductions it
-// models: instead of per-thread partial buffers merged later, threads
-// update one shared result array under locks. There is no merging phase —
-// the cost moves into the parallel section as lock traffic.
-//
-// Granularity selects the trade-off the TKDE paper studies: one lock for
-// the whole array (full locking, maximum contention, minimum memory) up to
-// one lock per element (minimum contention, maximum memory).
-type SharedAccumulator struct {
-	vals      []float64
-	locks     []sync.Mutex
-	blockSize int
-	acquires  atomic.Int64
-}
-
-// NewSharedAccumulator creates an accumulator of the given width guarded
-// by `blocks` locks (clamped to [1, width]). Each lock covers a contiguous
-// block of ceil(width/blocks) elements.
-func NewSharedAccumulator(width, blocks int) (*SharedAccumulator, error) {
-	if width < 1 {
-		return nil, errors.New("reduction: accumulator width must be >= 1")
-	}
-	if blocks < 1 {
-		blocks = 1
-	}
-	if blocks > width {
-		blocks = width
-	}
-	blockSize := (width + blocks - 1) / blocks
-	nblocks := (width + blockSize - 1) / blockSize
-	return &SharedAccumulator{
-		vals:      make([]float64, width),
-		locks:     make([]sync.Mutex, nblocks),
-		blockSize: blockSize,
-	}, nil
-}
-
-// Width returns the element count.
-func (a *SharedAccumulator) Width() int { return len(a.vals) }
-
-// Blocks returns the lock count.
-func (a *SharedAccumulator) Blocks() int { return len(a.locks) }
-
-// Add accumulates v into element idx under the covering lock.
-func (a *SharedAccumulator) Add(idx int, v float64) {
-	b := idx / a.blockSize
-	a.locks[b].Lock()
-	a.vals[idx] += v
-	a.locks[b].Unlock()
-	a.acquires.Add(1)
-}
-
-// AddVec accumulates vec into elements [base, base+len(vec)), taking each
-// covering lock once per touched block (the TKDE "optimized" variant that
-// amortizes lock operations over a cluster's worth of updates).
-func (a *SharedAccumulator) AddVec(base int, vec []float64) {
-	i := 0
-	for i < len(vec) {
-		idx := base + i
-		b := idx / a.blockSize
-		end := (b + 1) * a.blockSize // first index beyond this block
-		a.locks[b].Lock()
-		for ; i < len(vec) && base+i < end; i++ {
-			a.vals[base+i] += vec[i]
-		}
-		a.locks[b].Unlock()
-		a.acquires.Add(1)
-	}
-}
-
-// Snapshot copies the current values. It takes every lock to get a
-// consistent view; callers normally invoke it after the parallel phase.
-func (a *SharedAccumulator) Snapshot() []float64 {
-	for i := range a.locks {
-		a.locks[i].Lock()
-	}
-	out := append([]float64(nil), a.vals...)
-	for i := range a.locks {
-		a.locks[i].Unlock()
-	}
-	return out
-}
-
-// Reset zeroes the values (not the acquisition counter).
-func (a *SharedAccumulator) Reset() {
-	for i := range a.locks {
-		a.locks[i].Lock()
-	}
-	for i := range a.vals {
-		a.vals[i] = 0
-	}
-	for i := range a.locks {
-		a.locks[i].Unlock()
-	}
-}
-
-// Acquisitions returns the total number of lock acquisitions so far — the
-// quantity that replaces merge operations in the locking techniques' cost
-// model.
-func (a *SharedAccumulator) Acquisitions() int64 { return a.acquires.Load() }
-
-// LockingCost estimates the serialized cost of the locking technique for t
-// threads performing `updates` lock acquisitions each over `blocks` locks:
-// with uniform access, the expected number of threads contending on one
-// lock is t/blocks, and contended acquisitions serialize. The returned
-// value is the expected serialized share of the acquisitions, the analogue
-// of fored for locked reductions.
+// LockingCost models the "full locking" and "optimized locking" reduction
+// techniques of Jin, Yang & Agrawal (TKDE 2005), the alternative to the
+// privatized reductions the paper studies: threads update one shared
+// result array under locks, so there is no merging phase and the cost
+// moves into the parallel section as lock traffic. It estimates the
+// serialized cost for t threads performing `updates` lock acquisitions
+// each over `blocks` locks: with uniform access, the expected number of
+// threads contending on one lock is t/blocks, and contended acquisitions
+// serialize. The returned value is the expected serialized share of the
+// acquisitions, the analogue of fored for locked reductions.
 func LockingCost(t, blocks int, updates int) float64 {
 	if t <= 1 || updates <= 0 {
 		return 0

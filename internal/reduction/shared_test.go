@@ -3,135 +3,7 @@ package reduction
 import (
 	"testing"
 	"testing/quick"
-
-	"mergescale/internal/parallel"
 )
-
-func TestSharedAccumulatorBasic(t *testing.T) {
-	a, err := NewSharedAccumulator(10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Width() != 10 {
-		t.Errorf("Width = %d", a.Width())
-	}
-	a.Add(0, 1.5)
-	a.Add(9, 2.5)
-	a.Add(0, 1.0)
-	s := a.Snapshot()
-	if s[0] != 2.5 || s[9] != 2.5 {
-		t.Errorf("snapshot = %v", s)
-	}
-	if a.Acquisitions() != 3 {
-		t.Errorf("acquisitions = %d", a.Acquisitions())
-	}
-	a.Reset()
-	for _, v := range a.Snapshot() {
-		if v != 0 {
-			t.Fatal("Reset did not zero")
-		}
-	}
-}
-
-func TestSharedAccumulatorValidation(t *testing.T) {
-	if _, err := NewSharedAccumulator(0, 1); err == nil {
-		t.Error("zero width should fail")
-	}
-	a, err := NewSharedAccumulator(5, 100) // blocks clamp to width
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Blocks() > 5 {
-		t.Errorf("blocks = %d, want <= 5", a.Blocks())
-	}
-	a, _ = NewSharedAccumulator(5, 0) // clamps to 1
-	if a.Blocks() != 1 {
-		t.Errorf("blocks = %d, want 1", a.Blocks())
-	}
-}
-
-func TestAddVecMatchesElementwise(t *testing.T) {
-	for _, blocks := range []int{1, 2, 3, 7, 16} {
-		a, _ := NewSharedAccumulator(16, blocks)
-		b, _ := NewSharedAccumulator(16, blocks)
-		vec := make([]float64, 10)
-		for i := range vec {
-			vec[i] = float64(i + 1)
-		}
-		a.AddVec(3, vec)
-		for i, v := range vec {
-			b.Add(3+i, v)
-		}
-		sa, sb := a.Snapshot(), b.Snapshot()
-		for i := range sa {
-			if sa[i] != sb[i] {
-				t.Fatalf("blocks=%d: AddVec differs at %d: %g vs %g", blocks, i, sa[i], sb[i])
-			}
-		}
-		// AddVec must take at most one acquisition per touched block.
-		if a.Acquisitions() > int64(blocks) {
-			t.Errorf("blocks=%d: AddVec took %d acquisitions", blocks, a.Acquisitions())
-		}
-	}
-}
-
-func TestSharedAccumulatorConcurrent(t *testing.T) {
-	// The locked technique must produce the same totals as the privatized
-	// technique under real concurrency (integral values: exact addition).
-	const threads, width, perThread = 8, 64, 500
-	a, _ := NewSharedAccumulator(width, 8)
-	pool, err := parallel.NewPool(threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	pool.Run(func(id int) {
-		for i := 0; i < perThread; i++ {
-			a.Add((id*7+i)%width, 1)
-		}
-	})
-	sum := 0.0
-	for _, v := range a.Snapshot() {
-		sum += v
-	}
-	if sum != threads*perThread {
-		t.Errorf("lost updates: sum=%g want %d", sum, threads*perThread)
-	}
-	if a.Acquisitions() != threads*perThread {
-		t.Errorf("acquisitions = %d", a.Acquisitions())
-	}
-}
-
-func TestSharedVsPrivatizedEquivalence(t *testing.T) {
-	// Locked-shared accumulation and privatize-then-merge are two
-	// implementations of the same reduction; totals must agree exactly on
-	// integral inputs.
-	const threads, width = 6, 40
-	pv := parallel.NewPrivatized(threads, width)
-	a, _ := NewSharedAccumulator(width, 4)
-	pool, _ := parallel.NewPool(threads)
-	defer pool.Close()
-	pool.Run(func(id int) {
-		buf := pv.Buf(id)
-		vec := make([]float64, width)
-		for i := 0; i < width; i++ {
-			v := float64((id*i)%9 + 1)
-			buf[i] += v
-			vec[i] = v
-		}
-		a.AddVec(0, vec)
-	})
-	merged := make([]float64, width)
-	if _, err := Reduce(Linear, pv, merged, nil); err != nil {
-		t.Fatal(err)
-	}
-	shared := a.Snapshot()
-	for i := range merged {
-		if merged[i] != shared[i] {
-			t.Fatalf("techniques disagree at %d: %g vs %g", i, merged[i], shared[i])
-		}
-	}
-}
 
 func TestLockingCostModel(t *testing.T) {
 	// Single thread never contends.

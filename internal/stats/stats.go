@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by aggregate functions when given no samples.
@@ -20,36 +19,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// GeoMean returns the geometric mean of xs. All inputs must be positive;
-// non-positive entries make the result NaN. It returns 0 for an empty slice.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	logSum := 0.0
-	for _, x := range xs {
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the smallest element of xs, or +Inf for an empty slice.
 func Min(xs []float64) float64 {
@@ -71,32 +40,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// ArgMax returns the index of the largest element of xs, or -1 if empty.
-// Ties resolve to the earliest index.
-func ArgMax(xs []float64) int {
-	idx, best := -1, math.Inf(-1)
-	for i, x := range xs {
-		if x > best {
-			best, idx = x, i
-		}
-	}
-	return idx
-}
-
-// Median returns the median of xs without modifying the input.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
 // LinReg fits y = a + b*x by ordinary least squares and returns the
@@ -137,18 +80,6 @@ func LinReg(x, y []float64) (a, b, r2 float64, err error) {
 		r2 = 1 - ssRes/ssTot
 	}
 	return a, b, r2, nil
-}
-
-// RelErr returns the signed relative error (got-want)/want.
-// A zero want with nonzero got returns +Inf (or -Inf).
-func RelErr(got, want float64) float64 {
-	if want == 0 {
-		if got == 0 {
-			return 0
-		}
-		return math.Inf(int(math.Copysign(1, got)))
-	}
-	return (got - want) / want
 }
 
 // Rand is a small deterministic xorshift64* PRNG. It is used instead of

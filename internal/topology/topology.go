@@ -34,21 +34,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind converts a name produced by Kind.String back to a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "mesh2d":
-		return Mesh2D, nil
-	case "torus2d":
-		return Torus2D, nil
-	case "ring":
-		return Ring, nil
-	case "crossbar":
-		return Crossbar, nil
-	}
-	return 0, fmt.Errorf("topology: unknown kind %q", s)
-}
-
 // Network describes an interconnect instance over a given core count.
 type Network struct {
 	Kind  Kind
@@ -157,29 +142,6 @@ func (n Network) Diameter() float64 {
 	}
 }
 
-// BisectionLinks returns the number of links crossing a bisection of the
-// network, a standard capacity metric used in the tests as an invariant
-// (mesh <= torus for equal core counts).
-func (n Network) BisectionLinks() float64 {
-	k := n.side()
-	switch n.Kind {
-	case Mesh2D:
-		return k
-	case Torus2D:
-		return 2 * k
-	case Ring:
-		if n.Cores <= 1 {
-			return 0
-		}
-		return 2
-	case Crossbar:
-		c := float64(n.Cores)
-		return c * c / 4
-	default:
-		return 0
-	}
-}
-
 // CommOps returns the total number of link-level operations needed for a
 // reduction-phase all-to-one gather plus one-to-all broadcast of x reduction
 // elements over nc cores: 2·(nc-1)·x transfers, each travelling AvgHops()
@@ -218,15 +180,6 @@ func (n Network) GrowCommApprox() float64 {
 		return math.Sqrt(float64(n.Cores)) / 2
 	}
 	return n.GrowComm(1)
-}
-
-// MeshGrowComm is a convenience wrapper returning the paper's approximate
-// mesh growth function sqrt(nc)/2 for nc cores.
-func MeshGrowComm(cores float64) float64 {
-	if cores <= 1 {
-		return 0
-	}
-	return math.Sqrt(cores) / 2
 }
 
 // Coord is a 2D router coordinate on a mesh or torus.

@@ -6,18 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestKindRoundTrip(t *testing.T) {
-	for _, k := range []Kind{Mesh2D, Torus2D, Ring, Crossbar} {
-		back, err := ParseKind(k.String())
-		if err != nil || back != k {
-			t.Errorf("ParseKind(%q) = %v, %v", k.String(), back, err)
-		}
-	}
-	if _, err := ParseKind("hypercube"); err == nil {
-		t.Error("ParseKind should reject unknown names")
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Mesh2D, 0); err == nil {
 		t.Error("New should reject zero cores")
@@ -76,21 +64,6 @@ func TestSingleCoreHasNoComm(t *testing.T) {
 		n, _ := New(k, 1)
 		if n.GrowComm(4) != 0 || n.CommOps(4) != 0 {
 			t.Errorf("%s: single core should have zero comm", k)
-		}
-	}
-}
-
-func TestBisectionOrdering(t *testing.T) {
-	// torus >= mesh >= ring for the same core count.
-	for _, nc := range []int{16, 64, 256} {
-		mesh, _ := New(Mesh2D, nc)
-		torus, _ := New(Torus2D, nc)
-		ring, _ := New(Ring, nc)
-		if torus.BisectionLinks() < mesh.BisectionLinks() {
-			t.Errorf("nc=%d: torus bisection below mesh", nc)
-		}
-		if mesh.BisectionLinks() < ring.BisectionLinks() {
-			t.Errorf("nc=%d: mesh bisection below ring", nc)
 		}
 	}
 }
@@ -195,15 +168,6 @@ func TestTriangleInequalityMesh(t *testing.T) {
 	}
 	if err := quick.Check(pred, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMeshGrowCommHelper(t *testing.T) {
-	if MeshGrowComm(1) != 0 {
-		t.Error("MeshGrowComm(1) should be 0")
-	}
-	if math.Abs(MeshGrowComm(64)-4) > 1e-12 {
-		t.Errorf("MeshGrowComm(64) = %g, want 4", MeshGrowComm(64))
 	}
 }
 

@@ -118,14 +118,3 @@ func TableIVFuzzy() []Spec { return []Spec{FuzzyBase, FuzzyDim, FuzzyPoint, Fuzz
 
 // TableIVHop returns the hop variants in Table IV order.
 func TableIVHop() []Spec { return []Spec{HopDefault, HopMedium} }
-
-// Scaled returns a copy of a spec with N scaled by the given factor,
-// used by the "large data sets" hardware-validation runs.
-func Scaled(s Spec, factor int) Spec {
-	if factor < 1 {
-		factor = 1
-	}
-	s.N *= factor
-	s.Label = fmt.Sprintf("%s-x%d", s.Label, factor)
-	return s
-}

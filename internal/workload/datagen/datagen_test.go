@@ -114,19 +114,6 @@ func TestTableIVSpecs(t *testing.T) {
 	}
 }
 
-func TestScaled(t *testing.T) {
-	s := Scaled(KMeansBase, 4)
-	if s.N != 17695*4 {
-		t.Errorf("Scaled N = %d", s.N)
-	}
-	if s.Label == KMeansBase.Label {
-		t.Error("Scaled should relabel")
-	}
-	if Scaled(KMeansBase, 0).N != KMeansBase.N {
-		t.Error("factor < 1 should clamp to 1")
-	}
-}
-
 func TestGenerateFiniteProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30}
 	pred := func(nRaw, dRaw, cRaw uint8, seed uint16) bool {

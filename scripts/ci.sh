@@ -16,6 +16,19 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== benchmark harness builds =="
+# benchmark/ is its own module compiled against internal/ APIs: a change
+# that breaks it fails here, not on the next benchmark run.
+(cd benchmark && go vet .)
+
+echo "== examples run =="
+# The examples are the only callers of some exported model helpers
+# (core.OptimalSymmetricR, core.PeakCoreCount); running them keeps both
+# the helpers and the examples honest.
+for d in examples/*/; do
+    go run "./$d" > /dev/null
+done
+
 echo "== go test -race (shuffled) =="
 # -shuffle=on randomizes test and subtest execution order so hidden
 # inter-test state (shared caches, package-level maps) fails here rather
