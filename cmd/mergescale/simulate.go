@@ -45,9 +45,11 @@ func runSimulate(args []string, rf renderFlags, ef engineFlags, stdout, stderr i
 		fmt.Fprintf(stderr, "mergescale simulate: unexpected arguments %v\n", fs.Args())
 		return 2
 	}
-	// Checked before any data is generated, any store opened or -out
-	// truncated: a scale below 1 would run at full size under its own
-	// cache key, and zero iterations would fail only after datagen.
+	// Checked before the data-set spec is validated, any store opened or
+	// -out truncated: a scale below 1 would run at full size under its own
+	// cache key, and zero iterations would fail only in BuildProgram, after
+	// -out was truncated. simulate draws no point values: the program needs
+	// only the data set's shape.
 	if *scale < 1 || *iters < 1 {
 		fmt.Fprintf(stderr, "mergescale simulate: -scale and -iters must be >= 1 (got %d, %d)\n", *scale, *iters)
 		return 2

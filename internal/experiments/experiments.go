@@ -173,20 +173,12 @@ func workloadSet(opt Options) []workload.Workload {
 	return []workload.Workload{km, fz, hop.New()}
 }
 
-// datasets memoizes generated data sets by spec: several experiments
-// (fig2a/2b/2d, table2) regenerate the same three default sets per run.
-// Generation is deterministic per spec and Datasets are read-only after
-// Generate (workloads copy what they mutate), so sharing is safe; memory
-// is bounded by the distinct specs the process uses. Each spec's entry
-// generates once: concurrent misses wait for the first caller's result.
-var datasets sync.Map // datagen.Spec -> *datasetEntry
-
-// datasetEntry is one spec's generation, run exactly once.
-type datasetEntry struct {
-	once sync.Once
-	ds   *datagen.Dataset
-	err  error
-}
+// datasets memoizes data sets by spec, so every experiment that reads one
+// spec shares one *Dataset and with it the points drawn on its first read
+// (only hop's native runs read them; everything else needs the shape).
+// Datasets are read-only (workloads copy what they mutate), so sharing is
+// safe; memory is bounded by the distinct specs the process uses.
+var datasets sync.Map // datagen.Spec -> *datagen.Dataset
 
 // datasetFor generates (or recalls) the default data set of a workload,
 // shrunk in quick mode.
@@ -202,15 +194,17 @@ func datasetFor(w workload.Workload, opt Options) (*datagen.Dataset, error) {
 }
 
 // genDataset is the memoizing front of datagen.Generate shared by every
-// experiment (see datasets).
+// experiment (see datasets): concurrent misses all get the stored one.
 func genDataset(spec datagen.Spec) (*datagen.Dataset, error) {
-	v, ok := datasets.Load(spec)
-	if !ok {
-		v, _ = datasets.LoadOrStore(spec, new(datasetEntry))
+	if v, ok := datasets.Load(spec); ok {
+		return v.(*datagen.Dataset), nil
 	}
-	e := v.(*datasetEntry)
-	e.once.Do(func() { e.ds, e.err = datagen.Generate(spec) })
-	return e.ds, e.err
+	ds, err := datagen.Generate(spec)
+	if err != nil {
+		return nil, err
+	}
+	v, _ := datasets.LoadOrStore(spec, ds)
+	return v.(*datagen.Dataset), nil
 }
 
 // nativeThreadCounts returns the thread grid for native runs (the paper's

@@ -127,9 +127,9 @@ func (w *Contend) Name() string { return "contend" }
 func (w *Contend) Params() any { return w.Cfg }
 
 // DefaultSpec implements workload.Workload. N is the transaction count;
-// the generated points are unused — the trace derives from Seed alone —
-// but the spec keeps contend behind the same dataset memoization and
-// quick-mode shrinking as every other workload.
+// contend never reads the points, so none are drawn — the trace derives
+// from Seed alone — but the spec keeps contend behind the same dataset
+// memoization and quick-mode shrinking as every other workload.
 func (w *Contend) DefaultSpec() datagen.Spec {
 	return datagen.Spec{Label: "contend-base", N: 65536, D: 1, C: 1, Spread: 1, Seed: 401}
 }

@@ -8,11 +8,15 @@
 // shape parameters (threads × clusters × dimensions), not on the point
 // values, so synthetic data preserves the behaviour the paper measures
 // (see the substitution notes in DESIGN.md).
+//
+// Point values are drawn on first read (Dataset.Points), so paths that
+// need only the shape never generate them.
 package datagen
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"mergescale/internal/stats"
 )
@@ -41,16 +45,30 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Dataset is a dense row-major point matrix.
+// Dataset is a dense row-major point matrix whose values are drawn on
+// first read: Spec, N and D never generate anything, so shape-only callers
+// (count-mode profiles, simulator programs) cost no samples. A Dataset is
+// shared by pointer and must not be copied.
 type Dataset struct {
 	Spec   Spec
-	Points []float64 // len N*D, point i at [i*D : (i+1)*D]
-	Truth  []int     // generating cluster of each point
+	once   sync.Once
+	points []float64 // len N*D, point i at [i*D : (i+1)*D]
+	truth  []int     // generating cluster of each point
 }
 
-// Point returns the i-th point as a slice view.
-func (d *Dataset) Point(i int) []float64 {
-	return d.Points[i*d.Spec.D : (i+1)*d.Spec.D]
+// Points returns the row-major point matrix (len N*D, point i at
+// [i*D : (i+1)*D]), generating it on the first call. Callers must not
+// modify it.
+func (d *Dataset) Points() []float64 {
+	d.once.Do(d.fill)
+	return d.points
+}
+
+// Truth returns the generating cluster of each point, generating the data
+// set on the first call. Callers must not modify it.
+func (d *Dataset) Truth() []int {
+	d.once.Do(d.fill)
+	return d.truth
 }
 
 // N returns the point count.
@@ -59,9 +77,8 @@ func (d *Dataset) N() int { return d.Spec.N }
 // D returns the dimensionality.
 func (d *Dataset) D() int { return d.Spec.D }
 
-// Generate builds the data set: C cluster centers placed on a scaled
-// lattice, each point drawn from a Gaussian around a uniformly chosen
-// center.
+// Generate validates spec, applies the default spread and returns the data
+// set it describes; the points are drawn on first read.
 func Generate(spec Spec) (*Dataset, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -69,6 +86,13 @@ func Generate(spec Spec) (*Dataset, error) {
 	if spec.Spread == 0 {
 		spec.Spread = 0.05
 	}
+	return &Dataset{Spec: spec}, nil
+}
+
+// fill draws the data set: C cluster centers placed on a scaled lattice,
+// each point drawn from a Gaussian around a uniformly chosen center.
+func (d *Dataset) fill() {
+	spec := d.Spec
 	rng := stats.NewRand(spec.Seed)
 	centers := make([]float64, spec.C*spec.D)
 	for c := 0; c < spec.C; c++ {
@@ -76,19 +100,15 @@ func Generate(spec Spec) (*Dataset, error) {
 			centers[c*spec.D+j] = float64(c) + rng.Float64() // well separated along each axis
 		}
 	}
-	ds := &Dataset{
-		Spec:   spec,
-		Points: make([]float64, spec.N*spec.D),
-		Truth:  make([]int, spec.N),
-	}
+	d.points = make([]float64, spec.N*spec.D)
+	d.truth = make([]int, spec.N)
 	for i := 0; i < spec.N; i++ {
 		c := rng.Intn(spec.C)
-		ds.Truth[i] = c
+		d.truth[i] = c
 		for j := 0; j < spec.D; j++ {
-			ds.Points[i*spec.D+j] = centers[c*spec.D+j] + spec.Spread*rng.NormFloat64()
+			d.points[i*spec.D+j] = centers[c*spec.D+j] + spec.Spread*rng.NormFloat64()
 		}
 	}
-	return ds, nil
 }
 
 // The Table IV data-set specs. The "base" shapes match the paper exactly

@@ -116,6 +116,9 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		return nil, nil, err
 	}
 	n, d, k := ds.N(), ds.D(), cfg.K
+	// Draw the points before the pool starts and the init timer runs, so
+	// no timed section includes data generation.
+	points := ds.Points()
 	pool, err := parallel.NewPool(threads)
 	if err != nil {
 		return nil, nil, err
@@ -127,7 +130,7 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		tInit = prof.StartTimer(trace.SecInit)
 	}
 	centers := make([]float64, k*d)
-	copy(centers, ds.Points[:k*d])
+	copy(centers, points[:k*d])
 	assign := make([]int, n)
 	width := k * (d + 1) // weighted coordinate sums + weight sums
 	pv := parallel.NewPrivatized(threads, width)
@@ -149,7 +152,7 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		buf := pv.Buf(id)
 		inv := memb.Buf(id)[:k]
 		for i := lo; i < hi; i++ {
-			pt := ds.Points[i*d : (i+1)*d]
+			pt := points[i*d : (i+1)*d]
 			// Inverse squared distances, computed in place.
 			workload.SqDists(inv, pt, centers)
 			sumInv := 0.0

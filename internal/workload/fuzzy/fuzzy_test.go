@@ -27,7 +27,7 @@ func TestRecoversClusters(t *testing.T) {
 	}
 	labelMap := map[int]int{}
 	agree := 0
-	for i, truth := range ds.Truth {
+	for i, truth := range ds.Truth() {
 		if prev, ok := labelMap[truth]; ok {
 			if prev == res.Assign[i] {
 				agree++

@@ -16,13 +16,14 @@ import (
 func refRun(t *testing.T, ds *datagen.Dataset, cfg Config, threads int) ([]float64, []int) {
 	t.Helper()
 	n, d, k := ds.N(), ds.D(), cfg.K
+	points := ds.Points()
 	pool, err := parallel.NewPool(threads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 	centers := make([]float64, k*d)
-	copy(centers, ds.Points[:k*d])
+	copy(centers, points[:k*d])
 	assign := make([]int, n)
 	width := k * (d + 1)
 	pv := parallel.NewPrivatized(threads, width)
@@ -31,7 +32,7 @@ func refRun(t *testing.T, ds *datagen.Dataset, cfg Config, threads int) ([]float
 	assignBody := func(id, lo, hi int) {
 		buf := pv.Buf(id)
 		for i := lo; i < hi; i++ {
-			pt := ds.Points[i*d : (i+1)*d]
+			pt := points[i*d : (i+1)*d]
 			best, bestDist := 0, math.MaxFloat64
 			for c := 0; c < k; c++ {
 				ctr := centers[c*d : (c+1)*d]

@@ -114,6 +114,9 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		return nil, nil, err
 	}
 	n, d, k := ds.N(), ds.D(), cfg.K
+	// Draw the points before the pool starts and the init timer runs, so
+	// no timed section includes data generation.
+	points := ds.Points()
 	pool, err := parallel.NewPool(threads)
 	if err != nil {
 		return nil, nil, err
@@ -126,7 +129,7 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		tInit = prof.StartTimer(trace.SecInit)
 	}
 	centers := make([]float64, k*d)
-	copy(centers, ds.Points[:k*d])
+	copy(centers, points[:k*d])
 	assign := make([]int, n)
 	width := k * (d + 1) // per-cluster: D coordinate sums + 1 count
 	pv := parallel.NewPrivatized(threads, width)
@@ -145,7 +148,7 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		buf := pv.Buf(id)
 		dist := dists.Buf(id)[:k]
 		for i := lo; i < hi; i++ {
-			pt := ds.Points[i*d : (i+1)*d]
+			pt := points[i*d : (i+1)*d]
 			workload.SqDists(dist, pt, centers)
 			best, bestDist := 0, math.MaxFloat64
 			for c, dc := range dist {

@@ -30,7 +30,7 @@ func TestRecoversClusters(t *testing.T) {
 	// a k-means label (allowing the small boundary minority).
 	agree := 0
 	labelMap := map[int]int{}
-	for i, truth := range ds.Truth {
+	for i, truth := range ds.Truth() {
 		got := res.Assign[i]
 		if prev, ok := labelMap[truth]; ok {
 			if prev == got {

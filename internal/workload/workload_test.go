@@ -2,12 +2,14 @@ package workload_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"mergescale/internal/engine"
 	"mergescale/internal/sim"
 	"mergescale/internal/trace"
 	"mergescale/internal/workload"
+	"mergescale/internal/workload/contend"
 	"mergescale/internal/workload/datagen"
 	"mergescale/internal/workload/fuzzy"
 	"mergescale/internal/workload/hop"
@@ -168,5 +170,49 @@ func TestSimSerialGrowthAcrossWorkloads(t *testing.T) {
 		if norm[len(norm)-1] < 1.5 {
 			t.Errorf("%s: serial growth at 8 cores only %.2fx — merge cost not captured", w.Name(), norm[len(norm)-1])
 		}
+	}
+}
+
+// TestShapeOnlyPathsDrawNoPoints: Generate, count-mode native profiles and
+// every simulator program need only a data set's shape, so on a fresh
+// 64 MiB spec none of them may draw its points. Each path's allocation
+// must stay far below the point matrix it would otherwise materialize.
+func TestShapeOnlyPathsDrawNoPoints(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run the allocation budget without -race (ci.sh does)")
+	}
+	const scale = 1 << 10 // programs over 1024 points
+	spec := datagen.Spec{Label: "shape-only", N: 1 << 20, D: 8, C: 8, Seed: 4242}
+	pointBytes := uint64(spec.N * spec.D * 8)
+	budget := pointBytes / 64 // 1 MiB
+	allocated := func(name string, f func() error) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := f(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Errorf("%s allocated %d bytes, budget %d (the points are %d)", name, got, budget, pointBytes)
+		}
+	}
+	var ds *datagen.Dataset
+	allocated("Generate", func() (err error) {
+		ds, err = datagen.Generate(spec)
+		return err
+	})
+	cfg := sim.DefaultConfig(4)
+	for _, w := range append(allWorkloads(), contend.New()) {
+		if w.Name() != "hop" && w.Name() != "contend" {
+			allocated(w.Name()+" count-mode RunNative", func() error {
+				_, err := w.RunNative(ds, 4, false)
+				return err
+			})
+		}
+		allocated(w.Name()+" BuildProgram", func() error {
+			_, err := w.BuildProgram(ds, cfg, scale)
+			return err
+		})
 	}
 }

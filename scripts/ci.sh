@@ -69,6 +69,9 @@ go test -run 'SteadyStateZeroAllocs' -count=1 ./internal/sim
 # Count-mode kmeans and fuzzy native runs allocate only their profile:
 # a run that started its clustering kernel would blow the budget.
 go test -run 'TestCountModeAllocs' -count=1 ./internal/workload/kmeans ./internal/workload/fuzzy
+# Shape-only paths (Generate, count mode, BuildProgram) draw no points: on
+# a 64 MiB spec each must allocate far less than the point matrix.
+go test -run 'TestShapeOnlyPathsDrawNoPoints' -count=1 ./internal/workload
 # The sweep row budget: SweepPlan.Run into the csv backend makes at most
 # two allocations per point (the row's cell string and its Row slice).
 go test -run 'AllocBudget' -count=1 ./internal/experiments
