@@ -44,7 +44,11 @@ func runCounted(t *testing.T, targets []Experiment) (map[string]int, engine.Stat
 
 // TestRunAllDedupesNativeRuns: Table IV and Fig. 2(c) both need the
 // hop-default quick runs at every native thread count; one RunAll executes
-// each of those native-run keys exactly once, and no job runs twice.
+// each of those native-run keys exactly once, and no job runs twice. The
+// three count-mode runs read one memoized hop kernel pass: an earlier test
+// may already have built it, so the first runs here build at most one,
+// and no later run, not even on an engine with no memory cache, builds
+// another.
 func TestRunAllDedupesNativeRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -59,6 +63,7 @@ func TestRunAllDedupesNativeRuns(t *testing.T) {
 		hopKeys = append(hopKeys, workload.NativeRunKey(w, ds.Spec, th))
 	}
 
+	passes := hop.PassesBuilt()
 	// Both experiments submit the hop runs on their own.
 	for _, id := range []string{"table4", "fig2c"} {
 		e, err := ByID(id)
@@ -72,6 +77,10 @@ func TestRunAllDedupesNativeRuns(t *testing.T) {
 			}
 		}
 	}
+	if got := hop.PassesBuilt() - passes; got > 1 {
+		t.Errorf("table4 and fig2c alone built %d hop kernel passes, want at most 1", got)
+	}
+	passes = hop.PassesBuilt()
 
 	puts, stats := runCounted(t, Registry())
 	for _, k := range hopKeys {
@@ -87,16 +96,33 @@ func TestRunAllDedupesNativeRuns(t *testing.T) {
 	if stats.Executed != uint64(len(puts)) {
 		t.Errorf("run all executed %d jobs for %d distinct keys", stats.Executed, len(puts))
 	}
+
+	// -nocache: every experiment runs hop's thread counts itself.
+	nocache := engine.New(engine.Config{Workers: 4, DisableCache: true})
+	for _, o := range RunAll(context.Background(), nocache, Registry(), quick) {
+		if o.Err != nil {
+			t.Fatalf("%s: %v", o.ID, o.Err)
+		}
+	}
+	if got := hop.PassesBuilt() - passes; got != 0 {
+		t.Errorf("run all, cached and not, built %d more hop kernel passes, want 0", got)
+	}
 }
 
 // TestFig2cDurationRunsKernels: with UseDuration, Fig. 2(c) times the real
-// kmeans, fuzzy and hop kernels (count mode runs none of the first two), and
-// every normalized serial time it renders is positive and finite.
+// kmeans, fuzzy and hop kernels at every thread count (count mode runs
+// none of the first two and one memoized pass of hop's, which a timed run
+// never builds), and every normalized serial time it renders is positive
+// and finite.
 func TestFig2cDurationRunsKernels(t *testing.T) {
 	opt := Options{Quick: true, UseDuration: true, Engine: serialEngine()}
+	passes := hop.PassesBuilt()
 	doc, err := Fig2c(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := hop.PassesBuilt() - passes; got != 0 {
+		t.Errorf("timed fig2c built %d hop kernel passes, want 0", got)
 	}
 	if len(doc.Tables) != 1 || len(doc.Tables[0].Rows) != 3 {
 		t.Fatalf("fig2c: want one table of 3 rows, got %+v", doc.Tables)

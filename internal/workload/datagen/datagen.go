@@ -47,8 +47,8 @@ func (s Spec) Validate() error {
 
 // Dataset is a dense row-major point matrix whose values are drawn on
 // first read: Spec, N and D never generate anything, so shape-only callers
-// (count-mode profiles, simulator programs) cost no samples. A Dataset is
-// shared by pointer and must not be copied.
+// (count-mode kmeans and fuzzy profiles, simulator programs) cost no
+// samples. A Dataset is shared by pointer and must not be copied.
 type Dataset struct {
 	Spec   Spec
 	once   sync.Once

@@ -27,3 +27,27 @@ func BenchmarkHopRun(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkHopCount times one count-mode profile on the same data set and
+// thread counts as BenchmarkHopRun, on a warm memo: the closed forms plus
+// the cross-edge scan of the memoized kernel pass.
+func BenchmarkHopCount(b *testing.B) {
+	spec := datagen.HopDefault
+	spec.N /= 8
+	ds, err := datagen.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := Count(ds, DefaultConfig(), 1); err != nil { // warm the memo
+		b.Fatal(err)
+	}
+	for _, th := range []int{1, 2, 4} {
+		b.Run("threads="+strconv.Itoa(th), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Count(ds, DefaultConfig(), th); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

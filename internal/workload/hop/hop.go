@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"mergescale/internal/parallel"
 	"mergescale/internal/sim"
@@ -38,6 +40,14 @@ type Config struct {
 
 // DefaultConfig returns the defaults (Ndens = 64, as in the original HOP).
 func DefaultConfig() Config { return Config{MaxNeighbors: 64} }
+
+// Validate checks the configuration.
+func (c Config) Validate() error {
+	if c.CellsPerDim < 0 {
+		return fmt.Errorf("hop: CellsPerDim must be >= 0, got %d", c.CellsPerDim)
+	}
+	return nil
+}
 
 // Result carries the grouping output.
 type Result struct {
@@ -97,6 +107,21 @@ func (gr *grid) cellCoord(cell int, out []int) {
 	}
 }
 
+// gridDim returns the cells per dimension and the cell count of the grid
+// over n points in d dimensions: cellsPerDim when set, otherwise about 4
+// points per cell and at least 2 cells per dimension.
+func gridDim(n, d, cellsPerDim int) (g, cells int) {
+	g = cellsPerDim
+	if g == 0 {
+		g = max(int(math.Ceil(math.Pow(float64(n)/4, 1/float64(d)))), 2)
+	}
+	cells = 1
+	for j := 0; j < d; j++ {
+		cells *= g
+	}
+	return g, cells
+}
+
 // window returns the half-width w of the candidate window [s-w, s+w]
 // (MaxNeighbors/2, at least 1; MaxNeighbors <= 0 selects 64).
 func window(cfg Config) int {
@@ -111,14 +136,13 @@ func window(cfg Config) int {
 // bits: a window has 2w candidates besides the point itself.
 func maskWords(w int) int { return (2*w + 63) / 64 }
 
-// runScratch holds Run's per-run working arrays, freshly allocated (and
-// so zeroed) per run; only Result.Group outlives the run.
+// runScratch holds kernel's working arrays, freshly allocated (and so
+// zeroed) per run.
 type runScratch struct {
 	partial          [][]int32
 	cellIdx, counts  []int32
 	order, cursor    []int32
 	parent, posOf    []int32
-	root             []int32
 	pts, density     []float64
 	mask             []uint64
 	pairs            []int
@@ -134,7 +158,6 @@ func newScratch(n, cells, threads, d, words int) *runScratch {
 		cursor:  make([]int32, cells),
 		parent:  make([]int32, n),
 		posOf:   make([]int32, n),
-		root:    make([]int32, n),
 		pts:     make([]float64, n*d),
 		density: make([]float64, n),
 		mask:    make([]uint64, n*words),
@@ -149,25 +172,30 @@ func newScratch(n, cells, threads, d, words int) *runScratch {
 	return s
 }
 
-// Run executes hop natively with instrumented phases.
-func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *trace.Profile, error) {
+// check rejects the inputs neither Run nor Count accepts, so both fail
+// with the same error.
+func check(ds *datagen.Dataset, cfg Config, threads int) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if threads < 1 {
-		return nil, nil, errors.New("hop: threads must be >= 1")
+		return errors.New("hop: threads must be >= 1")
 	}
-	n, d := ds.N(), ds.D()
-	if d > 4 {
-		return nil, nil, fmt.Errorf("hop: dimensionality %d too high for grid neighbors", d)
+	if d := ds.D(); d > 4 {
+		return fmt.Errorf("hop: dimensionality %d too high for grid neighbors", d)
 	}
-	prof := trace.NewProfile("hop", threads)
-	// Draw the points before the pool starts and the init timer runs, so
-	// no timed section includes data generation.
-	points := ds.Points()
-	pool, err := parallel.NewPool(threads)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer pool.Close()
+	return nil
+}
 
+// kernel runs hop's pipeline on pool's workers up to the cross-chunk
+// merge: bounding box, binning, the cell-count merge, placement, and the
+// density and hop passes. It adds those sections' work to prof, timing
+// them when timing is set, and returns its scratch with parent (each
+// point's densest in-range candidate, itself at a density peak) and posOf
+// (each point's position in cell-sorted order) filled. Neither depends on
+// the pool's size.
+func kernel(points []float64, n, d int, cfg Config, pool *parallel.Pool, prof *trace.Profile, timing bool) *runScratch {
+	threads := pool.Threads()
 	// ---- init: bounding box and grid geometry (excluded from serial
 	// fraction, as the paper subtracts initialization).
 	var tInit *trace.Timer
@@ -175,17 +203,7 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		tInit = prof.StartTimer(trace.SecInit)
 	}
 	gr := &grid{d: d}
-	gr.g = cfg.CellsPerDim
-	if gr.g == 0 {
-		gr.g = int(math.Ceil(math.Pow(float64(n)/4, 1/float64(d))))
-		if gr.g < 2 {
-			gr.g = 2
-		}
-	}
-	gr.cells = 1
-	for j := 0; j < d; j++ {
-		gr.cells *= gr.g
-	}
+	gr.g, gr.cells = gridDim(n, d, cfg.CellsPerDim)
 	words := maskWords(window(cfg))
 	scr := newScratch(n, gr.cells, threads, d, words)
 	gr.min = scr.min
@@ -387,6 +405,31 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		prof.AddWork(trace.SecParallel, float64(np*(3*d+3)))
 	}
 
+	posOf := scr.posOf // point -> position in sorted order
+	for s := 0; s < n; s++ {
+		posOf[gr.order[s]] = int32(s)
+	}
+	return scr
+}
+
+// Run executes hop natively with instrumented phases.
+func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *trace.Profile, error) {
+	if err := check(ds, cfg, threads); err != nil {
+		return nil, nil, err
+	}
+	n := ds.N()
+	prof := trace.NewProfile("hop", threads)
+	// Draw the points before the pool starts and the init timer runs, so
+	// no timed section includes data generation.
+	points := ds.Points()
+	pool, err := parallel.NewPool(threads)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer pool.Close()
+	scr := kernel(points, n, ds.D(), cfg, pool, prof, timing)
+	parent, posOf := scr.parent, scr.posOf
+
 	// ---- merging phase, part 2: cross-chunk group merge. Each thread
 	// found roots within its chunk of the sorted order; the master resolves
 	// parent edges that cross chunk boundaries. The number of cross edges
@@ -400,10 +443,7 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		}
 		return threads - 1
 	}
-	posOf := scr.posOf // point -> position in sorted order
-	for s := 0; s < n; s++ {
-		posOf[gr.order[s]] = int32(s)
-	}
+	var tRed *trace.Timer
 	if timing {
 		tRed = prof.StartTimer(trace.SecReduction)
 	}
@@ -420,10 +460,11 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	prof.AddWork(trace.SecReduction, float64(crossEdges))
 
 	// ---- serial: root chase with path compression and relabel.
+	root := make([]int32, n)
+	var tSer *trace.Timer
 	if timing {
 		tSer = prof.StartTimer(trace.SecSerial)
 	}
-	root := scr.root
 	var find func(i int32) int32
 	find = func(i int32) int32 {
 		if parent[i] == i {
@@ -454,9 +495,133 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	return &Result{Group: out, Groups: groups}, prof, nil
 }
 
-// RunNative implements workload.Workload.
+// Count returns the profile Run counts, section by section and in Run's
+// order, without running the kernel per thread count: every section but
+// the cross-chunk merge is a closed form in n, d, the window and the
+// Split ranges, and the cross edges are read off the one memoized kernel
+// pass for (ds.Spec, cfg).
+func Count(ds *datagen.Dataset, cfg Config, threads int) (*trace.Profile, error) {
+	if err := check(ds, cfg, threads); err != nil {
+		return nil, err
+	}
+	n, d := ds.N(), ds.D()
+	_, cells := gridDim(n, d, cfg.CellsPerDim)
+	w := window(cfg)
+	ranges := parallel.Split(n, threads)
+	prof := trace.NewProfile("hop", threads)
+	prof.AddWork(trace.SecInit, float64(n*d*2))
+	prof.AddWork(trace.SecParallel, float64(n*(3*d+1)))
+	prof.AddWork(trace.SecReduction, float64(threads*cells))
+	prof.AddWork(trace.SecSerial, float64(cells+n))
+	for _, r := range ranges {
+		np := windowPairs(r.Hi, n, w) - windowPairs(r.Lo, n, w)
+		prof.AddWork(trace.SecParallel, float64(np*(3*d+2)))
+		prof.AddWork(trace.SecParallel, float64(np*(3*d+3)))
+	}
+	prof.AddWork(trace.SecReduction, float64(passFor(ds, cfg).crossEdges(ranges)))
+	prof.AddWork(trace.SecSerial, float64(2*n))
+	return prof, nil
+}
+
+// windowPairs counts the candidate pairs the density pass scans over the
+// sorted positions [0, s) of n: position x pairs with the
+// min(x+w+1, n) - max(x-w, 0) - 1 other positions of its window. Summed,
+// the upper bounds less x itself give s·w + s(s-1)/2 minus their overhang
+// past n, and the lower bounds give tri(s-w-1).
+func windowPairs(s, n, w int) int {
+	tri := func(m int) int {
+		m = max(m, 0)
+		return m * (m + 1) / 2
+	}
+	overhang := tri(s+w-n) - tri(w-n)
+	return s*w + s*(s-1)/2 - overhang - tri(s-w-1)
+}
+
+// passKey is everything a kernel pass's parent edges depend on.
+type passKey struct {
+	spec datagen.Spec
+	cfg  Config
+}
+
+// pass is one kernel run reduced to what Count reads: parentPos[s] is the
+// sorted position of the parent of the point at sorted position s, or -1
+// where that point is a root. It is taken before Run's root chase would
+// compress the parents.
+type pass struct {
+	once      sync.Once
+	parentPos []int32
+}
+
+// passes memoizes one kernel pass per passKey: count-mode runs at every
+// thread count read the same one, so a quick `run all` runs hop's kernel
+// once instead of once per thread count. Count validates before it gets
+// here, so no invalid key is stored, and the key set is bounded: only
+// registry specs reach hop, and no CLI or HTTP input reaches its Config.
+// Timed runs call Run, so -duration still times the kernel at every
+// thread count.
+var passes sync.Map // passKey -> *pass
+
+// passesBuilt counts kernel passes run through passFor; see PassesBuilt.
+var passesBuilt atomic.Uint64
+
+// PassesBuilt reports how many kernel passes this process has run for
+// count-mode profiles — a hook for tests asserting that count-mode runs
+// sharing a data set share its pass.
+func PassesBuilt() uint64 { return passesBuilt.Load() }
+
+// passFor returns the memoized pass for (ds.Spec, cfg), running the kernel
+// on one thread the first time. The kernel's scratch is dropped once the
+// parent positions are taken.
+func passFor(ds *datagen.Dataset, cfg Config) *pass {
+	k := passKey{spec: ds.Spec, cfg: cfg}
+	v, ok := passes.Load(k)
+	if !ok {
+		v, _ = passes.LoadOrStore(k, new(pass))
+	}
+	p := v.(*pass)
+	p.once.Do(func() {
+		n := ds.N()
+		pool, err := parallel.NewPool(1)
+		if err != nil {
+			panic(err) // unreachable: a pool of one is always valid
+		}
+		defer pool.Close()
+		scr := kernel(ds.Points(), n, ds.D(), cfg, pool, trace.NewProfile("hop", 1), false)
+		p.parentPos = make([]int32, n)
+		for s, i := range scr.order {
+			if q := scr.parent[i]; q == i {
+				p.parentPos[s] = -1
+			} else {
+				p.parentPos[s] = scr.posOf[q]
+			}
+		}
+		passesBuilt.Add(1)
+	})
+	return p
+}
+
+// crossEdges counts the parent edges whose two ends fall in different
+// chunks of ranges: Run's cross-chunk merge work at len(ranges) threads.
+func (p *pass) crossEdges(ranges []parallel.Range) int {
+	cross := 0
+	for _, r := range ranges {
+		for _, q := range p.parentPos[r.Lo:r.Hi] {
+			if q >= 0 && (int(q) < r.Lo || int(q) >= r.Hi) {
+				cross++
+			}
+		}
+	}
+	return cross
+}
+
+// RunNative implements workload.Workload. Without timing nothing reads the
+// grouping, so the profile is Count's, built from one memoized kernel pass
+// per data set instead of a kernel run per thread count.
 func (w *Hop) RunNative(ds *datagen.Dataset, threads int, timing bool) (*trace.Profile, error) {
-	_, prof, err := Run(ds, w.Cfg, threads, timing)
+	if !timing {
+		return Count(ds, w.Cfg, threads)
+	}
+	_, prof, err := Run(ds, w.Cfg, threads, true)
 	return prof, err
 }
 
@@ -474,14 +639,7 @@ func (w *Hop) BuildProgram(ds *datagen.Dataset, cfg sim.Config, scale int) (*sim
 	if n < cfg.Cores*4 {
 		return nil, fmt.Errorf("hop: scaled N=%d too small for %d cores", n, cfg.Cores)
 	}
-	g := int(math.Ceil(math.Pow(float64(n)/4, 1/float64(d))))
-	if g < 2 {
-		g = 2
-	}
-	cells := 1
-	for j := 0; j < d; j++ {
-		cells *= g
-	}
+	_, cells := gridDim(n, d, 0)
 	const f8 = 8
 	const i4 = 4
 	avgNbr := 4 * 27.0 // ~4 points/cell × 3^3 neighbor cells

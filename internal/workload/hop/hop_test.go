@@ -112,17 +112,6 @@ func TestExtractedParamsShowHighConstantFraction(t *testing.T) {
 	}
 }
 
-func TestRunValidation(t *testing.T) {
-	ds := smallData(t)
-	if _, _, err := Run(ds, DefaultConfig(), 0, false); err == nil {
-		t.Error("threads=0 should fail")
-	}
-	bad, _ := datagen.Generate(datagen.Spec{Label: "hi-d", N: 64, D: 5, C: 2, Seed: 1})
-	if _, _, err := Run(bad, DefaultConfig(), 1, false); err == nil {
-		t.Error("d>4 should fail (grid neighbors)")
-	}
-}
-
 func TestTimingMode(t *testing.T) {
 	ds := smallData(t)
 	_, prof, err := Run(ds, DefaultConfig(), 2, true)

@@ -66,9 +66,10 @@ echo "== allocation budget (without -race: its instrumentation allocates) =="
 # The pattern covers the per-access gate, the directory gate and the
 # whole-run gate (zero allocations per warm Machine.Run).
 go test -run 'SteadyStateZeroAllocs' -count=1 ./internal/sim
-# Count-mode kmeans and fuzzy native runs allocate only their profile:
-# a run that started its clustering kernel would blow the budget.
-go test -run 'TestCountModeAllocs' -count=1 ./internal/workload/kmeans ./internal/workload/fuzzy
+# Count-mode kmeans and fuzzy native runs allocate only their profile, and
+# hop's (on a warm pass memo) only its profile and Split ranges: a run
+# that started its kernel would blow the budget.
+go test -run 'TestCountModeAllocs' -count=1 ./internal/workload/kmeans ./internal/workload/fuzzy ./internal/workload/hop
 # Shape-only paths (Generate, count mode, BuildProgram) draw no points: on
 # a 64 MiB spec each must allocate far less than the point matrix.
 go test -run 'TestShapeOnlyPathsDrawNoPoints' -count=1 ./internal/workload
@@ -163,6 +164,10 @@ echo "== HTTP serving front end =="
 # boot, so a warm disk cache must satisfy the whole run).
 serve_pid=""
 trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
+# Create the log first: the polling sed below may run before the
+# backgrounded server's redirection does, and a missing file would abort
+# the script under set -e.
+: > "$tmp/serve.log"
 "$tmp/mergescale" -quick -cachedir "$tmp/cache" serve -addr 127.0.0.1:0 2> "$tmp/serve.log" &
 serve_pid=$!
 addr=""
@@ -299,7 +304,9 @@ echo "== chaos gate: 100% disk-store faults =="
 # /run/all must still return byte-identical output (every miss is a
 # deterministic recompute), the breaker must be open in /metrics, /readyz
 # must report degraded with 503, and /healthz must stay a plain 200 — the
-# graceful-degradation contract end to end.
+# graceful-degradation contract end to end. The log exists before the
+# server starts, as serve.log does above.
+: > "$tmp/chaos.log"
 "$tmp/mergescale" -quick -cachedir "$tmp/chaoscache" -faults 'get.err=1,put.err=1' \
     serve -addr 127.0.0.1:0 2> "$tmp/chaos.log" &
 serve_pid=$!
