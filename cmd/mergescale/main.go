@@ -5,16 +5,15 @@
 //
 //	mergescale -list
 //	mergescale [-quick] [-format F] [-out FILE] [-duration]
-//	           [-workers N] [-cachedir DIR] [-cachettl D]
-//	           [-nocache] [-faults SPEC] [-stats]
+//	           [-workers N] [-cachedir DIR] [-nocache]
+//	           [-faults SPEC] [-stats]
 //	           run <experiment-id>|all
 //	mergescale [-format F] [-out FILE] [-workers N] [-cachedir DIR]
-//	           [-cachettl D] [-nocache] [-faults SPEC] [-stats]
+//	           [-nocache] [-faults SPEC] [-stats]
 //	           simulate [-workload kmeans|fuzzy|hop] [-cores N]
 //	           [-scale S] [-iters I]
 //	mergescale [-quick] [-duration] [-workers N] [-cachedir DIR]
-//	           [-cachettl D] [-nocache] [-faults SPEC] serve
-//	           [-addr HOST:PORT] [-ratelimit N] [-rateburst N]
+//	           [-nocache] [-faults SPEC] serve [-addr HOST:PORT]
 //	           [-maxstreams N] [-reqtimeout D] [-draintimeout D]
 //	mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing]
 //	           [-nocache]
@@ -38,16 +37,17 @@
 //
 // With -cachedir, results persist across processes: a second run against a
 // warm cache directory replays every artifact from disk without running a
-// single simulation. -cachettl expires entries by age; wall-clock
-// (-duration) results are never cached.
+// single simulation. Entries never expire (a cached value is
+// deterministic in its key); wall-clock (-duration) results are never
+// cached.
 //
 // The serve subcommand boots the HTTP front end (internal/serve) over the
 // same engine and cache: GET /run/{id|all}?format=F streams each
 // experiment's rendering over chunked transfer as it resolves, with every
 // concurrent client sharing one engine's singleflight and disk cache:
 // identical requests compute once, and each renders its own body.
-// -ratelimit/-rateburst/-maxstreams (all off by default) arm per-client
-// admission control; GET /metrics exposes Prometheus text-format
+// -maxstreams (off by default) caps concurrent streams and -reqtimeout
+// bounds each one; GET /metrics exposes Prometheus text-format
 // counters. See docs/ARCHITECTURE.md "Serving" and "Serving under load".
 //
 // The simulate subcommand runs one clustering workload on the CMP
@@ -91,7 +91,6 @@ import (
 	"os/signal"
 	"slices"
 	"syscall"
-	"time"
 
 	"mergescale/internal/engine"
 	"mergescale/internal/engine/diskcache"
@@ -118,13 +117,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		duration  = fs.Bool("duration", false, "base native experiments on wall time instead of op counts")
 		workers   = fs.Int("workers", 0, "engine worker count (0 = GOMAXPROCS, 1 = serial)")
 		cachedir  = fs.String("cachedir", "", "persist engine results to this directory across runs")
-		cachettl  = fs.Duration("cachettl", 0, "expire disk-cache entries older than this (0 = never)")
 		nocache   = fs.Bool("nocache", false, "disable the engine result cache (memory and disk)")
 		faultSpec = fs.String("faults", "", "inject deterministic disk-store faults per this spec, e.g. seed=7,get.err=0.01 (requires -cachedir; see internal/faults)")
 		stats     = fs.Bool("stats", false, "print engine cache/worker statistics to stderr")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-out FILE] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-format F] [-out FILE] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] simulate [-workload kmeans|fuzzy|hop] [-cores N] [-scale S] [-iters I]\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing] [-nocache]\n       mergescale -list\n")
+		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-out FILE] [-duration] [-workers N] [-cachedir DIR] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-format F] [-out FILE] [-workers N] [-cachedir DIR] [-nocache] [-faults SPEC] [-stats] simulate [-workload kmeans|fuzzy|hop] [-cores N] [-scale S] [-iters I]\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing] [-nocache]\n       mergescale -list\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -134,15 +132,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Negative values parse fine but mean nothing downstream (-workers -4
-	// would silently select GOMAXPROCS; a negative TTL would expire every
-	// disk entry on sight). Reject them up front.
+	// A negative -workers parses fine but would silently select
+	// GOMAXPROCS. Reject it up front.
 	if *workers < 0 {
 		fmt.Fprintf(stderr, "mergescale: -workers must be >= 0 (got %d)\n", *workers)
-		return 2
-	}
-	if *cachettl < 0 {
-		fmt.Fprintf(stderr, "mergescale: -cachettl must be >= 0 (got %s)\n", *cachettl)
 		return 2
 	}
 	spec, err := faults.ParseSpec(*faultSpec)
@@ -162,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	ef := engineFlags{workers: *workers, cachedir: *cachedir, cachettl: *cachettl, nocache: *nocache, faults: spec}
+	ef := engineFlags{workers: *workers, cachedir: *cachedir, nocache: *nocache, faults: spec}
 	opt := experiments.Options{Quick: *quickRun, UseDuration: *duration}
 	rest := fs.Args()
 	sub := ""
@@ -346,7 +339,6 @@ func render(r report.Renderer, stream func(report.Renderer) error, stderr io.Wri
 type engineFlags struct {
 	workers  int
 	cachedir string
-	cachettl time.Duration
 	nocache  bool
 	faults   faults.Spec
 }
@@ -358,7 +350,7 @@ func (ef engineFlags) engine(stderr io.Writer) (*engine.Engine, storeChain) {
 	var chain storeChain
 	if ef.cachedir != "" && !ef.nocache {
 		chain = openStoreChain(ef.cachedir,
-			diskcache.Options{TTL: ef.cachettl, Log: log.New(stderr, "mergescale: ", 0)},
+			diskcache.Options{Log: log.New(stderr, "mergescale: ", 0)},
 			ef.faults, stderr)
 		cfg.Store = chain.store()
 	}
@@ -416,8 +408,6 @@ func runServe(args []string, opt experiments.Options, ef engineFlags, stderr io.
 	fs := flag.NewFlagSet("mergescale serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "HTTP listen address (host:port; port 0 picks a free port)")
-	ratelimit := fs.Float64("ratelimit", 0, "per-client request rate limit in req/s; over-limit requests get 429 (0 = off)")
-	rateburst := fs.Int("rateburst", 0, "rate-limiter burst size (0 = ceil(ratelimit), min 1)")
 	maxstreams := fs.Int("maxstreams", 0, "max concurrently executing /run streams; excess requests get 503 (0 = unlimited)")
 	reqtimeout := fs.Duration("reqtimeout", 0, "per-request deadline for /run and /sweep; expiry gets 503 before the first byte, a chunked abort after (0 = none)")
 	draintimeout := fs.Duration("draintimeout", serve.DefaultDrainTimeout, "graceful-shutdown bound: how long in-flight responses get to flush after SIGINT/SIGTERM")
@@ -431,8 +421,8 @@ func runServe(args []string, opt experiments.Options, ef engineFlags, stderr io.
 		fmt.Fprintf(stderr, "mergescale serve: unexpected arguments %v\n", fs.Args())
 		return 2
 	}
-	if *ratelimit < 0 || *rateburst < 0 || *maxstreams < 0 {
-		fmt.Fprintf(stderr, "mergescale serve: -ratelimit, -rateburst and -maxstreams must be >= 0\n")
+	if *maxstreams < 0 {
+		fmt.Fprintf(stderr, "mergescale serve: -maxstreams must be >= 0\n")
 		return 2
 	}
 	if *reqtimeout < 0 || *draintimeout <= 0 {
@@ -448,8 +438,6 @@ func runServe(args []string, opt experiments.Options, ef engineFlags, stderr io.
 		Injector:     chain.injector,
 		Opt:          opt,
 		Log:          log.New(stderr, "mergescale: ", 0),
-		RateLimit:    *ratelimit,
-		RateBurst:    *rateburst,
 		MaxStreams:   *maxstreams,
 		ReqTimeout:   *reqtimeout,
 		DrainTimeout: *draintimeout,
@@ -484,8 +472,8 @@ func printStats(stderr io.Writer, eng *engine.Engine, chain storeChain) {
 	if ds.WriteErrs > 0 {
 		errs = fmt.Sprintf(", %d write errors", ds.WriteErrs)
 	}
-	fmt.Fprintf(stderr, "disk: %d hits / %d misses, %d writes (%d skipped)%s, %d evictions, %d expired, %d dropped, %d entries / %d bytes in %s\n",
-		st.StoreHits, st.StoreMisses, ds.Puts, ds.PutSkips, errs, ds.Evictions, ds.Expired, ds.Dropped, entries, bytes, chain.disk.Dir())
+	fmt.Fprintf(stderr, "disk: %d hits / %d misses, %d writes (%d skipped)%s, %d evictions, %d dropped, %d entries / %d bytes in %s\n",
+		st.StoreHits, st.StoreMisses, ds.Puts, ds.PutSkips, errs, ds.Evictions, ds.Dropped, entries, bytes, chain.disk.Dir())
 	if chain.injector != nil {
 		snap := chain.breaker.Snapshot()
 		spec := chain.injector.Spec()

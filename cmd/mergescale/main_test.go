@@ -192,15 +192,26 @@ func TestNegativeWorkersRejected(t *testing.T) {
 	}
 }
 
-// TestNegativeCacheTTLRejected: a negative -cachettl would expire every
-// disk entry on sight; it must be a usage error instead.
-func TestNegativeCacheTTLRejected(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-cachettl", "-1h", "run", "table3"}, &out, &errOut); code != 2 {
-		t.Fatalf("-cachettl -1h exit code = %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "-cachettl must be >= 0") {
-		t.Fatalf("expected -cachettl validation error, got: %s", errOut.String())
+// TestExpiryAndRateLimitFlagsAreUsageErrors: disk-cache entries never
+// expire and serve has no per-client rate limiter, so the global
+// -cachettl and serve's -ratelimit and -rateburst are gone, and passing
+// one is a usage error that renders nothing.
+func TestExpiryAndRateLimitFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-cachettl", "1h", "-quick", "run", "fig4"},
+		{"serve", "-ratelimit", "1"},
+		{"serve", "-rateburst", "1"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: rendered output despite the usage error", args)
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined") {
+			t.Errorf("%v: stderr %q does not name the unknown flag", args, errOut.String())
+		}
 	}
 }
 
@@ -243,12 +254,10 @@ func TestServeUsageErrors(t *testing.T) {
 	}
 }
 
-// TestServeLimitFlagValidation: negative admission-control flags are
-// usage errors, not silently-disabled limits.
+// TestServeLimitFlagValidation: a negative admission-control flag is a
+// usage error, not a silently-disabled limit.
 func TestServeLimitFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
-		{"serve", "-ratelimit", "-1"},
-		{"serve", "-rateburst", "-1"},
 		{"serve", "-maxstreams", "-1"},
 	} {
 		var out, errOut bytes.Buffer

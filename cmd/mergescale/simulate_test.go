@@ -233,20 +233,3 @@ func TestSimulateBadFormatPreservesOutFile(t *testing.T) {
 		t.Errorf("-out file was clobbered by a rejected run: %q, %v", data, err)
 	}
 }
-
-// TestSimulateNegativeCacheTTLRejected: a negative -cachettl would expire
-// every disk entry on sight; it must be a usage error before any
-// simulation.
-func TestSimulateNegativeCacheTTLRejected(t *testing.T) {
-	var out, errOut bytes.Buffer
-	before := sim.Runs()
-	if code := run(withGlobals("-cachettl", "-5m"), &out, &errOut); code != 2 {
-		t.Fatalf("-cachettl -5m exit code = %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "-cachettl must be >= 0") {
-		t.Fatalf("expected -cachettl validation error, got: %s", errOut.String())
-	}
-	if ran := sim.Runs() - before; ran != 0 {
-		t.Errorf("rejected run performed %d machine runs", ran)
-	}
-}

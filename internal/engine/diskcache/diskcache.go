@@ -4,8 +4,8 @@
 // singleflight memory cache via engine.Config.Store.
 //
 // Entry format. Each entry is one file named after the FNV-1a hash of its
-// key, holding a gob stream of a versioned envelope {Version, Key,
-// WrittenAt, Value}. Value is an interface; every concrete type that flows
+// key, holding a gob stream of a versioned envelope {Version, Key, Value}.
+// Value is an interface; every concrete type that flows
 // through the store must be gob.Register-ed by the package that produces it
 // (experiments registers *report.Document, report registers Element,
 // workload registers SimRun). Bump envelopeVersion whenever the envelope
@@ -33,10 +33,9 @@
 // each write. The cap is enforced per process: concurrent writers may
 // transiently overshoot, which the next Put repairs.
 //
-// Expiry. Options.TTL bounds entry lifetime from write time (WrittenAt in
-// the envelope, so LRU recency bumps never extend a lifetime); zero means
-// entries never expire. An expired entry reads as a miss and is unlinked —
-// the slot self-heals on the next Put.
+// Entries never expire: a cached value is deterministic in its key, so
+// age alone never makes one wrong, and envelopeVersion retires values
+// whose meaning changed.
 package diskcache
 
 import (
@@ -57,8 +56,8 @@ import (
 
 const (
 	// envelopeVersion tags every entry file; see the package comment for
-	// when to bump it. v2 added WrittenAt (per-entry TTL support), so v1
-	// caches drain automatically.
+	// when to bump it. v2 entries that still carry a WrittenAt field
+	// decode unchanged: gob skips fields the envelope lacks.
 	envelopeVersion = 2
 	// suffix marks entry files; anything else in the directory is ignored.
 	suffix = ".gob"
@@ -79,10 +78,7 @@ const DefaultMaxBytes = 1 << 30
 type envelope struct {
 	Version int
 	Key     string
-	// WrittenAt is the Put wall-clock time in Unix nanoseconds; TTL expiry
-	// is measured against it, never against the file's (LRU-bumped) mtime.
-	WrittenAt int64
-	Value     any
+	Value   any
 }
 
 // Options tunes Open.
@@ -90,10 +86,6 @@ type Options struct {
 	// MaxBytes caps the total size of entry files; <= 0 selects
 	// DefaultMaxBytes.
 	MaxBytes int64
-	// TTL expires entries this long after they were written; zero (the
-	// default) never expires. Expired entries read as misses and are
-	// unlinked so the slot self-heals on the next Put.
-	TTL time.Duration
 	// Log, when non-nil, receives one line the first time each failure
 	// kind occurs (envelope write, unencodable value) —
 	// once per kind, not per operation, so a dead disk degrades quietly
@@ -130,7 +122,6 @@ type Stats struct {
 	PutSkips  uint64 // writes skipped (unencodable value — a value problem, not a store fault)
 	WriteErrs uint64 // envelope writes that failed on file I/O (temp create/write/close/rename)
 	Evictions uint64 // entries removed to stay under the byte cap
-	Expired   uint64 // entries past their TTL removed by Get
 	Dropped   uint64 // corrupt/stale/mismatched entries removed by Get
 }
 
@@ -145,7 +136,6 @@ type entry struct {
 type Store struct {
 	dir string
 	max int64
-	ttl time.Duration
 
 	log   *log.Logger
 	hooks Hooks
@@ -171,7 +161,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if max <= 0 {
 		max = DefaultMaxBytes
 	}
-	s := &Store{dir: dir, max: max, ttl: opts.TTL, entries: map[string]entry{},
+	s := &Store{dir: dir, max: max, entries: map[string]entry{},
 		log: opts.Log, hooks: opts.Hooks}
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -263,13 +253,7 @@ func (s *Store) GetE(key string) (any, bool, error) {
 	var env envelope
 	if !sumOK || gob.NewDecoder(bytes.NewReader(data)).Decode(&env) != nil ||
 		env.Version != envelopeVersion || env.Key != key {
-		s.drop(name, &s.stats.Dropped)
-		return nil, false, nil
-	}
-	if s.ttl > 0 && time.Since(time.Unix(0, env.WrittenAt)) > s.ttl {
-		// Past its lifetime: a miss that self-heals — the slot is freed now
-		// and rewritten by the Put that follows the recomputation.
-		s.drop(name, &s.stats.Expired)
+		s.drop(name)
 		return nil, false, nil
 	}
 	now := time.Now()
@@ -296,16 +280,15 @@ func checkSum(data []byte) ([]byte, bool) {
 	return body, binary.BigEndian.Uint32(data[n+len(sumMagic):]) == crc32.ChecksumIEEE(body)
 }
 
-// drop unlinks a dead entry (broken or expired), forgets it, and bumps the
-// given counter.
-func (s *Store) drop(name string, counter *uint64) {
+// drop unlinks a broken entry, forgets it, and counts it in Dropped.
+func (s *Store) drop(name string) {
 	_ = os.Remove(filepath.Join(s.dir, name))
 	s.mu.Lock()
 	if e, ok := s.entries[name]; ok {
 		s.total -= e.size
 		delete(s.entries, name)
 	}
-	*counter++
+	s.stats.Dropped++
 	s.mu.Unlock()
 }
 
@@ -322,7 +305,7 @@ func (s *Store) Put(key string, val any) { _ = s.PutE(key, val) }
 // value, not of the disk, and is counted as a PutSkip instead.
 func (s *Store) PutE(key string, val any) error {
 	var buf bytes.Buffer
-	env := envelope{Version: envelopeVersion, Key: key, WrittenAt: time.Now().UnixNano(), Value: val}
+	env := envelope{Version: envelopeVersion, Key: key, Value: val}
 	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
 		s.mu.Lock()
 		s.stats.PutSkips++

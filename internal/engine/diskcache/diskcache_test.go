@@ -2,7 +2,9 @@ package diskcache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -125,9 +127,40 @@ func TestEntryWithoutSumHits(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
 	want := testVal{N: 3, S: "legacy"}
-	writeEnvelope(t, dir, fileName("k"), envelope{Version: envelopeVersion, Key: "k", WrittenAt: time.Now().UnixNano(), Value: want})
+	writeEnvelope(t, dir, fileName("k"), envelope{Version: envelopeVersion, Key: "k", Value: want})
 	if v, ok := s.Get("k"); !ok || v != want {
 		t.Fatalf("Get = %v/%v, want %v", v, ok, want)
+	}
+}
+
+// TestWrittenAtEntryHits: a v2 entry in the layout that still carried
+// the Put time (Version, Key, WrittenAt, Value) with its checksum
+// trailer replays as a hit; gob skips the field the envelope lacks. The
+// entry is a year old, and entries never expire.
+func TestWrittenAtEntryHits(t *testing.T) {
+	type writtenAtEnvelope struct {
+		Version   int
+		Key       string
+		WrittenAt int64
+		Value     any
+	}
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	want := testVal{N: 5, S: "timestamped"}
+	var buf bytes.Buffer
+	env := writtenAtEnvelope{Version: 2, Key: "k", WrittenAt: time.Now().Add(-365 * 24 * time.Hour).UnixNano(), Value: want}
+	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+		t.Fatal(err)
+	}
+	data := binary.BigEndian.AppendUint32(append(buf.Bytes(), sumMagic...), crc32.ChecksumIEEE(buf.Bytes()))
+	if err := os.WriteFile(filepath.Join(dir, fileName("k")), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Get("k"); !ok || v != want {
+		t.Fatalf("Get = %v/%v, want %v", v, ok, want)
+	}
+	if st := s.Stats(); st.Dropped != 0 {
+		t.Errorf("Dropped = %d, want 0", st.Dropped)
 	}
 }
 
@@ -309,83 +342,5 @@ func TestGetRefreshesRecency(t *testing.T) {
 	}
 	if _, ok := s.Get("b"); ok {
 		t.Error("LRU entry survived")
-	}
-}
-
-// backdate rewrites an entry's envelope WrittenAt so TTL tests need no
-// sleeping, mirroring how a long-lived cache directory actually ages.
-func backdate(t *testing.T, s *Store, key string, age time.Duration) {
-	t.Helper()
-	name := fileName(key)
-	path := filepath.Join(s.dir, name)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	env.WrittenAt = time.Now().Add(-age).UnixNano()
-	writeEnvelope(t, s.dir, name, env)
-}
-
-// TestTTLExpiry: entries older than the TTL read as misses, are unlinked
-// (self-heal), and are counted separately from corruption drops.
-func TestTTLExpiry(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{TTL: time.Minute})
-	s.Put("k", testVal{N: 7})
-	if _, ok := s.Get("k"); !ok {
-		t.Fatal("fresh entry missed under TTL")
-	}
-
-	backdate(t, s, "k", 2*time.Minute)
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("expired entry hit")
-	}
-	if st := s.Stats(); st.Expired != 1 || st.Dropped != 0 {
-		t.Errorf("stats = %+v, want 1 expiry and 0 drops", st)
-	}
-	if _, err := os.Stat(filepath.Join(dir, fileName("k"))); !os.IsNotExist(err) {
-		t.Error("expired entry file not unlinked")
-	}
-
-	// Self-heal: the next Put rewrites the slot and serves again.
-	s.Put("k", testVal{N: 8})
-	if v, ok := s.Get("k"); !ok || v != (testVal{N: 8}) {
-		t.Errorf("rewritten slot: %v/%v", v, ok)
-	}
-}
-
-// TestTTLZeroNeverExpires: the default store serves arbitrarily old
-// entries.
-func TestTTLZeroNeverExpires(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
-	s.Put("k", testVal{N: 1})
-	backdate(t, s, "k", 24*365*time.Hour)
-	if _, ok := s.Get("k"); !ok {
-		t.Fatal("TTL-less store expired an entry")
-	}
-}
-
-// TestTTLRecencyBumpDoesNotExtendLifetime: Get refreshes mtime for LRU,
-// but expiry is measured against the envelope's write time, so repeated
-// hits cannot keep a stale entry alive.
-func TestTTLRecencyBumpDoesNotExtendLifetime(t *testing.T) {
-	s := open(t, t.TempDir(), Options{TTL: time.Minute})
-	s.Put("k", testVal{N: 1})
-	for i := 0; i < 3; i++ {
-		if _, ok := s.Get("k"); !ok { // each hit bumps mtime
-			t.Fatal("live entry missed")
-		}
-	}
-	backdate(t, s, "k", 2*time.Minute)
-	now := time.Now()
-	if err := os.Chtimes(filepath.Join(s.dir, fileName("k")), now, now); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("fresh mtime rescued an expired entry")
 	}
 }

@@ -6,14 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // encodeEnvelope builds valid on-disk entry bytes for corpus seeding.
 func encodeEnvelope(t testing.TB, key string, val any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	env := envelope{Version: envelopeVersion, Key: key, WrittenAt: time.Now().UnixNano(), Value: val}
+	env := envelope{Version: envelopeVersion, Key: key, Value: val}
 	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
 		t.Fatal(err)
 	}

@@ -54,17 +54,15 @@ func (h *histogram) observe(seconds float64) {
 }
 
 // serveMetrics accumulates the server's own observability counters. The
-// engine and disk-cache counters are not duplicated here —
-// /metrics re-exports them live at scrape time from their owning
-// structures, so the two views (/stats JSON and /metrics text) can never
-// disagree.
+// engine, disk-cache, breaker and fault counters are not duplicated here:
+// /metrics renders them from the same per-request snapshot /stats
+// encodes, so the two views can never disagree.
 type serveMetrics struct {
-	mu          sync.Mutex
-	requests    map[counterLabel]uint64
-	durations   map[histLabel]*histogram
-	rateLimited uint64 // requests rejected 429 by the per-client limiter
-	shed        uint64 // /run requests rejected 503 by the stream cap
-	timeouts    uint64 // requests whose -reqtimeout deadline fired
+	mu        sync.Mutex
+	requests  map[counterLabel]uint64
+	durations map[histLabel]*histogram
+	shed      uint64 // /run requests rejected 503 by the stream cap
+	timeouts  uint64 // requests whose -reqtimeout deadline fired
 }
 
 func newServeMetrics() *serveMetrics {
@@ -86,12 +84,6 @@ func (m *serveMetrics) observe(endpoint, format string, code int, seconds float6
 		m.durations[hl] = h
 	}
 	h.observe(seconds)
-}
-
-func (m *serveMetrics) rateLimitRejected() {
-	m.mu.Lock()
-	m.rateLimited++
-	m.mu.Unlock()
 }
 
 func (m *serveMetrics) streamRejected() {
@@ -119,9 +111,10 @@ func writeHeaderOnce(b *strings.Builder, name, help, typ string) {
 
 // handleMetrics renders the full metric set in Prometheus text
 // exposition format (version 0.0.4): the server's own request counters
-// and latency histograms, plus the engine, disk-cache and
-// admission-control counters re-exported live. Output ordering is
-// deterministic (sorted label sets) so scrapes diff cleanly.
+// and latency histograms, the admission-control counters, and the
+// engine, disk-cache, breaker and fault families from one snapshot.
+// Output ordering is deterministic (sorted label sets) so scrapes diff
+// cleanly.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 
@@ -177,7 +170,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			l.endpoint, l.format, h.count)
 	}
 
-	rateLimited, shed, timeouts := s.metrics.rateLimited, s.metrics.shed, s.metrics.timeouts
+	shed, timeouts := s.metrics.shed, s.metrics.timeouts
 	s.metrics.mu.Unlock()
 
 	counter := func(name, help string, v uint64) {
@@ -189,8 +182,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "%s %d\n", name, v)
 	}
 
-	counter("mergescale_http_rate_limited_total",
-		"Requests rejected with 429 by the per-client rate limiter.", rateLimited)
 	counter("mergescale_http_streams_rejected_total",
 		"/run requests rejected with 503 by the max-concurrent-streams cap.", shed)
 	counter("mergescale_http_request_timeouts_total",
@@ -199,8 +190,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("mergescale_http_streams_active", "Currently executing /run streams.", s.streams.active())
 	}
 
-	st := s.Engine.Stats()
-	gauge("mergescale_engine_workers", "Engine worker-pool size (the Run caller counts as one).", int64(s.Engine.Workers()))
+	snap := s.snapshot()
+	st := snap.Engine
+	gauge("mergescale_engine_workers", "Engine worker-pool size (the Run caller counts as one).", int64(st.Workers))
 	counter("mergescale_engine_cache_hits_total", "Engine memory-cache hits (singleflight shares included).", st.Hits)
 	counter("mergescale_engine_cache_misses_total", "Engine memory-cache misses.", st.Misses)
 	counter("mergescale_engine_jobs_executed_total", "Engine jobs actually executed (cache misses that computed).", st.Executed)
@@ -208,40 +200,40 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("mergescale_engine_store_hits_total", "Disk-store hits observed by the engine.", st.StoreHits)
 	counter("mergescale_engine_store_misses_total", "Disk-store misses observed by the engine.", st.StoreMisses)
 
-	if s.Store != nil {
-		ds := s.Store.Stats()
-		entries, bytes := s.Store.Size()
+	if ds := snap.Disk; ds != nil {
 		counter("mergescale_disk_puts_total", "Disk-cache entries written.", ds.Puts)
 		counter("mergescale_disk_put_skips_total", "Disk-cache writes skipped (unencodable values).", ds.PutSkips)
 		counter("mergescale_disk_write_errors_total", "Disk-cache envelope writes failed on file I/O.", ds.WriteErrs)
 		counter("mergescale_disk_evictions_total", "Disk-cache LRU evictions.", ds.Evictions)
-		counter("mergescale_disk_expired_total", "Disk-cache entries expired by TTL.", ds.Expired)
 		counter("mergescale_disk_dropped_total", "Disk-cache entries dropped (corrupt/version/key mismatch).", ds.Dropped)
-		gauge("mergescale_disk_entries", "Disk-cache resident entries.", int64(entries))
-		gauge("mergescale_disk_bytes", "Disk-cache resident bytes.", bytes)
+		gauge("mergescale_disk_entries", "Disk-cache resident entries.", int64(ds.Entries))
+		gauge("mergescale_disk_bytes", "Disk-cache resident bytes.", ds.Bytes)
 	}
 
-	if s.Breaker != nil {
-		snap := s.Breaker.Snapshot()
+	if br := snap.Breaker; br != nil {
 		gauge("mergescale_store_breaker_state",
-			"Disk-store circuit breaker state (0=closed, 1=half-open, 2=open).", int64(snap.State))
+			"Disk-store circuit breaker state (0=closed, 1=half-open, 2=open).", int64(br.state))
 		gauge("mergescale_store_breaker_consecutive_faults",
-			"Consecutive disk-store faults observed by the breaker.", int64(snap.ConsecutiveFaults))
+			"Consecutive disk-store faults observed by the breaker.", int64(br.ConsecutiveFaults))
 		counter("mergescale_store_breaker_faults_total",
-			"Disk-store operations that returned an infrastructure error.", snap.Stats.Faults)
+			"Disk-store operations that returned an infrastructure error.", br.Faults)
 		counter("mergescale_store_breaker_short_circuited_total",
-			"Disk-store operations answered locally while the breaker was open.", snap.Stats.ShortCircuited)
+			"Disk-store operations answered locally while the breaker was open.", br.ShortCircuited)
 		counter("mergescale_store_breaker_opened_total",
-			"Breaker transitions into open.", snap.Stats.Opened)
+			"Breaker transitions into open.", br.Opened)
 		counter("mergescale_store_breaker_half_opened_total",
-			"Breaker transitions into half-open (recovery probes).", snap.Stats.HalfOpened)
+			"Breaker transitions into half-open (recovery probes).", br.HalfOpened)
 		counter("mergescale_store_breaker_closed_total",
-			"Breaker transitions back to closed (recoveries).", snap.Stats.Closed)
+			"Breaker transitions back to closed (recoveries).", br.Closed)
 	}
 
-	if s.Injector != nil {
+	if snap.Faults != nil {
+		var injected uint64
+		for _, rc := range snap.Faults {
+			injected += rc.Injected
+		}
 		counter("mergescale_faults_injected_total",
-			"Synthetic faults injected by the -faults profile.", s.Injector.InjectedTotal())
+			"Synthetic faults injected by the -faults profile.", injected)
 	}
 
 	body := b.String()

@@ -100,7 +100,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// Admission-control counters exist even when the features are off.
-	if !hasSeries(body, "mergescale_http_rate_limited_total") || !hasSeries(body, "mergescale_http_streams_rejected_total") {
+	if !hasSeries(body, "mergescale_http_streams_rejected_total") || !hasSeries(body, "mergescale_http_request_timeouts_total") {
 		t.Error("admission-control counters missing from /metrics")
 	}
 	// No store, no limits: the optional families must be absent.

@@ -2,97 +2,9 @@ package serve
 
 import (
 	"context"
-	"math"
-	"net"
 	"net/http"
-	"strconv"
-	"sync"
 	"sync/atomic"
-	"time"
 )
-
-// maxTrackedClients bounds the rate limiter's per-client bucket map. Past
-// the cap, fully refilled (idle) buckets are swept; a client evicted this
-// way simply restarts with a full burst, so eviction can only ever be
-// too generous, never too strict.
-const maxTrackedClients = 4096
-
-// tokenBucket is one client's rate-limit state: tokens refill at the
-// limiter's rate up to burst, and each admitted request costs one.
-type tokenBucket struct {
-	tokens float64
-	last   time.Time
-}
-
-// clientLimiter is a per-client token-bucket rate limiter keyed by the
-// request's remote host. It exists to keep one aggressive client from
-// monopolizing the engine — admission control, not billing-grade
-// accounting — so the eviction policy above is deliberately forgiving.
-type clientLimiter struct {
-	rate  float64 // tokens (requests) per second
-	burst float64
-
-	mu      sync.Mutex
-	clients map[string]*tokenBucket
-	now     func() time.Time // injectable clock for tests
-}
-
-func newClientLimiter(rate float64, burst int) *clientLimiter {
-	if burst < 1 {
-		burst = int(math.Ceil(rate))
-		if burst < 1 {
-			burst = 1
-		}
-	}
-	return &clientLimiter{
-		rate:    rate,
-		burst:   float64(burst),
-		clients: make(map[string]*tokenBucket),
-		now:     time.Now,
-	}
-}
-
-// allow admits or rejects one request from client, returning the
-// suggested Retry-After on rejection.
-func (l *clientLimiter) allow(client string) (ok bool, retryAfter time.Duration) {
-	now := l.now()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	b := l.clients[client]
-	if b == nil {
-		if len(l.clients) >= maxTrackedClients {
-			l.evictIdleLocked(now)
-		}
-		b = &tokenBucket{tokens: l.burst, last: now}
-		l.clients[client] = b
-	} else {
-		b.tokens = math.Min(l.burst, b.tokens+now.Sub(b.last).Seconds()*l.rate)
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true, 0
-	}
-	return false, time.Duration((1 - b.tokens) / l.rate * float64(time.Second))
-}
-
-// evictIdleLocked drops buckets that have fully refilled — clients idle
-// long enough that forgetting them changes nothing. If every client is
-// active, one arbitrary bucket goes (the map must stay bounded; a
-// re-admitted client restarts with a full burst).
-func (l *clientLimiter) evictIdleLocked(now time.Time) {
-	for c, b := range l.clients {
-		if b.tokens+now.Sub(b.last).Seconds()*l.rate >= l.burst {
-			delete(l.clients, c)
-		}
-	}
-	if len(l.clients) >= maxTrackedClients {
-		for c := range l.clients {
-			delete(l.clients, c)
-			break
-		}
-	}
-}
 
 // streamGate caps concurrently executing /run streams. Acquire-or-reject
 // (not queue): under overload a client gets an immediate 503 with
@@ -113,45 +25,6 @@ func (g *streamGate) acquire() bool {
 func (g *streamGate) release() { g.cur.Add(-1) }
 
 func (g *streamGate) active() int64 { return g.cur.Load() }
-
-// clientKey extracts the rate-limit identity from a request: the remote
-// host without the ephemeral port.
-func clientKey(r *http.Request) string {
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
-
-// retryAfterSeconds renders a Retry-After value: whole seconds, at
-// least 1.
-func retryAfterSeconds(d time.Duration) string {
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
-// limit wraps a route with the per-client rate limiter (when enabled).
-// /healthz, /readyz, and /metrics are never limited: liveness and
-// readiness probes and metric scrapes must keep answering precisely
-// when the server is saturated.
-func (s *Server) limit(next http.Handler) http.Handler {
-	if s.limiter == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if ok, retry := s.limiter.allow(clientKey(r)); !ok {
-			s.metrics.rateLimitRejected()
-			w.Header().Set("Retry-After", retryAfterSeconds(retry))
-			http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
-}
 
 // withTimeout wraps a streaming route with the per-request deadline
 // (when enabled). The deadline rides the request context, so it reaches

@@ -17,7 +17,7 @@
 //	GET  /experiments           registry listing as JSON
 //	GET  /run/{id|all}?format=F stream rendered experiment output (chunked)
 //	POST /sweep?format=F        stream a parametric design-space sweep
-//	GET  /stats                 engine + disk-cache counters as JSON
+//	GET  /stats                 engine, disk-cache, breaker and fault counters as JSON
 //	GET  /metrics               Prometheus text-format metrics
 //
 // /healthz and /readyz split liveness from readiness: /healthz answers
@@ -39,12 +39,12 @@
 // Every /run and /sweep request renders its own body: identical
 // concurrent requests share one computation through the engine's
 // singleflight, and each replays the shared documents through its own
-// renderer. Under load, two more mechanisms engage (see
-// docs/ARCHITECTURE.md "Serving under load"): an optional per-client
-// rate limiter answers 429 with Retry-After, and an optional
-// max-concurrent-streams cap answers 503 with Retry-After. /metrics
-// exposes request counts and latency histograms per endpoint/format plus
-// the engine and disk-cache counters.
+// renderer. Under load, an optional max-concurrent-streams cap answers
+// 503 with Retry-After (see docs/ARCHITECTURE.md "Serving under load").
+// /metrics exposes request counts and latency histograms per
+// endpoint/format plus the engine, disk-cache, breaker and fault
+// counters. /stats, /readyz and /metrics read those counters from one
+// snapshot per request, so the three views cannot disagree.
 //
 // The /run body is byte-identical to the mergescale CLI's buffered output
 // for the same format: the handler drives the exact renderer pipeline the
@@ -77,9 +77,10 @@ import (
 type Server struct {
 	// Engine executes and caches experiment jobs. Required.
 	Engine *engine.Engine
-	// Store, when non-nil, enriches /stats with disk-cache counters. It is
-	// informational here — the engine already consults the store through
-	// its own Config.Store wiring.
+	// Store, when non-nil, adds disk-cache counters to /stats and
+	// /metrics and marks /readyz's store "ok". It is informational here —
+	// the engine already consults the store through its own Config.Store
+	// wiring.
 	Store *diskcache.Store
 	// Opt is applied to every run (Quick, UseDuration). Opt.Engine is
 	// overwritten per request by experiments.StreamElements.
@@ -109,23 +110,13 @@ type Server struct {
 	// cancelled (CLI: serve -draintimeout). <= 0 selects
 	// DefaultDrainTimeout.
 	DrainTimeout time.Duration
-
-	// RateLimit, when > 0, enables the per-client token-bucket rate
-	// limiter at this many requests per second (CLI: serve -ratelimit).
-	// Over-limit requests get 429 with Retry-After. /healthz and /metrics
-	// are exempt.
-	RateLimit float64
-	// RateBurst sets the limiter's burst size; <= 0 defaults to
-	// ceil(RateLimit), minimum 1 (CLI: serve -rateburst).
-	RateBurst int
 	// MaxStreams, when > 0, caps concurrently executing /run streams;
 	// excess requests get 503 with Retry-After (CLI: serve -maxstreams).
 	MaxStreams int
 
 	// metrics backs /metrics; initialized once by Handler.
 	metrics *serveMetrics
-	// limiter / streams implement RateLimit / MaxStreams; nil when off.
-	limiter *clientLimiter
+	// streams implements MaxStreams; nil when off.
 	streams *streamGate
 }
 
@@ -145,16 +136,13 @@ func (s *Server) logf(format string, args ...any) {
 
 // Handler builds the route table. The returned handler is safe for
 // concurrent use; every /run request gets its own renderer and sink.
-// Every route is instrumented for /metrics; /experiments, /stats and
-// /run additionally pass the rate limiter, and /run the stream cap —
-// /healthz and /metrics stay unconditioned so probes and scrapes answer
-// even when the server is shedding load.
+// Every route is instrumented for /metrics; /run and /sweep additionally
+// pass the stream cap and the request deadline. The other routes stay
+// unconditioned so probes and scrapes answer even when the server is
+// shedding load.
 func (s *Server) Handler() http.Handler {
 	if s.metrics == nil {
 		s.metrics = newServeMetrics()
-	}
-	if s.limiter == nil && s.RateLimit > 0 {
-		s.limiter = newClientLimiter(s.RateLimit, s.RateBurst)
 	}
 	if s.streams == nil && s.MaxStreams > 0 {
 		s.streams = &streamGate{max: int64(s.MaxStreams)}
@@ -163,10 +151,10 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /healthz", s.instrument("/healthz", http.HandlerFunc(s.handleHealthz)))
 	mux.Handle("GET /readyz", s.instrument("/readyz", http.HandlerFunc(s.handleReadyz)))
 	mux.Handle("GET /metrics", s.instrument("/metrics", http.HandlerFunc(s.handleMetrics)))
-	mux.Handle("GET /experiments", s.instrument("/experiments", s.limit(http.HandlerFunc(s.handleExperiments))))
-	mux.Handle("GET /stats", s.instrument("/stats", s.limit(http.HandlerFunc(s.handleStats))))
-	mux.Handle("GET /run/{target}", s.instrument("/run", s.limit(s.capStreams(s.withTimeout(http.HandlerFunc(s.handleRun))))))
-	mux.Handle("POST /sweep", s.instrument("/sweep", s.limit(s.capStreams(s.withTimeout(http.HandlerFunc(s.handleSweep))))))
+	mux.Handle("GET /experiments", s.instrument("/experiments", http.HandlerFunc(s.handleExperiments)))
+	mux.Handle("GET /stats", s.instrument("/stats", http.HandlerFunc(s.handleStats)))
+	mux.Handle("GET /run/{target}", s.instrument("/run", s.capStreams(s.withTimeout(http.HandlerFunc(s.handleRun)))))
+	mux.Handle("POST /sweep", s.instrument("/sweep", s.capStreams(s.withTimeout(http.HandlerFunc(s.handleSweep)))))
 	return mux
 }
 
@@ -176,8 +164,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // breakerInfo is the circuit breaker's externally visible state, shared
-// by /readyz and /stats.
+// by /readyz, /stats and /metrics.
 type breakerInfo struct {
+	// state is State's enum, for /readyz and /metrics.
+	state             faults.BreakerState
 	State             string `json:"state"` // closed | half-open | open
 	ConsecutiveFaults int    `json:"consecutiveFaults"`
 	Faults            uint64 `json:"faults"`
@@ -189,6 +179,7 @@ type breakerInfo struct {
 
 func newBreakerInfo(snap faults.BreakerSnapshot) *breakerInfo {
 	return &breakerInfo{
+		state:             snap.State,
 		State:             snap.State.String(),
 		ConsecutiveFaults: snap.ConsecutiveFaults,
 		Faults:            snap.Stats.Faults,
@@ -214,23 +205,19 @@ type readyzPayload struct {
 // the payload says degraded and the status code says 503. The body is
 // identical either way, so probes and humans read one shape.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	payload := readyzPayload{Status: "ok", Store: "none"}
-	if s.Store != nil {
+	snap := s.snapshot()
+	payload := readyzPayload{Status: "ok", Store: "none", Breaker: snap.Breaker, Faults: snap.Faults}
+	if snap.Disk != nil {
 		payload.Store = "ok"
 	}
-	if s.Breaker != nil {
-		snap := s.Breaker.Snapshot()
-		payload.Breaker = newBreakerInfo(snap)
-		switch snap.State {
+	if snap.Breaker != nil {
+		switch snap.Breaker.state {
 		case faults.BreakerOpen:
 			payload.Store = "degraded"
 			payload.Status = "degraded"
 		case faults.BreakerHalfOpen:
 			payload.Store = "probing"
 		}
-	}
-	if s.Injector != nil {
-		payload.Faults = s.Injector.Counts()
 	}
 	// Headers must precede the early WriteHeader — writeJSON's own
 	// Content-Type set would land too late on the 503 path.
@@ -278,23 +265,28 @@ type diskStats struct {
 	PutSkips  uint64 `json:"putSkips"`
 	WriteErrs uint64 `json:"writeErrs,omitempty"`
 	Evictions uint64 `json:"evictions"`
-	Expired   uint64 `json:"expired"`
 	Dropped   uint64 `json:"dropped"`
 	Entries   int    `json:"entries"`
 	Bytes     int64  `json:"bytes"`
 }
 
-// statsPayload is the /stats response body.
-type statsPayload struct {
+// counterSnapshot is one read of every counter owner: the engine, and
+// the store, breaker and injector when configured (nil or empty when
+// not). It is the /stats body as is.
+type counterSnapshot struct {
 	Engine  engineStats         `json:"engine"`
 	Disk    *diskStats          `json:"disk,omitempty"`
 	Breaker *breakerInfo        `json:"breaker,omitempty"`
 	Faults  []faults.RuleCounts `json:"faults,omitempty"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+// snapshot reads each counter owner exactly once. /stats encodes the
+// result, /readyz derives its state from it and /metrics renders its
+// engine, disk, breaker and fault families from it, so no counter has a
+// second reader.
+func (s *Server) snapshot() counterSnapshot {
 	st := s.Engine.Stats()
-	payload := statsPayload{Engine: engineStats{
+	snap := counterSnapshot{Engine: engineStats{
 		Workers:     s.Engine.Workers(),
 		Hits:        st.Hits,
 		Misses:      st.Misses,
@@ -306,25 +298,28 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.Store != nil {
 		ds := s.Store.Stats()
 		entries, bytes := s.Store.Size()
-		payload.Disk = &diskStats{
+		snap.Disk = &diskStats{
 			Dir:       s.Store.Dir(),
 			Puts:      ds.Puts,
 			PutSkips:  ds.PutSkips,
 			WriteErrs: ds.WriteErrs,
 			Evictions: ds.Evictions,
-			Expired:   ds.Expired,
 			Dropped:   ds.Dropped,
 			Entries:   entries,
 			Bytes:     bytes,
 		}
 	}
 	if s.Breaker != nil {
-		payload.Breaker = newBreakerInfo(s.Breaker.Snapshot())
+		snap.Breaker = newBreakerInfo(s.Breaker.Snapshot())
 	}
 	if s.Injector != nil {
-		payload.Faults = s.Injector.Counts()
+		snap.Faults = s.Injector.Counts()
 	}
-	s.writeJSON(w, payload)
+	return snap
+}
+
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	s.writeJSON(w, s.snapshot())
 }
 
 // contentTypes maps report formats to their response media type.

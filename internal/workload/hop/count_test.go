@@ -82,6 +82,8 @@ func TestRunValidation(t *testing.T) {
 		{"d>4", hiD, DefaultConfig(), 1},
 		{"CellsPerDim<0", ds, Config{CellsPerDim: -1, MaxNeighbors: 64}, 2},
 		{"CellsPerDim<0 and threads=0", ds, Config{CellsPerDim: -5}, 0},
+		{"cells over the cap", ds, Config{CellsPerDim: 200}, 1},
+		{"cell count overflows int", ds, Config{CellsPerDim: 1 << 22}, 1},
 	}
 	for _, c := range cases {
 		_, _, runErr := Run(c.ds, c.cfg, c.threads, false)

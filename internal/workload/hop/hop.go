@@ -172,6 +172,11 @@ func newScratch(n, cells, threads, d, words int) *runScratch {
 	return s
 }
 
+// maxCells caps a set CellsPerDim's grid, about 33 times full-size
+// hop-default's 125k cells, so an oversized grid is an error before
+// anything is allocated instead of an int overflow in the binning.
+const maxCells = 1 << 22
+
 // check rejects the inputs neither Run nor Count accepts, so both fail
 // with the same error.
 func check(ds *datagen.Dataset, cfg Config, threads int) error {
@@ -181,8 +186,19 @@ func check(ds *datagen.Dataset, cfg Config, threads int) error {
 	if threads < 1 {
 		return errors.New("hop: threads must be >= 1")
 	}
-	if d := ds.D(); d > 4 {
+	d := ds.D()
+	if d > 4 {
 		return fmt.Errorf("hop: dimensionality %d too high for grid neighbors", d)
+	}
+	if g := cfg.CellsPerDim; g > 0 {
+		cells := 1
+		for range d {
+			// cells <= maxCells/g keeps cells*g in the cap, and so in int.
+			if cells > maxCells/g {
+				return fmt.Errorf("hop: CellsPerDim %d in %d dimensions exceeds %d grid cells", g, d, maxCells)
+			}
+			cells *= g
+		}
 	}
 	return nil
 }

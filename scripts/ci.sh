@@ -57,8 +57,8 @@ go test -bench BenchmarkSim -benchtime=1x -run '^$' ./internal/sim
 echo "== contend benchmarks (1 iteration smoke) =="
 go test -bench BenchmarkContend -benchtime=1x -run '^$' ./internal/workload/contend
 
-echo "== hop native-run benchmark (1 iteration smoke) =="
-go test -bench BenchmarkHopRun -benchtime=1x -run '^$' ./internal/workload/hop
+echo "== hop run and count benchmarks (1 iteration smoke) =="
+go test -bench BenchmarkHop -benchtime=1x -run '^$' ./internal/workload/hop
 
 echo "== allocation budget (without -race: its instrumentation allocates) =="
 # The -race suite above skips the AllocsPerRun assertions; this pass arms
