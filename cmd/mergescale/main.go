@@ -408,7 +408,7 @@ func runServe(args []string, opt experiments.Options, ef engineFlags, stderr io.
 	fs := flag.NewFlagSet("mergescale serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "HTTP listen address (host:port; port 0 picks a free port)")
-	maxstreams := fs.Int("maxstreams", 0, "max concurrently executing /run streams; excess requests get 503 (0 = unlimited)")
+	maxstreams := fs.Int("maxstreams", 0, "max concurrently executing /run and /sweep streams; excess requests get 503 (0 = unlimited)")
 	reqtimeout := fs.Duration("reqtimeout", 0, "per-request deadline for /run and /sweep; expiry gets 503 before the first byte, a chunked abort after (0 = none)")
 	draintimeout := fs.Duration("draintimeout", serve.DefaultDrainTimeout, "graceful-shutdown bound: how long in-flight responses get to flush after SIGINT/SIGTERM")
 	if err := fs.Parse(args); err != nil {

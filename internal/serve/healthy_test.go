@@ -136,13 +136,13 @@ const fullStats = `{"engine":{"workers":2,"hits":1,"misses":1,"executed":1,"inli
 const fullReadyz = `{"status":"ok","store":"ok","breaker":{"state":"closed","consecutiveFaults":0,"faults":0,"shortCircuited":0,"opened":0,"halfOpened":0,"closed":0},"faults":[{"op":"get","kind":"corrupt","ops":0,"injected":0}]}
 `
 
-const fullMetrics = `# HELP mergescale_http_streams_rejected_total /run requests rejected with 503 by the max-concurrent-streams cap.
+const fullMetrics = `# HELP mergescale_http_streams_rejected_total /run and /sweep requests rejected with 503 by the max-concurrent-streams cap.
 # TYPE mergescale_http_streams_rejected_total counter
 mergescale_http_streams_rejected_total 0
 # HELP mergescale_http_request_timeouts_total Requests whose per-request deadline (-reqtimeout) expired.
 # TYPE mergescale_http_request_timeouts_total counter
 mergescale_http_request_timeouts_total 0
-# HELP mergescale_http_streams_active Currently executing /run streams.
+# HELP mergescale_http_streams_active Currently executing /run and /sweep streams.
 # TYPE mergescale_http_streams_active gauge
 mergescale_http_streams_active 0
 # HELP mergescale_engine_workers Engine worker-pool size (the Run caller counts as one).
@@ -219,7 +219,7 @@ const bareStats = `{"engine":{"workers":2,"hits":1,"misses":1,"executed":1,"inli
 const bareReadyz = `{"status":"ok","store":"none"}
 `
 
-const bareMetrics = `# HELP mergescale_http_streams_rejected_total /run requests rejected with 503 by the max-concurrent-streams cap.
+const bareMetrics = `# HELP mergescale_http_streams_rejected_total /run and /sweep requests rejected with 503 by the max-concurrent-streams cap.
 # TYPE mergescale_http_streams_rejected_total counter
 mergescale_http_streams_rejected_total 0
 # HELP mergescale_http_request_timeouts_total Requests whose per-request deadline (-reqtimeout) expired.

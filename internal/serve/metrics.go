@@ -61,7 +61,7 @@ type serveMetrics struct {
 	mu        sync.Mutex
 	requests  map[counterLabel]uint64
 	durations map[histLabel]*histogram
-	shed      uint64 // /run requests rejected 503 by the stream cap
+	shed      uint64 // /run and /sweep requests rejected 503 by the stream cap
 	timeouts  uint64 // requests whose -reqtimeout deadline fired
 }
 
@@ -183,11 +183,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	counter("mergescale_http_streams_rejected_total",
-		"/run requests rejected with 503 by the max-concurrent-streams cap.", shed)
+		"/run and /sweep requests rejected with 503 by the max-concurrent-streams cap.", shed)
 	counter("mergescale_http_request_timeouts_total",
 		"Requests whose per-request deadline (-reqtimeout) expired.", timeouts)
 	if s.streams != nil {
-		gauge("mergescale_http_streams_active", "Currently executing /run streams.", s.streams.active())
+		gauge("mergescale_http_streams_active", "Currently executing /run and /sweep streams.", s.streams.active())
 	}
 
 	snap := s.snapshot()

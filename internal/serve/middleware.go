@@ -6,9 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// streamGate caps concurrently executing /run streams. Acquire-or-reject
-// (not queue): under overload a client gets an immediate 503 with
-// Retry-After instead of an invisible queue that outlives its patience.
+// streamGate caps concurrently executing /run and /sweep streams.
+// Acquire-or-reject (not queue): under overload a client gets an
+// immediate 503 with Retry-After instead of an invisible queue that
+// outlives its patience.
 type streamGate struct {
 	max int64
 	cur atomic.Int64
@@ -49,10 +50,10 @@ func (s *Server) withTimeout(next http.Handler) http.Handler {
 	})
 }
 
-// capStreams wraps the /run route with the max-concurrent-streams gate
-// (when enabled). The slot is held for the whole stream — including the
-// render — so the cap bounds real work in flight, not just accepted
-// sockets.
+// capStreams wraps the /run and /sweep routes with the
+// max-concurrent-streams gate (when enabled). The slot is held for the
+// whole stream — including the render — so the cap bounds real work in
+// flight, not just accepted sockets.
 func (s *Server) capStreams(next http.Handler) http.Handler {
 	if s.streams == nil {
 		return next

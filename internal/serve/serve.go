@@ -110,8 +110,9 @@ type Server struct {
 	// cancelled (CLI: serve -draintimeout). <= 0 selects
 	// DefaultDrainTimeout.
 	DrainTimeout time.Duration
-	// MaxStreams, when > 0, caps concurrently executing /run streams;
-	// excess requests get 503 with Retry-After (CLI: serve -maxstreams).
+	// MaxStreams, when > 0, caps concurrently executing /run and /sweep
+	// streams; excess requests get 503 with Retry-After (CLI: serve
+	// -maxstreams).
 	MaxStreams int
 
 	// metrics backs /metrics; initialized once by Handler.

@@ -5,6 +5,7 @@ import (
 
 	"mergescale/internal/sim"
 	"mergescale/internal/workload"
+	"mergescale/internal/workload/contend"
 	"mergescale/internal/workload/datagen"
 	"mergescale/internal/workload/fuzzy"
 	"mergescale/internal/workload/hop"
@@ -81,7 +82,12 @@ func BenchmarkSimMachineReset(b *testing.B) {
 // a workload compiles to.
 func benchBuildProgram(b *testing.B, w workload.Workload, cores, scale int) {
 	b.Helper()
-	ds, err := datagen.Generate(datagen.Spec{Label: "bench", N: 2048, D: 4, C: 4, Seed: 7})
+	benchBuildProgramSpec(b, w, datagen.Spec{Label: "bench", N: 2048, D: 4, C: 4, Seed: 7}, cores, scale)
+}
+
+func benchBuildProgramSpec(b *testing.B, w workload.Workload, spec datagen.Spec, cores, scale int) {
+	b.Helper()
+	ds, err := datagen.Generate(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -122,3 +128,15 @@ func BenchmarkSimRunHop256(b *testing.B)    { benchMachineRun(b, hop.New(), 256,
 func BenchmarkSimBuildProgramKMeans8(b *testing.B) { benchBuildProgram(b, newQuickKMeans(), 8, 4) }
 func BenchmarkSimBuildProgramFuzzy8(b *testing.B)  { benchBuildProgram(b, newQuickFuzzy(), 8, 4) }
 func BenchmarkSimBuildProgramHop8(b *testing.B)    { benchBuildProgram(b, hop.New(), 8, 4) }
+
+// BenchmarkSimBuildProgramContend8 builds the quick ext-contend-split
+// program at p=8: an eighth of contend's default trace at the contend
+// sweeps' scale of 2, in split mode, whose reduction phases make it the
+// larger of the two modes.
+func BenchmarkSimBuildProgramContend8(b *testing.B) {
+	w := contend.New()
+	w.Cfg.Mode = contend.Split
+	spec := w.DefaultSpec()
+	spec.N /= 8
+	benchBuildProgramSpec(b, w, spec, 8, 2)
+}

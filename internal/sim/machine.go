@@ -117,14 +117,15 @@ outer:
 // Run once. Reset returns a consumed machine to its initial state, reusing
 // every internal table — that is what makes pooling allocation-free.
 type Machine struct {
-	cfg    Config
-	net    topology.Network
-	l1     []cache // one private L1 per core, stored by value
-	l2     cache
-	dir    directory
-	l2Hops uint64      // average requester-to-L2-bank distance, cycles already folded in access()
-	cores  []coreState // per-run scheduler scratch, reused across Reset
-	sched  []int32     // scheduler min-heap scratch
+	cfg       Config
+	lineShift uint             // log2(cfg.LineSz): byte address to line address
+	coords    []topology.Coord // each core's mesh router, for transfer distances
+	l1        []cache          // one private L1 per core, stored by value
+	l2        cache
+	dir       directory
+	l2Hops    uint64      // average requester-to-L2-bank distance, cycles already folded in access()
+	cores     []coreState // per-run scheduler scratch, reused across Reset
+	sched     []uint64    // scheduler min-heap scratch of packed (time, id) keys
 
 	coreTimeBuf []uint64    // Result.CoreTime backing, recycled across runs
 	phasesBuf   []PhaseTime // Result.Phases backing, recycled across runs
@@ -143,7 +144,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, net: net}
+	m := &Machine{cfg: cfg, lineShift: cfg.lineShift()}
+	m.coords = make([]topology.Coord, cfg.Cores)
+	for id := range m.coords {
+		if m.coords[id], err = net.MeshCoord(id); err != nil {
+			return nil, err
+		}
+	}
 	m.dir.init()
 	m.l1 = make([]cache, cfg.Cores)
 	for i := range m.l1 {
@@ -152,7 +159,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.l2.init(cfg.L2Size, cfg.L2Ways, cfg.LineSz)
 	m.l2Hops = uint64(math.Ceil(net.AvgHops()))
 	m.cores = make([]coreState, cfg.Cores)
-	m.sched = make([]int32, 0, cfg.Cores)
+	m.sched = make([]uint64, 0, cfg.Cores)
 	m.coreTimeBuf = make([]uint64, cfg.Cores)
 	return m, nil
 }
@@ -186,6 +193,10 @@ type coreState struct {
 	pc   int
 }
 
+// errClockOverflow is Run's error for a core clock that would pass
+// maxCoreTime, where it no longer fits a scheduler key.
+var errClockOverflow = fmt.Errorf("sim: a core clock would reach %d cycles, the simulator's limit", uint64(maxCoreTime)+1)
+
 // runCount tallies Machine.Run invocations process-wide; see Runs.
 var runCount atomic.Uint64
 
@@ -194,44 +205,61 @@ var runCount atomic.Uint64
 // perform no simulation at all.
 func Runs() uint64 { return runCount.Load() }
 
-// schedLess orders the scheduler heap: lowest core time first, ties broken
-// by lowest core id — exactly the selection rule of the linear scan it
-// replaced (strict < while iterating ids ascending).
-func (m *Machine) schedLess(a, b int32) bool {
-	ca, cb := &m.cores[a], &m.cores[b]
-	return ca.time < cb.time || (ca.time == cb.time && a < b)
-}
+// The scheduler heap holds one packed key per runnable core: its clock
+// above the low schedIDBits bits and its id in them. Ids are below
+// maxSimCores <= 1<<schedIDBits, so one unsigned compare of two keys orders
+// by lowest time first, ties broken by lowest core id — exactly the
+// selection rule of the linear scan the heap replaced (strict < while
+// iterating ids ascending). A clock must stay below 1<<(64-schedIDBits)
+// to fit; Run returns an error rather than let one reach maxCoreTime+1.
+const (
+	schedIDBits = 8
+	schedIDMask = 1<<schedIDBits - 1
+	maxCoreTime = 1<<(64-schedIDBits) - 1
+)
 
-// schedFix restores the heap property after the root's time increased:
+// Every core id fits in schedIDBits: this array's length goes negative,
+// and the build fails, if maxSimCores outgrows them.
+var _ [1<<schedIDBits - maxSimCores]struct{}
+
+// schedKey packs a core's clock and id into its heap key.
+func schedKey(time uint64, id int) uint64 { return time<<schedIDBits | uint64(id) }
+
+// schedFix restores the heap property after the root's key increased:
 // sift the root down. The scheduler only ever changes the root (the core
 // just executed), so this is the whole heap maintenance — O(log P) per op
-// instead of the former O(P) scan.
-func (m *Machine) schedFix(h []int32) {
+// instead of the former O(P) scan. Keys are distinct (ids are), so the
+// order is total.
+func schedFix(h []uint64) {
+	n := len(h)
+	x := h[0]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(h) && m.schedLess(h[l], h[min]) {
-			min = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < len(h) && m.schedLess(h[r], h[min]) {
-			min = r
+		if r := c + 1; r < n && h[r] < h[c] {
+			c = r
 		}
-		if min == i {
-			return
+		if x < h[c] {
+			break
 		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = x
 }
 
 // schedPop removes the root (a core that finished or blocked at a
 // barrier) and restores the heap.
-func (m *Machine) schedPop(h []int32) []int32 {
+func schedPop(h []uint64) []uint64 {
 	n := len(h) - 1
 	h[0] = h[n]
 	h = h[:n]
-	m.schedFix(h)
+	if n > 0 {
+		schedFix(h)
+	}
 	return h
 }
 
@@ -253,8 +281,9 @@ func (m *Machine) closePhase(res *Result, name string, start, now uint64) {
 }
 
 // Run executes the program to completion and returns per-phase timing.
-// The scheduler is one goroutine draining an indexed min-heap of (core
-// time, core id).
+// The scheduler is one goroutine draining a min-heap of packed (core
+// time, core id) keys; Run returns an error if a core clock would pass
+// maxCoreTime.
 func (m *Machine) Run(prog *Program) (Result, error) {
 	if m.ran {
 		return Result{}, errors.New("sim: Machine is single-use; create a new one per run (or Reset/re-Acquire it)")
@@ -283,43 +312,47 @@ func (m *Machine) Run(prog *Program) (Result, error) {
 	h := m.sched[:0]
 	for id := range prog.Streams {
 		if len(prog.Streams[id]) > 0 {
-			h = append(h, int32(id))
+			h = append(h, schedKey(0, id))
 		}
 	}
 
 	for len(h) > 0 {
 		// The root is the lowest-time unblocked core with ops left
 		// (tie: lowest id).
-		sel := int(h[0])
+		sel := int(h[0] & schedIDMask)
 		c := &cores[sel]
 		op := prog.Streams[sel][c.pc]
 		c.pc++
 
+		var d uint64 // cycles the op takes
 		switch op.Kind() {
 		case OpCompute:
 			n := op.Arg()
 			res.Counters.ComputeOps += n
 			w := uint64(m.cfg.IssueWidth)
-			c.time += (n + w - 1) / w
+			d = (n + w - 1) / w
 		case OpLoad:
 			res.Counters.Loads++
-			c.time += m.access(sel, op.Arg(), false, &res.Counters)
+			d = m.access(sel, op.Arg(), false, &res.Counters)
 		case OpStore:
 			res.Counters.Stores++
-			c.time += m.access(sel, op.Arg(), true, &res.Counters)
+			d = m.access(sel, op.Arg(), true, &res.Counters)
 		case OpPhase:
 			m.closePhase(&res, phaseName, phaseStart, c.time)
 			phaseName = prog.Phases[op.Arg()]
 			phaseStart = c.time
 		case OpBarrier:
 			arrivals++
-			h = m.schedPop(h) // blocked: out of the heap until release
+			h = schedPop(h) // blocked: out of the heap until release
 			if arrivals == m.cfg.Cores {
 				var maxT uint64
 				for id := range cores {
 					if cores[id].time > maxT {
 						maxT = cores[id].time
 					}
+				}
+				if m.cfg.BarLat > maxCoreTime-maxT {
+					return Result{}, errClockOverflow
 				}
 				release := maxT + m.cfg.BarLat
 				for id := range cores {
@@ -332,16 +365,21 @@ func (m *Machine) Run(prog *Program) (Result, error) {
 				h = h[:0]
 				for id := range prog.Streams {
 					if cores[id].pc < len(prog.Streams[id]) {
-						h = append(h, int32(id))
+						h = append(h, schedKey(release, id))
 					}
 				}
 			}
 			continue
 		}
+		if d > maxCoreTime-c.time {
+			return Result{}, errClockOverflow
+		}
+		c.time += d
 		if c.pc >= len(prog.Streams[sel]) {
-			h = m.schedPop(h)
+			h = schedPop(h)
 		} else {
-			m.schedFix(h)
+			h[0] = schedKey(c.time, sel)
+			schedFix(h)
 		}
 	}
 	if arrivals > 0 {
@@ -370,7 +408,7 @@ func (m *Machine) Run(prog *Program) (Result, error) {
 // allocations — the allocation-budget test locks that in — because the
 // directory stores entries by value and every table below is preallocated.
 func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters) uint64 {
-	line := addr >> m.cfg.lineShift()
+	line := addr >> m.lineShift
 	l1 := &m.l1[id]
 	// The only directory call that may insert (and thus grow the table):
 	// every later dir.get below resolves an address still resident in some
@@ -405,8 +443,7 @@ func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters) uint64 
 	if e.owner >= 0 && int(e.owner) != id {
 		owner := int(e.owner)
 		if st := m.l1[owner].lookup(line); st != nil && (st.state() == stateModified || st.state() == stateExclusive) {
-			dist, _ := m.net.HopDistance(id, owner)
-			lat += m.cfg.XferLat + m.cfg.HopLat*uint64(dist)
+			lat += m.cfg.XferLat + m.cfg.HopLat*m.hops(id, owner)
 			ctr.C2CTransfers++
 			if write {
 				m.l1[owner].invalidate(line)
@@ -459,6 +496,21 @@ func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters) uint64 
 	}
 	noteSharerPeak(e, ctr)
 	return lat
+}
+
+// hops is the dimension-ordered routing distance between cores a and b on
+// the machine's 2D mesh: topology's HopDistance over the router
+// coordinates NewMachine stored.
+func (m *Machine) hops(a, b int) uint64 {
+	ca, cb := m.coords[a], m.coords[b]
+	return uint64(absDiff(ca.X, cb.X) + absDiff(ca.Y, cb.Y))
+}
+
+func absDiff(a, b int) int {
+	if a < b {
+		return b - a
+	}
+	return a - b
 }
 
 // noteSharerPeak records the line's current sharer breadth into the

@@ -2,10 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"mergescale/internal/topology"
 )
 
 func mustMachine(t *testing.T, cores int) *Machine {
@@ -33,6 +36,72 @@ func TestComputeTiming(t *testing.T) {
 	}
 	if res.Counters.ComputeOps != 100 {
 		t.Errorf("compute ops = %d", res.Counters.ComputeOps)
+	}
+}
+
+// TestRunClockLimit checks that a core clock never passes maxCoreTime,
+// where it would no longer fit a scheduler key: a clock may reach the
+// limit, but an op or a barrier release that would pass it makes Run
+// return an error instead of wrapping.
+func TestRunClockLimit(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.IssueWidth = 1
+	run := func(cfg Config, build func(b *Builder)) (Result, error) {
+		t.Helper()
+		b := NewBuilder(cfg.Cores)
+		build(b)
+		prog, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Run(prog)
+	}
+
+	res, err := run(cfg, func(b *Builder) { b.Compute(0, maxCoreTime) })
+	if err != nil || res.Cycles != maxCoreTime {
+		t.Errorf("clock at the limit: cycles %d, err %v; want %d, nil", res.Cycles, err, uint64(maxCoreTime))
+	}
+	for name, build := range map[string]func(b *Builder){
+		"one MaxOpArg compute": func(b *Builder) { b.Compute(0, MaxOpArg) },
+		"one past the limit":   func(b *Builder) { b.Compute(1, maxCoreTime).Compute(1, 1) },
+		"load past the limit":  func(b *Builder) { b.Compute(0, maxCoreTime).Load(0, 0) },
+		"barrier release":      func(b *Builder) { b.Compute(1, maxCoreTime).Barrier() },
+	} {
+		if _, err := run(cfg, build); err == nil {
+			t.Errorf("%s: Run returned no error", name)
+		}
+	}
+	huge := cfg
+	huge.BarLat = math.MaxUint64
+	if _, err := run(huge, func(b *Builder) { b.Barrier() }); err == nil {
+		t.Error("barrier latency past the limit: Run returned no error")
+	}
+}
+
+// TestHopsMatchTopology checks the machine's stored mesh coordinates
+// against topology.HopDistance for every core pair.
+func TestHopsMatchTopology(t *testing.T) {
+	for _, cores := range []int{1, 2, 3, 5, 8, 16, 17, 64, 255, 256} {
+		m := mustMachine(t, cores)
+		net, err := topology.New(topology.Mesh2D, cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := 0; a < cores; a++ {
+			for b := 0; b < cores; b++ {
+				want, err := net.HopDistance(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := m.hops(a, b); got != uint64(want) {
+					t.Fatalf("p=%d: hops(%d, %d) = %d, want %d", cores, a, b, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -189,25 +189,43 @@ func (b *Builder) Store(id int, addr uint64) *Builder {
 	return b
 }
 
-// Grow reserves room for n more ops on core id's stream with geometric
+// Reserve makes room for exactly n more ops on core id's stream. A caller
+// that knows a stream's final length reserves it once, so the stream is
+// allocated once and never copied; later appends that fit add no slack.
+func (b *Builder) Reserve(id int, n int) {
+	if s := b.prog.Streams[id]; cap(s)-len(s) < n {
+		b.setCap(id, len(s)+n)
+	}
+}
+
+// grow reserves room for n more ops on core id's stream with geometric
 // slack, so a burst of appends whose size the caller knows — a
-// line-granular range, or a round of per-transaction ops — costs at most
-// one growth instead of one per doubling.
-func (b *Builder) Grow(id int, n int) {
+// line-granular range — costs at most one growth instead of one per
+// doubling.
+func (b *Builder) grow(id int, n int) {
+	if s := b.prog.Streams[id]; cap(s)-len(s) < n {
+		b.setCap(id, max(len(s)+n+len(s)/2, 2*cap(s), 256))
+	}
+}
+
+// setCap moves core id's stream to a new backing array of capacity c.
+func (b *Builder) setCap(id, c int) {
 	s := b.prog.Streams[id]
-	if cap(s)-len(s) >= n {
-		return
-	}
-	newCap := len(s) + n + len(s)/2
-	if newCap < 2*cap(s) {
-		newCap = 2 * cap(s)
-	}
-	if newCap < 256 {
-		newCap = 256
-	}
-	ns := make([]Op, len(s), newCap)
+	ns := make([]Op, len(s), c)
 	copy(ns, s)
 	b.prog.Streams[id] = ns
+}
+
+// RangeOps returns how many ops LoadRange or StoreRange appends for
+// [addr, addr+bytes): one per lineSz-byte line the range touches.
+func RangeOps(addr, bytes uint64, lineSz int) int {
+	if bytes == 0 {
+		return 0
+	}
+	line := uint64(lineSz)
+	first := addr &^ (line - 1)
+	last := (addr + bytes - 1) &^ (line - 1)
+	return int((last-first)/line) + 1
 }
 
 // appendRange appends one kind op per line covering [addr, addr+bytes).
@@ -224,12 +242,10 @@ func (b *Builder) appendRange(id int, kind OpKind, addr, bytes uint64, lineSz in
 		b.overflow(id, kind, end)
 		return
 	}
-	line := uint64(lineSz)
-	first := addr &^ (line - 1)
-	last := end &^ (line - 1)
-	b.Grow(id, int((last-first)/line)+1)
+	b.grow(id, RangeOps(addr, bytes, lineSz))
 	s := b.prog.Streams[id]
-	for a := first; a <= last; a += line {
+	line := uint64(lineSz)
+	for a := addr &^ (line - 1); a <= end; a += line {
 		s = append(s, makeOp(kind, a))
 	}
 	b.prog.Streams[id] = s

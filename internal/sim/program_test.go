@@ -112,3 +112,23 @@ func TestBuilderInternsPhases(t *testing.T) {
 		t.Errorf("dynamic phases = %v", res.Phases)
 	}
 }
+
+// TestRangeOpsCountsAppendedOps checks that RangeOps predicts exactly how
+// many ops LoadRange appends, for aligned, unaligned and line-straddling
+// ranges, and that Reserve then holds a stream at cap == len.
+func TestRangeOpsCountsAppendedOps(t *testing.T) {
+	for _, lineSz := range []int{32, 64, 128} {
+		for _, addr := range []uint64{0, 1, 63, 64, 100, 4095, MaxOpArg - 300} {
+			for _, bytes := range []uint64{0, 1, 2, 63, 64, 65, 200} {
+				n := RangeOps(addr, bytes, lineSz)
+				b := NewBuilder(1)
+				b.Reserve(0, n)
+				b.LoadRange(0, addr, bytes, lineSz)
+				s := b.prog.Streams[0]
+				if len(s) != n || cap(s) != n {
+					t.Errorf("line %d addr %#x bytes %d: RangeOps %d, appended len %d cap %d", lineSz, addr, bytes, n, len(s), cap(s))
+				}
+			}
+		}
+	}
+}

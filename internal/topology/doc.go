@@ -10,7 +10,7 @@
 // used as ablations, and the underlying link/hop arithmetic.
 //
 // Both consumers rely on this package being pure arithmetic: internal/sim
-// charges per-hop latencies from it inside the cycle loop, and
-// internal/core folds its growth functions into analytic speedup curves —
-// so every function here is deterministic and allocation-free.
+// places each core on the mesh with MeshCoord when it builds a machine,
+// and internal/core folds its growth functions into analytic speedup
+// curves — so every function here is deterministic and allocation-free.
 package topology

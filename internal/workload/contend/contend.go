@@ -352,23 +352,30 @@ func (w *Contend) BuildProgram(ds *datagen.Dataset, cfg sim.Config, scale int) (
 	const kb = 8 // bytes per counter
 	tableBytes := uint64(c.Keys) * kb
 
+	// Each round's static partition of its transactions over the cores.
+	ranges := make([][]parallel.Range, c.Rounds)
+	for r := range ranges {
+		lo, hi := roundBounds(n, c.Rounds, r)
+		ranges[r] = parallel.Split(hi-lo, cfg.Cores)
+	}
+
 	b := sim.NewBuilder(cfg.Cores)
+	reserveStreams(b, c, cfg, tableBytes, ranges)
 	b.Phase("init")
 	b.StoreRange(0, workload.AddrCenters, tableBytes, cfg.LineSz)
 	b.Compute(0, uint64(c.Keys))
 	b.Barrier()
 
 	for r := 0; r < c.Rounds; r++ {
-		lo, hi := roundBounds(n, c.Rounds, r)
+		lo, _ := roundBounds(n, c.Rounds, r)
 		b.Phase("parallel")
-		ranges := parallel.Split(hi-lo, cfg.Cores)
 		for id := 0; id < cfg.Cores; id++ {
 			base := uint64(workload.AddrCenters)
 			if c.Mode == Split {
 				base = workload.PartialBase(id)
 			}
-			b.Grow(id, 3*(ranges[id].Hi-ranges[id].Lo))
-			for i := lo + ranges[id].Lo; i < lo+ranges[id].Hi; i++ {
+			rg := ranges[r][id]
+			for i := lo + rg.Lo; i < lo+rg.Hi; i++ {
 				addr := base + uint64(keys[i])*kb
 				b.Load(id, addr)
 				b.Compute(id, uint64(c.OpsPerTx))
@@ -394,6 +401,39 @@ func (w *Contend) BuildProgram(ds *datagen.Dataset, cfg sim.Config, scale int) (
 	}
 
 	return b.Build()
+}
+
+// reserveStreams reserves every stream of BuildProgram's program at its
+// exact final length, so each is allocated once. It counts the ops
+// BuildProgram appends below, phase by phase; Keys and OpsPerTx are at
+// least 1, so every Compute appends one op.
+func reserveStreams(b *sim.Builder, c Config, cfg sim.Config, tableBytes uint64, ranges [][]parallel.Range) {
+	shared := sim.RangeOps(workload.AddrCenters, tableBytes, cfg.LineSz)
+	barriers := 1 + 2*c.Rounds
+	// Core 0's ops outside the parallel phases: the init phase's marker,
+	// table store and compute; each round's parallel marker and serial
+	// marker, table load and compute.
+	master := 2 + shared + c.Rounds*(3+shared)
+	if c.Mode == Split {
+		// Each round's reduction: its marker, every core's table load and
+		// compute, and the shared-table store.
+		barriers += c.Rounds
+		merge := 1 + shared
+		for id := 0; id < cfg.Cores; id++ {
+			merge += sim.RangeOps(workload.PartialBase(id), tableBytes, cfg.LineSz) + 1
+		}
+		master += c.Rounds * merge
+	}
+	for id := 0; id < cfg.Cores; id++ {
+		ops := barriers
+		if id == 0 {
+			ops += master
+		}
+		for _, rs := range ranges {
+			ops += 3 * (rs[id].Hi - rs[id].Lo) // load, compute, store
+		}
+		b.Reserve(id, ops)
+	}
 }
 
 var _ workload.Workload = (*Contend)(nil)

@@ -156,3 +156,32 @@ func TestProgramPhasesMapToSections(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildProgramReservesExactStreams checks that BuildProgram allocates
+// each stream once at its final length: every stream of a quick program
+// (an eighth of the default trace, halved by the contend sweeps' scale)
+// has cap == len, in both modes and at core counts that do and do not
+// divide the trace evenly. A 32-byte line size changes every table range's
+// op count.
+func TestBuildProgramReservesExactStreams(t *testing.T) {
+	ds := testDataset(t, contend.New().DefaultSpec().N/8)
+	for _, mode := range []contend.Mode{contend.Joined, contend.Split} {
+		for _, cores := range []int{1, 2, 3, 8, 16} {
+			for _, lineSz := range []int{64, 32} {
+				w := contend.New()
+				w.Cfg.Mode = mode
+				cfg := sim.DefaultConfig(cores)
+				cfg.LineSz = lineSz
+				prog, err := w.BuildProgram(ds, cfg, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id, s := range prog.Streams {
+					if cap(s) != len(s) {
+						t.Errorf("%v p=%d line=%d: stream %d has len %d, cap %d", mode, cores, lineSz, id, len(s), cap(s))
+					}
+				}
+			}
+		}
+	}
+}
