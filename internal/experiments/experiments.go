@@ -161,7 +161,7 @@ func simScale(opt Options) int {
 
 // workloadSet builds the three benchmarks with iteration counts sized for
 // the option set.
-func workloadSet(opt Options) []workload.Workload {
+func workloadSet(opt Options) []workload.Native {
 	iters := 10
 	if opt.Quick {
 		iters = 3
@@ -170,7 +170,7 @@ func workloadSet(opt Options) []workload.Workload {
 	km.Cfg.Iters = iters
 	fz := fuzzy.New()
 	fz.Cfg.Iters = iters
-	return []workload.Workload{km, fz, hop.New()}
+	return []workload.Native{km, fz, hop.New()}
 }
 
 // datasets memoizes data sets by spec, so every experiment that reads one

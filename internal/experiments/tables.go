@@ -131,7 +131,7 @@ func Table4(ctx context.Context, opt Options) (*report.Document, error) {
 	if opt.Quick {
 		iters = 2
 	}
-	run := func(label string, mk func() workload.Workload, spec datagen.Spec) error {
+	run := func(label string, mk func() workload.Native, spec datagen.Spec) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -166,7 +166,7 @@ func Table4(ctx context.Context, opt Options) (*report.Document, error) {
 	}
 
 	for _, spec := range datagen.TableIVKMeans() {
-		mk := func() workload.Workload {
+		mk := func() workload.Native {
 			w := kmeans.New()
 			w.Cfg.Iters = iters
 			return w
@@ -176,7 +176,7 @@ func Table4(ctx context.Context, opt Options) (*report.Document, error) {
 		}
 	}
 	for _, spec := range datagen.TableIVFuzzy() {
-		mk := func() workload.Workload {
+		mk := func() workload.Native {
 			w := fuzzy.New()
 			w.Cfg.Iters = iters
 			return w
@@ -190,7 +190,7 @@ func Table4(ctx context.Context, opt Options) (*report.Document, error) {
 		hopSpecs = hopSpecs[:1]
 	}
 	for _, spec := range hopSpecs {
-		if err := run(spec.Label, func() workload.Workload { return hop.New() }, spec); err != nil {
+		if err := run(spec.Label, func() workload.Native { return hop.New() }, spec); err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Label, err)
 		}
 	}

@@ -177,18 +177,3 @@ func (pv *Privatized) Reset() {
 		}
 	}
 }
-
-// MergeInto accumulates every private buffer into dst (the merging phase of
-// Algorithm 1: for each cluster, for each thread, add the partial result).
-// dst must have length Width. It returns the number of additions performed,
-// which grows linearly with the thread count — the effect the paper models.
-func (pv *Privatized) MergeInto(dst []float64) int {
-	ops := 0
-	for _, b := range pv.bufs {
-		for i, v := range b {
-			dst[i] += v
-			ops++
-		}
-	}
-	return ops
-}

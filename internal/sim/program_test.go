@@ -90,6 +90,28 @@ func TestValidateRejectsBadPhaseIndex(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBuilderFaults: the two faults a Builder can produce, zero
+// streams and an empty phase name, pass Build (which makes no Validate
+// pass) and are reported by Run.
+func TestRunRejectsBuilderFaults(t *testing.T) {
+	for name, b := range map[string]*Builder{
+		"no streams":       NewBuilder(0),
+		"empty phase name": NewBuilder(1).Phase("").Compute(0, 1),
+	} {
+		prog, err := b.Build()
+		if err != nil {
+			t.Fatalf("%s: Build: %v", name, err)
+		}
+		m, err := NewMachine(DefaultConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(prog); err == nil {
+			t.Errorf("%s: Run accepted the program", name)
+		}
+	}
+}
+
 // TestBuilderInternsPhases: repeated phase names share one table entry,
 // and Run reports each instance under its name.
 func TestBuilderInternsPhases(t *testing.T) {

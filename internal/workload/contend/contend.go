@@ -11,18 +11,17 @@
 //     invalidate every other core's copy, so the parallel phase serializes
 //     on coherence traffic the analytic model cannot see.
 //   - Split: each worker accumulates into a per-core privatized table
-//     (parallel.Privatized natively; a PartialBase region per core on the
-//     simulator) that the master reconciles into the shared table at
-//     phase boundaries — a classic growing merging phase, exactly the
-//     shape the paper's extended model was built for.
+//     (a PartialBase region per core) that the master reconciles into the
+//     shared table at phase boundaries — a classic growing merging phase,
+//     exactly the shape the paper's extended model was built for.
 //
-// The transaction trace is deterministic: one seeded rand.Zipf sequence
-// per (spec seed, config), shared by the native runner and the program
-// builder, identical across thread counts, core counts, and processes.
+// contend has no native runner: its experiments measure the simulated
+// MESI hierarchy. The transaction trace is deterministic: one seeded
+// rand.Zipf sequence per (spec seed, config), identical across core
+// counts, modes and processes.
 package contend
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -30,7 +29,6 @@ import (
 
 	"mergescale/internal/parallel"
 	"mergescale/internal/sim"
-	"mergescale/internal/trace"
 	"mergescale/internal/workload"
 	"mergescale/internal/workload/datagen"
 )
@@ -104,12 +102,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Result carries the native run's output.
-type Result struct {
-	Counts []uint64 // final per-key counter values
-	Total  uint64   // transactions applied (= trace length)
-}
-
 // Contend is the workload adapter.
 type Contend struct {
 	Cfg Config
@@ -134,19 +126,6 @@ func (w *Contend) DefaultSpec() datagen.Spec {
 	return datagen.Spec{Label: "contend-base", N: 65536, D: 1, C: 1, Spread: 1, Seed: 401}
 }
 
-// genZipf generates the deterministic transaction key sequence: the same
-// seed, length, and config always yield the same trace, so native runs and
-// simulator programs at every thread/core count replay identical accesses.
-func genZipf(seed uint64, n int, c Config) []uint32 {
-	rng := rand.New(rand.NewSource(int64(seed)))
-	z := rand.NewZipf(rng, c.Alpha, 1, uint64(c.Keys-1))
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = uint32(z.Uint64())
-	}
-	return out
-}
-
 // zipfKey is everything a trace depends on: Mode, OpsPerTx and Rounds
 // only shape how a program replays it.
 type zipfKey struct {
@@ -167,11 +146,10 @@ type zipfEntry struct {
 // ext-contend-split sweeps (3 alphas × 2 modes × 4 core counts) generate
 // 3 traces instead of 24. The key set is bounded: only registry
 // experiments build contend programs, and no CLI or HTTP input reaches
-// Alpha or Keys. Native runs call genZipf directly, so their timed init
-// phase keeps measuring the generation it reports as work.
+// Alpha or Keys.
 var zipfTraces sync.Map // zipfKey -> *zipfEntry
 
-// tracesBuilt counts genZipf calls made through zipfTrace; see TracesBuilt.
+// tracesBuilt counts the traces zipfTrace has generated; see TracesBuilt.
 var tracesBuilt atomic.Uint64
 
 // TracesBuilt reports how many distinct zipf traces this process has
@@ -179,8 +157,11 @@ var tracesBuilt atomic.Uint64
 // programs sharing a trace share its generation.
 func TracesBuilt() uint64 { return tracesBuilt.Load() }
 
-// zipfTrace returns the memoized trace for (seed, n, c). The slice is
-// shared by every caller and must be treated as read-only.
+// zipfTrace returns the memoized transaction key sequence for (seed, n,
+// c): the same seed, length, and config always yield the same trace, so
+// programs at every core count and in both modes replay identical
+// accesses. The slice is shared by every caller and must be treated as
+// read-only.
 func zipfTrace(seed uint64, n int, c Config) []uint32 {
 	k := zipfKey{seed: seed, n: n, alpha: c.Alpha, keys: c.Keys}
 	v, ok := zipfTraces.Load(k)
@@ -189,7 +170,12 @@ func zipfTrace(seed uint64, n int, c Config) []uint32 {
 	}
 	e := v.(*zipfEntry)
 	e.once.Do(func() {
-		e.keys = genZipf(seed, n, c)
+		rng := rand.New(rand.NewSource(int64(seed)))
+		z := rand.NewZipf(rng, c.Alpha, 1, uint64(c.Keys-1))
+		e.keys = make([]uint32, n)
+		for i := range e.keys {
+			e.keys[i] = uint32(z.Uint64())
+		}
 		tracesBuilt.Add(1)
 	})
 	return e.keys
@@ -199,133 +185,6 @@ func zipfTrace(seed uint64, n int, c Config) []uint32 {
 // divided evenly over the config's rounds.
 func roundBounds(n, rounds, r int) (lo, hi int) {
 	return r * n / rounds, (r + 1) * n / rounds
-}
-
-// Run executes the workload natively with instrumented phases. The final
-// counter table is identical in both modes and at every thread count
-// (addition commutes); only the sharing pattern differs.
-func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *trace.Profile, error) {
-	if threads < 1 {
-		return nil, nil, errors.New("contend: threads must be >= 1")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	n := ds.N()
-	prof := trace.NewProfile("contend", threads)
-	pool, err := parallel.NewPool(threads)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer pool.Close()
-
-	// ---- init: generate the transaction trace.
-	var tInit *trace.Timer
-	if timing {
-		tInit = prof.StartTimer(trace.SecInit)
-	}
-	keys := genZipf(ds.Spec.Seed, n, cfg)
-	if timing {
-		tInit.Stop()
-	}
-	prof.AddWork(trace.SecInit, float64(n))
-
-	counts := make([]uint64, cfg.Keys)
-	var pv *parallel.Privatized
-	var merged []float64
-	if cfg.Mode == Split {
-		pv = parallel.NewPrivatized(threads, cfg.Keys)
-		merged = make([]float64, cfg.Keys)
-	}
-	// txWork burns OpsPerTx deterministic mix steps per transaction so
-	// wall-clock timing reflects the modeled compute; the hashes land in
-	// sink so the loop cannot be eliminated.
-	sink := make([]uint64, threads)
-	var total uint64
-
-	for r := 0; r < cfg.Rounds; r++ {
-		lo, hi := roundBounds(n, cfg.Rounds, r)
-		cnt := hi - lo
-
-		// ---- parallel: apply this round's transactions.
-		var tPar *trace.Timer
-		if timing {
-			tPar = prof.StartTimer(trace.SecParallel)
-		}
-		if cfg.Mode == Joined {
-			pool.For(cnt, func(id, plo, phi int) {
-				h := uint64(id)
-				for i := plo; i < phi; i++ {
-					k := keys[lo+i]
-					for j := 0; j < cfg.OpsPerTx; j++ {
-						h = h*0x100000001b3 + uint64(k)
-					}
-					atomic.AddUint64(&counts[k], 1)
-				}
-				sink[id] += h
-			})
-		} else {
-			pool.For(cnt, func(id, plo, phi int) {
-				buf := pv.Buf(id)
-				h := uint64(id)
-				for i := plo; i < phi; i++ {
-					k := keys[lo+i]
-					for j := 0; j < cfg.OpsPerTx; j++ {
-						h = h*0x100000001b3 + uint64(k)
-					}
-					buf[k]++
-				}
-				sink[id] += h
-			})
-		}
-		if timing {
-			tPar.Stop()
-		}
-		prof.AddWork(trace.SecParallel, float64(cnt*(cfg.OpsPerTx+1)))
-
-		// ---- reduction (split only): reconcile per-core tables into the
-		// shared one — threads × keys work, the growing merging phase.
-		if cfg.Mode == Split {
-			var tRed *trace.Timer
-			if timing {
-				tRed = prof.StartTimer(trace.SecReduction)
-			}
-			mergeOps := pv.MergeInto(merged)
-			pv.Reset()
-			if timing {
-				tRed.Stop()
-			}
-			prof.AddWork(trace.SecReduction, float64(mergeOps))
-		}
-
-		// ---- serial: publish the round's table snapshot (constant work).
-		var tSer *trace.Timer
-		if timing {
-			tSer = prof.StartTimer(trace.SecSerial)
-		}
-		if cfg.Mode == Split {
-			for k := range merged {
-				counts[k] = uint64(merged[k])
-			}
-		}
-		roundTotal := uint64(0)
-		for _, v := range counts {
-			roundTotal += v
-		}
-		total = roundTotal
-		if timing {
-			tSer.Stop()
-		}
-		prof.AddWork(trace.SecSerial, float64(cfg.Keys))
-	}
-
-	return &Result{Counts: counts, Total: total}, prof, nil
-}
-
-// RunNative implements workload.Workload.
-func (w *Contend) RunNative(ds *datagen.Dataset, threads int, timing bool) (*trace.Profile, error) {
-	_, prof, err := Run(ds, w.Cfg, threads, timing)
-	return prof, err
 }
 
 // BuildProgram implements workload.Workload. Every transaction compiles to

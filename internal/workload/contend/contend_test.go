@@ -1,11 +1,9 @@
 package contend_test
 
 import (
-	"reflect"
 	"testing"
 
 	"mergescale/internal/sim"
-	"mergescale/internal/trace"
 	"mergescale/internal/workload"
 	"mergescale/internal/workload/contend"
 	"mergescale/internal/workload/datagen"
@@ -21,66 +19,6 @@ func testDataset(t *testing.T, n int) *datagen.Dataset {
 		t.Fatal(err)
 	}
 	return ds
-}
-
-// TestNativeTotalsMatchTrace checks the ground truth: in both modes and at
-// every thread count, every transaction lands exactly once — the final
-// counter table is the trace histogram.
-func TestNativeTotalsMatchTrace(t *testing.T) {
-	ds := testDataset(t, 4096)
-	for _, mode := range []contend.Mode{contend.Joined, contend.Split} {
-		cfg := contend.DefaultConfig()
-		cfg.Mode = mode
-		cfg.Keys = 256
-		var ref *contend.Result
-		for _, threads := range []int{1, 2, 4} {
-			res, prof, err := contend.Run(ds, cfg, threads, false)
-			if err != nil {
-				t.Fatalf("%v threads=%d: %v", mode, threads, err)
-			}
-			if res.Total != uint64(ds.N()) {
-				t.Errorf("%v threads=%d: total %d, want %d", mode, threads, res.Total, ds.N())
-			}
-			if prof.TotalWork() == 0 {
-				t.Errorf("%v threads=%d: empty profile", mode, threads)
-			}
-			if ref == nil {
-				ref = res
-			} else if !reflect.DeepEqual(res.Counts, ref.Counts) {
-				t.Errorf("%v threads=%d: counter table differs from 1-thread run", mode, threads)
-			}
-		}
-	}
-}
-
-// TestSplitReductionGrowsWithThreads pins the merging-phase shape: split
-// mode's reduction work is threads × keys per round, joined mode has none.
-func TestSplitReductionGrowsWithThreads(t *testing.T) {
-	ds := testDataset(t, 2048)
-	cfg := contend.DefaultConfig()
-	cfg.Keys = 128
-	cfg.Mode = contend.Split
-	_, p1, err := contend.Run(ds, cfg, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, p4, err := contend.Run(ds, cfg, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	red1 := p1.SectionWork(trace.SecReduction)
-	red4 := p4.SectionWork(trace.SecReduction)
-	if red4 != 4*red1 || red1 == 0 {
-		t.Errorf("split reduction work: 1 thread %v, 4 threads %v (want 4x growth)", red1, red4)
-	}
-	cfg.Mode = contend.Joined
-	_, pj, err := contend.Run(ds, cfg, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pj.SectionWork(trace.SecReduction); got != 0 {
-		t.Errorf("joined mode should have no reduction work, got %v", got)
-	}
 }
 
 // TestJoinedInvalidationStorm pins the tentpole's physical effect: at high

@@ -1,14 +1,15 @@
 package contend
 
 import (
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 )
 
 // TestZipfTraceMemo: concurrent callers of one key share one generation
-// and one read-only slice equal to a fresh genZipf; Mode, OpsPerTx and
-// Rounds do not split the key, a different seed does.
+// and one read-only slice equal to a fresh rand.Zipf sequence; Mode,
+// OpsPerTx and Rounds do not split the key, a different seed does.
 func TestZipfTraceMemo(t *testing.T) {
 	c := DefaultConfig()
 	c.Alpha = 1.37 // a key no other test builds
@@ -36,7 +37,11 @@ func TestZipfTraceMemo(t *testing.T) {
 	if built := TracesBuilt() - before; built != 1 {
 		t.Fatalf("%d concurrent callers of one key built %d traces, want 1", callers, built)
 	}
-	want := genZipf(seed, n, c)
+	want := make([]uint32, n)
+	z := rand.NewZipf(rand.New(rand.NewSource(seed)), c.Alpha, 1, uint64(c.Keys-1))
+	for i := range want {
+		want[i] = uint32(z.Uint64())
+	}
 	for i, g := range got {
 		if &g[0] != &got[0][0] {
 			t.Errorf("caller %d got its own slice, want the shared one", i)

@@ -7,9 +7,6 @@
 package fuzzy
 
 import (
-	"errors"
-	"fmt"
-
 	"mergescale/internal/parallel"
 	"mergescale/internal/reduction"
 	"mergescale/internal/sim"
@@ -32,16 +29,14 @@ func DefaultConfig() Config {
 	return Config{K: 8, Iters: 10, Strategy: reduction.Linear}
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.K < 1 {
-		return errors.New("fuzzy: K must be >= 1")
-	}
-	if c.Iters < 1 {
-		return errors.New("fuzzy: Iters must be >= 1")
-	}
-	return nil
+// centroid returns c as the Algorithm-1 shape that counts and compiles it.
+func (c Config) centroid() workload.Centroid {
+	return workload.Centroid{Name: "fuzzy", K: c.K, Iters: c.Iters, Strategy: c.Strategy,
+		OpsPerPoint: opsPerPoint, SerialOps: serialOps}
 }
+
+// Validate checks the configuration.
+func (c Config) Validate() error { return c.centroid().Validate() }
 
 // Result carries the clustering output.
 type Result struct {
@@ -77,34 +72,16 @@ func opsPerPoint(k, d int) float64 {
 
 const epsilon = 1e-12
 
+// serialOps is the serial section's convergence bookkeeping: MineBench
+// tracks the objective-function delta; the equivalent constant work is
+// accounted, not run.
+func serialOps(k, d int) int { return k * d }
+
 // Count returns the profile of operation counts that Run records for cfg
 // on ds with the given thread count, without clustering anything (see
-// kmeans.Count). It fails where Run does, with the same error.
+// workload.Centroid.Count). It fails where Run does, with the same error.
 func Count(ds *datagen.Dataset, cfg Config, threads int) (*trace.Profile, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if threads < 1 {
-		return nil, errors.New("fuzzy: threads must be >= 1")
-	}
-	n, d, k := ds.N(), ds.D(), cfg.K
-	if k > n {
-		return nil, fmt.Errorf("fuzzy: K=%d exceeds N=%d", k, n)
-	}
-	if err := cfg.Strategy.Validate(); err != nil {
-		return nil, err
-	}
-	merge := float64(reduction.CostOf(cfg.Strategy, threads, k*(d+1)).CriticalOps) + float64(2*k*d)
-	prof := trace.NewProfile("fuzzy", threads)
-	prof.AddWork(trace.SecInit, float64(k*d))
-	for iter := 0; iter < cfg.Iters; iter++ {
-		prof.AddWork(trace.SecParallel, float64(n)*opsPerPoint(k, d))
-		prof.AddWork(trace.SecReduction, merge)
-		// Convergence bookkeeping: MineBench tracks the objective-function
-		// delta; the equivalent constant work is accounted, not run.
-		prof.AddWork(trace.SecSerial, float64(k*d))
-	}
-	return prof, nil
+	return cfg.centroid().Count(ds, threads)
 }
 
 // Run executes fuzzy c-means natively and returns the clustering result
@@ -227,7 +204,7 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	return &Result{Centers: centers, Assign: assign, Iters: cfg.Iters}, prof, nil
 }
 
-// RunNative implements workload.Workload. Without timing nothing reads the
+// RunNative implements workload.Native. Without timing nothing reads the
 // clustering, so the profile is Count's and no kernel runs.
 func (w *Fuzzy) RunNative(ds *datagen.Dataset, threads int, timing bool) (*trace.Profile, error) {
 	if !timing {
@@ -237,61 +214,10 @@ func (w *Fuzzy) RunNative(ds *datagen.Dataset, threads int, timing bool) (*trace
 	return prof, err
 }
 
-// BuildProgram implements workload.Workload (see kmeans.BuildProgram; the
-// structure is identical with fuzzy's heavier per-point compute).
+// BuildProgram implements workload.Workload: it compiles the same phase
+// structure into the simulator IR (see workload.Centroid.BuildProgram).
 func (w *Fuzzy) BuildProgram(ds *datagen.Dataset, cfg sim.Config, scale int) (*sim.Program, error) {
-	if err := w.Cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if scale < 1 {
-		scale = 1
-	}
-	n := ds.N() / scale
-	d, k := ds.D(), w.Cfg.K
-	if n < cfg.Cores || n < k {
-		return nil, fmt.Errorf("fuzzy: scaled N=%d too small for %d cores / K=%d", n, cfg.Cores, k)
-	}
-	b := sim.NewBuilder(cfg.Cores)
-	const f8 = 8
-	centerBytes := uint64(k * d * f8)
-	partialBytes := uint64(k * (d + 1) * f8)
-
-	b.Phase("init")
-	b.LoadRange(0, workload.AddrPoints, centerBytes, cfg.LineSz)
-	b.Compute(0, uint64(k*d))
-	b.StoreRange(0, workload.AddrCenters, centerBytes, cfg.LineSz)
-	b.Barrier()
-
-	ranges := parallel.Split(n, cfg.Cores)
-	for iter := 0; iter < w.Cfg.Iters; iter++ {
-		b.Phase("parallel")
-		for id := 0; id < cfg.Cores; id++ {
-			r := ranges[id]
-			pts := r.Hi - r.Lo
-			if pts <= 0 {
-				continue
-			}
-			b.LoadRange(id, workload.AddrCenters, centerBytes, cfg.LineSz)
-			b.LoadRange(id, workload.AddrPoints+uint64(r.Lo*d*f8), uint64(pts*d*f8), cfg.LineSz)
-			b.Compute(id, uint64(float64(pts)*opsPerPoint(k, d)))
-			b.StoreRange(id, workload.PartialBase(id), partialBytes, cfg.LineSz)
-		}
-		b.Barrier()
-
-		b.Phase("reduction")
-		for id := 0; id < cfg.Cores; id++ {
-			b.LoadRange(0, workload.PartialBase(id), partialBytes, cfg.LineSz)
-			b.Compute(0, uint64(k*(d+1)))
-		}
-		b.Compute(0, uint64(2*k*d))
-		b.StoreRange(0, workload.AddrCenters, centerBytes, cfg.LineSz)
-		b.Barrier()
-
-		b.Phase("serial")
-		b.Compute(0, uint64(k*d))
-		b.Barrier()
-	}
-	return b.Build()
+	return w.Cfg.centroid().BuildProgram(ds, cfg, scale)
 }
 
-var _ workload.Workload = (*Fuzzy)(nil)
+var _ workload.Native = (*Fuzzy)(nil)

@@ -630,7 +630,7 @@ func (p *pass) crossEdges(ranges []parallel.Range) int {
 	return cross
 }
 
-// RunNative implements workload.Workload. Without timing nothing reads the
+// RunNative implements workload.Native. Without timing nothing reads the
 // grouping, so the profile is Count's, built from one memoized kernel pass
 // per data set instead of a kernel run per thread count.
 func (w *Hop) RunNative(ds *datagen.Dataset, threads int, timing bool) (*trace.Profile, error) {
@@ -717,4 +717,4 @@ func (w *Hop) BuildProgram(ds *datagen.Dataset, cfg sim.Config, scale int) (*sim
 	return b.Build()
 }
 
-var _ workload.Workload = (*Hop)(nil)
+var _ workload.Native = (*Hop)(nil)

@@ -5,8 +5,6 @@
 package kmeans
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"mergescale/internal/parallel"
@@ -30,16 +28,14 @@ func DefaultConfig() Config {
 	return Config{K: 8, Iters: 10, Strategy: reduction.Linear}
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.K < 1 {
-		return errors.New("kmeans: K must be >= 1")
-	}
-	if c.Iters < 1 {
-		return errors.New("kmeans: Iters must be >= 1")
-	}
-	return nil
+// centroid returns c as the Algorithm-1 shape that counts and compiles it.
+func (c Config) centroid() workload.Centroid {
+	return workload.Centroid{Name: "kmeans", K: c.K, Iters: c.Iters, Strategy: c.Strategy,
+		OpsPerPoint: opsPerPoint, SerialOps: serialOps}
 }
+
+// Validate checks the configuration.
+func (c Config) Validate() error { return c.centroid().Validate() }
 
 // Result carries the clustering output.
 type Result struct {
@@ -72,37 +68,16 @@ func (w *KMeans) DefaultSpec() datagen.Spec { return datagen.KMeansBase }
 // accumulations into the private partial sums.
 func opsPerPoint(k, d int) float64 { return float64(3*k*d + k + d + 1) }
 
+// serialOps is the serial section's convergence bookkeeping: per center
+// coordinate, the difference, its square added into the delta, and the
+// copy.
+func serialOps(k, d int) int { return 3 * k * d }
+
 // Count returns the profile of operation counts that Run records for cfg
-// on ds with the given thread count, without clustering anything: every
-// count is a formula in N, D, K, Iters, threads and the merge strategy, so
-// no point value enters it. It fails where Run does, with the same error.
-// Each iteration's counts are added in turn, so the float totals round
-// exactly as per-iteration accounting does.
+// on ds with the given thread count, without clustering anything (see
+// workload.Centroid.Count). It fails where Run does, with the same error.
 func Count(ds *datagen.Dataset, cfg Config, threads int) (*trace.Profile, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if threads < 1 {
-		return nil, errors.New("kmeans: threads must be >= 1")
-	}
-	n, d, k := ds.N(), ds.D(), cfg.K
-	if k > n {
-		return nil, fmt.Errorf("kmeans: K=%d exceeds N=%d", k, n)
-	}
-	if err := cfg.Strategy.Validate(); err != nil {
-		return nil, err
-	}
-	// Merge: the strategy's critical path over K*(D+1) partials, plus
-	// normalizing the sums into new centers.
-	merge := float64(reduction.CostOf(cfg.Strategy, threads, k*(d+1)).CriticalOps) + float64(2*k*d)
-	prof := trace.NewProfile("kmeans", threads)
-	prof.AddWork(trace.SecInit, float64(k*d))
-	for iter := 0; iter < cfg.Iters; iter++ {
-		prof.AddWork(trace.SecParallel, float64(n)*opsPerPoint(k, d))
-		prof.AddWork(trace.SecReduction, merge)
-		prof.AddWork(trace.SecSerial, float64(3*k*d))
-	}
-	return prof, nil
+	return cfg.centroid().Count(ds, threads)
 }
 
 // Run executes k-means natively and returns the clustering result together
@@ -221,7 +196,7 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	return &Result{Centers: centers, Assign: assign, Iters: cfg.Iters, Delta: delta}, prof, nil
 }
 
-// RunNative implements workload.Workload. Without timing nothing reads the
+// RunNative implements workload.Native. Without timing nothing reads the
 // clustering, so the profile is Count's and no kernel runs.
 func (w *KMeans) RunNative(ds *datagen.Dataset, threads int, timing bool) (*trace.Profile, error) {
 	if !timing {
@@ -232,68 +207,9 @@ func (w *KMeans) RunNative(ds *datagen.Dataset, threads int, timing bool) (*trac
 }
 
 // BuildProgram implements workload.Workload: it compiles the same phase
-// structure into the simulator IR. Loads and stores are emitted at cache-
-// line granularity; per-point arithmetic is aggregated into compute bursts
-// (the in-order core model makes op interleaving timing-neutral).
+// structure into the simulator IR (see workload.Centroid.BuildProgram).
 func (w *KMeans) BuildProgram(ds *datagen.Dataset, cfg sim.Config, scale int) (*sim.Program, error) {
-	if err := w.Cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if scale < 1 {
-		scale = 1
-	}
-	n := ds.N() / scale
-	d, k := ds.D(), w.Cfg.K
-	if n < cfg.Cores || n < k {
-		return nil, fmt.Errorf("kmeans: scaled N=%d too small for %d cores / K=%d", n, cfg.Cores, k)
-	}
-	b := sim.NewBuilder(cfg.Cores)
-	const f8 = 8 // bytes per float64
-	centerBytes := uint64(k * d * f8)
-	partialBytes := uint64(k * (d + 1) * f8)
-
-	// init: master reads the first K points and writes the centers.
-	b.Phase("init")
-	b.LoadRange(0, workload.AddrPoints, centerBytes, cfg.LineSz)
-	b.Compute(0, uint64(k*d))
-	b.StoreRange(0, workload.AddrCenters, centerBytes, cfg.LineSz)
-	b.Barrier()
-
-	ranges := parallel.Split(n, cfg.Cores)
-	for iter := 0; iter < w.Cfg.Iters; iter++ {
-		b.Phase("parallel")
-		for id := 0; id < cfg.Cores; id++ {
-			r := ranges[id]
-			pts := r.Hi - r.Lo
-			if pts <= 0 {
-				continue
-			}
-			// Read the shared centers, stream this core's point chunk,
-			// accumulate into the private partial buffer.
-			b.LoadRange(id, workload.AddrCenters, centerBytes, cfg.LineSz)
-			b.LoadRange(id, workload.AddrPoints+uint64(r.Lo*d*f8), uint64(pts*d*f8), cfg.LineSz)
-			b.Compute(id, uint64(float64(pts)*opsPerPoint(k, d)))
-			b.StoreRange(id, workload.PartialBase(id), partialBytes, cfg.LineSz)
-		}
-		b.Barrier()
-
-		// merging phase: master gathers every thread's partials (coherence
-		// transfers that grow with the core count), accumulates, and
-		// publishes the new centers.
-		b.Phase("reduction")
-		for id := 0; id < cfg.Cores; id++ {
-			b.LoadRange(0, workload.PartialBase(id), partialBytes, cfg.LineSz)
-			b.Compute(0, uint64(k*(d+1)))
-		}
-		b.Compute(0, uint64(2*k*d))
-		b.StoreRange(0, workload.AddrCenters, centerBytes, cfg.LineSz)
-		b.Barrier()
-
-		b.Phase("serial")
-		b.Compute(0, uint64(3*k*d))
-		b.Barrier()
-	}
-	return b.Build()
+	return w.Cfg.centroid().BuildProgram(ds, cfg, scale)
 }
 
-var _ workload.Workload = (*KMeans)(nil)
+var _ workload.Native = (*KMeans)(nil)

@@ -10,7 +10,6 @@ import (
 	"mergescale/internal/engine"
 	"mergescale/internal/trace"
 	"mergescale/internal/workload"
-	"mergescale/internal/workload/contend"
 )
 
 // countingStore is an engine.Store that never hits and counts Puts.
@@ -33,9 +32,7 @@ func (s *countingStore) Put(string, any) {
 // team. Not parallel: a concurrent test's goroutines would move the count.
 func TestNativeRunsLeaveNoGoroutines(t *testing.T) {
 	ds := testData(t, 49)
-	split := contend.New()
-	split.Cfg.Mode = contend.Split
-	for _, w := range append(allWorkloads(), contend.New(), split) {
+	for _, w := range allWorkloads() {
 		for _, th := range []int{1, 2, 4} {
 			before := runtime.NumGoroutine()
 			if _, err := w.RunNative(ds, th, true); err != nil {
@@ -64,7 +61,7 @@ func TestNativeProfilesEngineMatchesSerial(t *testing.T) {
 	ds := testData(t, 46)
 	threads := []int{1, 2, 3, 4}
 	eng := engine.New(engine.Config{Workers: 2})
-	for _, w := range append(allWorkloads(), contend.New()) {
+	for _, w := range allWorkloads() {
 		want := make([]*trace.Profile, len(threads))
 		for i, th := range threads {
 			p, err := w.RunNative(ds, th, false)

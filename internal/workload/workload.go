@@ -27,14 +27,19 @@ type Workload interface {
 	Params() any
 	// DefaultSpec returns the default data-set shape (Table IV "base").
 	DefaultSpec() datagen.Spec
-	// RunNative executes the algorithm with the given thread count,
-	// recording per-section operation counts (and wall times when timing
-	// is true) into a fresh profile.
-	RunNative(ds *datagen.Dataset, threads int, timing bool) (*trace.Profile, error)
 	// BuildProgram compiles the workload into a simulator program for the
 	// given machine configuration. scale > 1 divides the point count to
 	// keep simulations short (shape-preserving; merge work is unscaled).
 	BuildProgram(ds *datagen.Dataset, cfg sim.Config, scale int) (*sim.Program, error)
+}
+
+// Native is a workload that also runs on the host: kmeans, fuzzy and hop.
+type Native interface {
+	Workload
+	// RunNative executes the algorithm with the given thread count,
+	// recording per-section operation counts (and wall times when timing
+	// is true) into a fresh profile.
+	RunNative(ds *datagen.Dataset, threads int, timing bool) (*trace.Profile, error)
 }
 
 // Memory layout used by all generated simulator programs. Regions are far
@@ -93,7 +98,7 @@ func NativeRunKey(w Workload, spec datagen.Spec, threads int) string {
 // runs bypass eng: they are never cached (wall-clock sections are
 // nondeterministic) and run serially on the calling goroutine, so no run
 // is timed while its siblings compete for the CPU.
-func NativeProfiles(ctx context.Context, eng *engine.Engine, w Workload, ds *datagen.Dataset, threadCounts []int, timing bool) ([]*trace.Profile, error) {
+func NativeProfiles(ctx context.Context, eng *engine.Engine, w Native, ds *datagen.Dataset, threadCounts []int, timing bool) ([]*trace.Profile, error) {
 	out := make([]*trace.Profile, len(threadCounts))
 	if timing {
 		for i, th := range threadCounts {

@@ -31,12 +31,12 @@ func serialEngine() *engine.Engine {
 	return engine.New(engine.Config{Workers: 1, DisableCache: true})
 }
 
-func allWorkloads() []workload.Workload {
+func allWorkloads() []workload.Native {
 	km := kmeans.New()
 	km.Cfg.Iters = 2
 	fz := fuzzy.New()
 	fz.Cfg.Iters = 2
-	return []workload.Workload{km, fz, hop.New()}
+	return []workload.Native{km, fz, hop.New()}
 }
 
 func TestPartialBaseAddressesDisjoint(t *testing.T) {
@@ -203,16 +203,20 @@ func TestShapeOnlyPathsDrawNoPoints(t *testing.T) {
 		return err
 	})
 	cfg := sim.DefaultConfig(4)
-	for _, w := range append(allWorkloads(), contend.New()) {
-		if w.Name() != "hop" && w.Name() != "contend" {
-			allocated(w.Name()+" count-mode RunNative", func() error {
-				_, err := w.RunNative(ds, 4, false)
-				return err
-			})
-		}
+	buildProgram := func(w workload.Workload) {
 		allocated(w.Name()+" BuildProgram", func() error {
 			_, err := w.BuildProgram(ds, cfg, scale)
 			return err
 		})
 	}
+	for _, w := range allWorkloads() {
+		if w.Name() != "hop" {
+			allocated(w.Name()+" count-mode RunNative", func() error {
+				_, err := w.RunNative(ds, 4, false)
+				return err
+			})
+		}
+		buildProgram(w)
+	}
+	buildProgram(contend.New())
 }

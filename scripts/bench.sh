@@ -9,10 +9,9 @@
 #   BENCH_contend.json contended-workload benchmarks (package
 #                      ./internal/workload/contend): Machine.Run at p=8
 #                      under joined (invalidation-storm) vs split
-#                      (privatized) traffic, plus native runs at 4
-#                      threads, each starting and closing its own worker
-#                      team. The joined/split ns_per_op ratio is the
-#                      simulated cost of sharing hot lines.
+#                      (privatized) traffic, one held machine Reset
+#                      before each run. The joined/split ns_per_op ratio
+#                      is the simulated cost of sharing hot lines.
 #
 # End-to-end performance (registry regeneration, cache replay, /sweep and
 # HTTP serving) is measured with spread by `bash benchmark/run.sh`; see

@@ -18,8 +18,9 @@ go vet ./...
 
 echo "== benchmark harness builds =="
 # benchmark/ is its own module compiled against internal/ APIs: a change
-# that breaks it fails here, not on the next benchmark run.
-(cd benchmark && go vet .)
+# that breaks it fails here, not on the next benchmark run. Its tests
+# include the CPU-layer mapping the per-layer metrics depend on.
+(cd benchmark && go vet . && go test -count=1 .)
 
 echo "== examples run =="
 # The examples are the only callers of some exported model helpers
