@@ -22,9 +22,9 @@
 // fig2a..fig7) plus the abl-* ablations; see DESIGN.md for the index.
 //
 // Experiments execute concurrently on the engine worker pool (one job per
-// artifact; per-core simulator runs and per-thread native runs shard into
-// sub-jobs), but the output is always rendered in registry order, so a
-// parallel run is byte-identical to -workers 1.
+// artifact; per-core simulator runs shard into sub-jobs), but the output
+// is always rendered in registry order, so a parallel run is
+// byte-identical to -workers 1.
 //
 // Output always goes through the streaming report pipeline
 // (experiments.StreamElements): -format selects the backend (text,

@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"mergescale/internal/core"
-	"mergescale/internal/engine"
 	"mergescale/internal/trace"
 	"mergescale/internal/workload"
 	"mergescale/internal/workload/datagen"
@@ -23,14 +22,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Run parallel k-means at several thread counts, recording the
-	// per-section operation counts. A one-worker, uncached engine runs
-	// the thread counts one after another.
+	// 2. Profile parallel k-means at several thread counts, recording the
+	// per-section operation counts, one thread count after another.
 	w := kmeans.New()
 	w.Cfg.Iters = 5
 	threadCounts := []int{1, 2, 4, 8, 16}
-	eng := engine.New(engine.Config{Workers: 1, DisableCache: true})
-	profiles, err := workload.NativeProfiles(context.Background(), eng, w, ds, threadCounts, false)
+	profiles, err := workload.NativeProfiles(context.Background(), w, ds, threadCounts, false)
 	if err != nil {
 		log.Fatal(err)
 	}

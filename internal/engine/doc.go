@@ -1,12 +1,12 @@
 // Package engine is the concurrent experiment runtime: a bounded worker
-// pool that executes heterogeneous jobs (paper artifacts, simulator and
-// native runs) with per-job context cancellation, a two-level config-hash
+// pool that executes heterogeneous jobs (paper artifacts and simulator
+// runs) with per-job context cancellation, a two-level config-hash
 // result cache, and deterministic output ordering.
 //
 // The engine is deliberately independent of the model and workload
 // packages so that any layer — cmd/mergescale submitting whole
-// experiments, internal/workload sharding simulator runs per core count
-// and native runs per thread count — can fan out through the same pool.
+// experiments, internal/workload sharding simulator runs per core count —
+// can fan out through the same pool.
 //
 // # Concurrency model
 //

@@ -68,7 +68,7 @@ func contendDoc(ctx context.Context, opt Options, id, title string, mode contend
 			return nil, err
 		}
 		w := contendWorkload(mode, alpha)
-		ds, err := datasetFor(w, opt)
+		ds, err := datasetFor(w.DefaultSpec(), opt)
 		if err != nil {
 			return nil, err
 		}

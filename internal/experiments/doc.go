@@ -8,10 +8,11 @@
 // Experiments always run through an engine: StreamElements (and its
 // buffered reference, RunAll) submits one job per artifact, and
 // experiments shard their expensive internal work — per-core-count
-// simulator runs and per-thread-count native runs (internal/workload) —
-// into sub-jobs on the same engine via Options.Engine, which is required.
-// Closed-form model sweeps (internal/core) are plain calls inside the
-// experiment's job: microseconds of arithmetic that no cache lookup
+// simulator runs (internal/workload) — into sub-jobs on the same engine
+// via Options.Engine, which is required. Native profiles (closed-form
+// operation counts; hop's also read one memoized kernel pass per data
+// set) and closed-form model sweeps (internal/core) are plain calls
+// inside the experiment's job: microseconds each, which no cache lookup
 // could beat. The engine executes sub-jobs inline
 // when its pool is saturated, so nested submission never deadlocks, and
 // engine.Config{Workers: 1, DisableCache: true} is the serial, uncached

@@ -33,10 +33,9 @@ type Options struct {
 	// UseDuration bases the native-run experiments (Fig. 2(c)) on wall
 	// clock instead of deterministic operation counts.
 	UseDuration bool
-	// Engine is required: experiments shard their simulator and native
-	// runs (one per core or thread count) into sub-jobs on it. RunAll and
-	// StreamElements set it to the engine they run on. It is excluded from
-	// cache keys; see cacheKey.
+	// Engine is required: experiments shard their simulator runs (one per
+	// core count) into sub-jobs on it. RunAll and StreamElements set it to
+	// the engine they run on. It is excluded from cache keys; see cacheKey.
 	Engine *engine.Engine
 }
 
@@ -173,38 +172,17 @@ func workloadSet(opt Options) []workload.Native {
 	return []workload.Native{km, fz, hop.New()}
 }
 
-// datasets memoizes data sets by spec, so every experiment that reads one
-// spec shares one *Dataset and with it the points drawn on its first read
-// (only hop's native runs read them; everything else needs the shape).
-// Datasets are read-only (workloads copy what they mutate), so sharing is
-// safe; memory is bounded by the distinct specs the process uses.
-var datasets sync.Map // datagen.Spec -> *datagen.Dataset
-
-// datasetFor generates (or recalls) the default data set of a workload,
-// shrunk in quick mode.
-func datasetFor(w workload.Workload, opt Options) (*datagen.Dataset, error) {
-	spec := w.DefaultSpec()
+// datasetFor generates spec's data set, shrunk in quick mode. Generate
+// only validates the spec: points are drawn on first read, so experiments
+// need not share one *Dataset.
+func datasetFor(spec datagen.Spec, opt Options) (*datagen.Dataset, error) {
 	if opt.Quick {
 		spec.N /= 8
 		if spec.N < 1024 {
 			spec.N = 1024
 		}
 	}
-	return genDataset(spec)
-}
-
-// genDataset is the memoizing front of datagen.Generate shared by every
-// experiment (see datasets): concurrent misses all get the stored one.
-func genDataset(spec datagen.Spec) (*datagen.Dataset, error) {
-	if v, ok := datasets.Load(spec); ok {
-		return v.(*datagen.Dataset), nil
-	}
-	ds, err := datagen.Generate(spec)
-	if err != nil {
-		return nil, err
-	}
-	v, _ := datasets.LoadOrStore(spec, ds)
-	return v.(*datagen.Dataset), nil
+	return datagen.Generate(spec)
 }
 
 // nativeThreadCounts returns the thread grid for native runs (the paper's

@@ -7,14 +7,12 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"mergescale/internal/engine"
 	"mergescale/internal/report"
 	"mergescale/internal/sim"
 	"mergescale/internal/workload/contend"
-	"mergescale/internal/workload/datagen"
 )
 
 var quick = Options{Quick: true}
@@ -274,32 +272,6 @@ func TestContendBuildsOneTracePerAlpha(t *testing.T) {
 		}
 		if got := contend.TracesBuilt() - built; got > limit {
 			t.Errorf("pass %d: built %d zipf traces, want at most %d", pass, got, limit)
-		}
-	}
-}
-
-// TestGenDatasetConcurrentMissesShareOne: concurrent first calls for one
-// spec generate it once and all return the same *Dataset.
-func TestGenDatasetConcurrentMissesShareOne(t *testing.T) {
-	spec := datagen.Spec{Label: "gen-once", N: 4096, D: 3, C: 4, Spread: 1, Seed: 9173}
-	const callers = 8
-	got := make([]*datagen.Dataset, callers)
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ds, err := genDataset(spec)
-			if err != nil {
-				t.Error(err)
-			}
-			got[i] = ds
-		}()
-	}
-	wg.Wait()
-	for i, ds := range got {
-		if ds == nil || ds != got[0] {
-			t.Fatalf("caller %d got data set %p, caller 0 got %p", i, ds, got[0])
 		}
 	}
 }

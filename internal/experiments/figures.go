@@ -23,7 +23,7 @@ func Fig2a(ctx context.Context, opt Options) (*report.Document, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ds, err := datasetFor(w, opt)
+		ds, err := datasetFor(w.DefaultSpec(), opt)
 		if err != nil {
 			return nil, err
 		}
@@ -64,13 +64,13 @@ func serialGrowthDoc(ctx context.Context, id, title string, opt Options, native 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ds, err := datasetFor(w, opt)
+		ds, err := datasetFor(w.DefaultSpec(), opt)
 		if err != nil {
 			return nil, err
 		}
 		var profiles []*trace.Profile
 		if native {
-			profiles, err = workload.NativeProfiles(ctx, opt.Engine, w, ds, grid, opt.UseDuration)
+			profiles, err = workload.NativeProfiles(ctx, w, ds, grid, opt.UseDuration)
 		} else {
 			profiles, err = workload.SimProfiles(ctx, opt.Engine, w, ds, grid, simScale(opt))
 		}
@@ -119,7 +119,7 @@ func Fig2d(ctx context.Context, opt Options) (*report.Document, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ds, err := datasetFor(w, opt)
+		ds, err := datasetFor(w.DefaultSpec(), opt)
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"mergescale/internal/engine"
-	"mergescale/internal/workload"
+	"mergescale/internal/sim"
 	"mergescale/internal/workload/hop"
 )
 
@@ -42,39 +42,26 @@ func runCounted(t *testing.T, targets []Experiment) (map[string]int, engine.Stat
 	return st.puts, eng.Stats()
 }
 
-// TestRunAllDedupesNativeRuns: Table IV and Fig. 2(c) both need the
-// hop-default quick runs at every native thread count; one RunAll executes
-// each of those native-run keys exactly once, and no job runs twice. The
-// three count-mode runs read one memoized hop kernel pass: an earlier test
-// may already have built it, so the first runs here build at most one,
-// and no later run, not even on an engine with no memory cache, builds
-// another.
-func TestRunAllDedupesNativeRuns(t *testing.T) {
+// TestRunAllStoresDocumentsAndSimRuns: native profiles are plain calls,
+// so a cold RunAll stores one entry per experiment plus one per simulated
+// run and nothing else, and no key executes twice. Table IV and Fig. 2(c)
+// each store only their document. Both profile hop-default at every
+// native thread count, and those count-mode runs read one memoized hop
+// kernel pass: an earlier test may already have built it, so the first
+// runs here build at most one, and no later run, not even on an engine
+// with no memory cache, builds another.
+func TestRunAllStoresDocumentsAndSimRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	w := hop.New()
-	ds, err := datasetFor(w, quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hopKeys []string
-	for _, th := range nativeThreadCounts(quick) {
-		hopKeys = append(hopKeys, workload.NativeRunKey(w, ds.Spec, th))
-	}
-
 	passes := hop.PassesBuilt()
-	// Both experiments submit the hop runs on their own.
 	for _, id := range []string{"table4", "fig2c"} {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		puts, _ := runCounted(t, []Experiment{e})
-		for _, k := range hopKeys {
-			if puts[k] != 1 {
-				t.Errorf("%s alone: hop native-run key %s executed %d times, want 1", id, k, puts[k])
-			}
+		if puts, _ := runCounted(t, []Experiment{e}); len(puts) != 1 {
+			t.Errorf("%s alone stored %d keys, want 1 (its document)", id, len(puts))
 		}
 	}
 	if got := hop.PassesBuilt() - passes; got > 1 {
@@ -82,22 +69,23 @@ func TestRunAllDedupesNativeRuns(t *testing.T) {
 	}
 	passes = hop.PassesBuilt()
 
+	runs := sim.Runs()
 	puts, stats := runCounted(t, Registry())
-	for _, k := range hopKeys {
-		if puts[k] != 1 {
-			t.Errorf("run all: hop native-run key %s executed %d times, want 1", k, puts[k])
-		}
-	}
+	simRuns := sim.Runs() - runs
 	for k, n := range puts {
 		if n != 1 {
 			t.Errorf("run all: key %s executed %d times, want 1", k, n)
 		}
 	}
+	if want := len(Registry()) + int(simRuns); len(puts) != want {
+		t.Errorf("run all stored %d keys, want %d (%d documents + %d simulated runs)",
+			len(puts), want, len(Registry()), simRuns)
+	}
 	if stats.Executed != uint64(len(puts)) {
 		t.Errorf("run all executed %d jobs for %d distinct keys", stats.Executed, len(puts))
 	}
 
-	// -nocache: every experiment runs hop's thread counts itself.
+	// -nocache: every experiment profiles hop-default itself.
 	nocache := engine.New(engine.Config{Workers: 4, DisableCache: true})
 	for _, o := range RunAll(context.Background(), nocache, Registry(), quick) {
 		if o.Err != nil {

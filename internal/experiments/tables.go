@@ -44,7 +44,7 @@ var paperTableII = map[string]struct {
 // measureApp runs a workload on the simulator across the core grid (one
 // engine job per core count) and extracts model parameters.
 func measureApp(ctx context.Context, w workload.Workload, opt Options) (core.AppParams, []*trace.Profile, error) {
-	ds, err := datasetFor(w, opt)
+	ds, err := datasetFor(w.DefaultSpec(), opt)
 	if err != nil {
 		return core.AppParams{}, nil, err
 	}
@@ -135,17 +135,11 @@ func Table4(ctx context.Context, opt Options) (*report.Document, error) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if opt.Quick {
-			spec.N /= 8
-			if spec.N < 1024 {
-				spec.N = 1024
-			}
-		}
-		ds, err := genDataset(spec)
+		ds, err := datasetFor(spec, opt)
 		if err != nil {
 			return err
 		}
-		profiles, err := workload.NativeProfiles(ctx, opt.Engine, mk(), ds, nativeThreadCounts(opt), false)
+		profiles, err := workload.NativeProfiles(ctx, mk(), ds, nativeThreadCounts(opt), false)
 		if err != nil {
 			return err
 		}
@@ -153,7 +147,7 @@ func Table4(ctx context.Context, opt Options) (*report.Document, error) {
 		if err != nil {
 			return err
 		}
-		attrs := "N:" + itoa(spec.N) + " D:" + itoa(spec.D) + " C:" + itoa(spec.C)
+		attrs := "N:" + itoa(ds.N()) + " D:" + itoa(spec.D) + " C:" + itoa(spec.C)
 		pv := paperTableIV[label]
 		t.AddRow(label, attrs,
 			f5(ap.F),

@@ -15,12 +15,10 @@ import (
 )
 
 func init() {
-	// SimRun and native-run trace.Profile values cross the engine's
-	// persistent store inside gob envelopes; register the concrete types
-	// so another process can decode them back out of the interface-typed
-	// envelope field.
+	// SimRun values cross the engine's persistent store inside gob
+	// envelopes; register the concrete type so another process can decode
+	// it back out of the interface-typed envelope field.
 	gob.Register(SimRun{})
-	gob.Register(trace.Profile{})
 }
 
 // SimRun is the cacheable outcome of one simulated machine run: everything
@@ -70,8 +68,13 @@ func (r SimRun) Profile() (*trace.Profile, error) {
 // The program is compiled afresh: each SimRunKey runs once per process as
 // a singleflighted engine job, so a program memo would only pin memory.
 // Result.Phases aliases scratch the released machine will recycle, so the
-// slice kept in the SimRun is a copy.
+// slice kept in the SimRun is a copy. cfg is validated first: builders
+// size per-core state from it, so an invalid one must be an error, not a
+// panic.
 func RunSim(w Workload, ds *datagen.Dataset, cfg sim.Config, scale int) (SimRun, error) {
+	if err := cfg.Validate(); err != nil {
+		return SimRun{}, err
+	}
 	prog, err := w.BuildProgram(ds, cfg, scale)
 	if err != nil {
 		return SimRun{}, err

@@ -8,9 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 
-	"mergescale/internal/engine"
 	"mergescale/internal/sim"
 	"mergescale/internal/trace"
 	"mergescale/internal/workload/datagen"
@@ -82,60 +80,23 @@ func phasesToProfile(name string, cores int, phases []sim.PhaseTime) (*trace.Pro
 	return p, nil
 }
 
-// NativeRunKey is the engine cache key of one native run. Like SimRunKey
-// it covers everything RunNative's operation counts depend on — workload
-// identity and tunables (Params), the data-set spec and the thread count —
-// and nothing else.
-func NativeRunKey(w Workload, spec datagen.Spec, threads int) string {
-	return engine.Key("native-run", w.Name(), w.Params(), spec, threads)
-}
-
-// NativeProfiles runs the workload natively across the given thread
-// counts, one engine job per thread count keyed by NativeRunKey, so runs
-// are scheduled across the engine's workers, singleflighted across
-// experiments and disk-cached. Results come back in threadCounts order;
-// each caller gets its own copy of every profile. With timing set the
-// runs bypass eng: they are never cached (wall-clock sections are
-// nondeterministic) and run serially on the calling goroutine, so no run
-// is timed while its siblings compete for the CPU.
-func NativeProfiles(ctx context.Context, eng *engine.Engine, w Native, ds *datagen.Dataset, threadCounts []int, timing bool) ([]*trace.Profile, error) {
+// NativeProfiles runs the workload natively at each thread count, one run
+// after another on the calling goroutine, and returns the profiles in
+// threadCounts order. Count-mode runs are closed forms (hop's read one
+// memoized kernel pass per data set), so they need no engine job or cache
+// entry; timed runs (timing set) run serially so no run is timed while a
+// sibling competes for the CPU.
+func NativeProfiles(ctx context.Context, w Native, ds *datagen.Dataset, threadCounts []int, timing bool) ([]*trace.Profile, error) {
 	out := make([]*trace.Profile, len(threadCounts))
-	if timing {
-		for i, th := range threadCounts {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			p, err := w.RunNative(ds, th, timing)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = p
-		}
-		return out, nil
-	}
-	jobs := make([]engine.Job, len(threadCounts))
 	for i, th := range threadCounts {
-		jobs[i] = engine.Job{
-			ID:  "native:" + w.Name() + "/t=" + strconv.Itoa(th),
-			Key: NativeRunKey(w, ds.Spec, th),
-			Fn: func(context.Context) (any, error) {
-				p, err := w.RunNative(ds, th, false)
-				if err != nil {
-					return nil, err
-				}
-				return *p, nil
-			},
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-	}
-	for i, r := range eng.Run(ctx, jobs) {
-		if r.Err != nil {
-			return nil, fmt.Errorf("%s: %w", jobs[i].ID, r.Err)
+		p, err := w.RunNative(ds, th, timing)
+		if err != nil {
+			return nil, err
 		}
-		p, ok := r.Value.(trace.Profile)
-		if !ok {
-			return nil, fmt.Errorf("%s: unexpected cached result type %T", jobs[i].ID, r.Value)
-		}
-		out[i] = &p
+		out[i] = p
 	}
 	return out, nil
 }

@@ -58,6 +58,11 @@ func TestPartialBaseAddressesDisjoint(t *testing.T) {
 func TestSimProfileForEachWorkload(t *testing.T) {
 	ds := testData(t, 41)
 	for _, w := range allWorkloads() {
+		// An invalid machine config is an error before any program is
+		// built, not a panic in the builder.
+		if _, err := workload.RunSim(w, ds, sim.DefaultConfig(0), 1); err == nil {
+			t.Errorf("%s: zero-core config accepted", w.Name())
+		}
 		run, err := workload.RunSim(w, ds, sim.DefaultConfig(4), 1)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name(), err)
@@ -134,7 +139,7 @@ func TestNativeProfilesThreadGrid(t *testing.T) {
 	ds := testData(t, 44)
 	km := kmeans.New()
 	km.Cfg.Iters = 2
-	profiles, err := workload.NativeProfiles(context.Background(), serialEngine(), km, ds, []int{1, 3, 5}, false)
+	profiles, err := workload.NativeProfiles(context.Background(), km, ds, []int{1, 3, 5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

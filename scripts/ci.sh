@@ -23,9 +23,9 @@ echo "== benchmark harness builds =="
 (cd benchmark && go vet . && go test -count=1 .)
 
 echo "== examples run =="
-# The examples are the only callers of some exported model helpers
-# (core.OptimalSymmetricR, core.PeakCoreCount); running them keeps both
-# the helpers and the examples honest.
+# The examples are the only caller of core.OptimalSymmetricR (Fig. 3 and
+# abl-growth also call core.PeakCoreCount); running them keeps both the
+# helper and the examples honest.
 for d in examples/*/; do
     go run "./$d" > /dev/null
 done
@@ -89,7 +89,8 @@ go test -run 'TestSweepFirstRowBeforeLastJobCompletes' -count=1 ./internal/exper
 
 echo "== cold/warm disk-cache determinism =="
 # A full -quick `run all` twice against one fresh cache dir: the warm run
-# must execute zero jobs and render byte-for-byte identical output.
+# must execute zero jobs, render byte-for-byte identical output, and read
+# exactly one disk entry per experiment (its document) and nothing else.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/mergescale" ./cmd/mergescale
@@ -97,7 +98,8 @@ go build -o "$tmp/mergescale" ./cmd/mergescale
 "$tmp/mergescale" -quick -cachedir "$tmp/cache" -stats run all > "$tmp/warm.out" 2> "$tmp/warm.stats"
 cmp "$tmp/cold.out" "$tmp/warm.out"
 grep -q '0 executed' "$tmp/warm.stats"
-grep -q 'disk:' "$tmp/warm.stats"
+n=$("$tmp/mergescale" -list | wc -l)
+grep -q "disk: $n hits / 0 misses" "$tmp/warm.stats"
 
 echo "== full-size digest =="
 # Every other byte-identity gate runs at -quick. This one pins the text
